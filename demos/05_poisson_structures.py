@@ -1,10 +1,11 @@
 """Alternative Poisson structures for collided poles.
 
 Brackets are presented as block operators: block (i,j) acts by a commutator
-with a fixed combination of site variables.  The total-collision limit
-bracket comes from an explicit coefficient formula; a five-site operator for
-a partial collision is implemented exactly as tabulated and
-examined as a diagnostic.
+with a fixed combination of site variables.  Each one compiles to its values
+on coordinate pairs, which Leibniz extends to all polynomials.  The
+total-collision limit bracket comes from an explicit coefficient formula; a
+five-site operator for a partial collision is implemented exactly as
+tabulated and examined as a diagnostic.
 """
 
 from fractions import Fraction

@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 Letter = tuple[int, int, int]
 Word = tuple[Letter, ...]
+# A classical bracket's values on coordinate pairs: (g, h) -> [(letter, coeff)].
+LetterTable = Mapping[tuple[Letter, Letter], Sequence[tuple[Letter, Fraction]]]
 
 
 class Mode(Enum):
@@ -98,8 +100,7 @@ def _letter_bracket(g: Letter, h: Letter) -> list[tuple[Letter, int]]:
 
 # Straightened two-letter products recur constantly while normal-ordering, so
 # results are memoized per word.  Structure constants are integers, so cached
-# coefficients stay int.  CPython's GIL makes the shared dict safe; workers in
-# separate processes each grow their own table.
+# coefficients stay int.
 _STRAIGHTEN: dict[Word, dict[Word, int]] = {}
 
 
@@ -150,8 +151,7 @@ def _acc(terms: dict, key, val) -> None:
 class NCPoly:
     """Sparse exact-rational combination of PBW-normal-form words.
 
-    Values are immutable by convention: operations always build new objects,
-    so independent brackets can be evaluated in parallel.
+    Values are immutable by convention: operations always build new objects.
     """
 
     __slots__ = ("sig", "terms")
@@ -306,12 +306,19 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q - q * p
 
 
-def poisson_bracket(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Site-wise Lie-Poisson bracket extended by Leibniz.  Classical mode only."""
+def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
+    """Biderivation fixed by its values on coordinate pairs, extended by Leibniz.
+
+    Without a table this is the site-wise Lie-Poisson bracket; a table maps
+    each letter pair (g, h) to the (letter, coefficient) expansion of {g, h},
+    absent pairs bracketing to zero.  Classical mode only.
+    """
     if p.sig.is_quantum:
         raise ModeError("poisson_bracket requires Classical mode; use commutator")
     if p.sig != q.sig:
         raise SignatureMismatchError(f"{p.sig} vs {q.sig}")
+    letter_bracket = (_letter_bracket if table is None
+                      else lambda g, h: table.get((g, h), ()))
     terms: dict[Word, Fraction] = {}
     for w1, c1 in p.terms.items():
         for s, g in enumerate(w1):
@@ -319,12 +326,12 @@ def poisson_bracket(p: NCPoly, q: NCPoly) -> NCPoly:
             for w2, c2 in q.terms.items():
                 c12 = c1 * c2
                 for t, h in enumerate(w2):
-                    br = _letter_bracket(g, h)
+                    br = letter_bracket(g, h)
                     if not br:
                         continue
                     rest = rest1 + w2[:t] + w2[t + 1:]
-                    for letter, sign in br:
-                        _acc(terms, tuple(sorted(rest + (letter,))), c12 * sign)
+                    for letter, coeff in br:
+                        _acc(terms, tuple(sorted(rest + (letter,))), c12 * coeff)
     return NCPoly(p.sig, terms)
 
 

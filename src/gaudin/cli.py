@@ -3,8 +3,7 @@
 Flags mirror the library configuration; a key=value config file can supply
 any flag, with command-line values taking precedence.  Reports are canonical
 JSON (sorted keys, seed recorded, no timestamps), so identical configuration
-reproduces byte-identical files.  The only environment variable honored is
-GAUDIN_WORKERS, the worker count for fan-out of independent checks.
+reproduces byte-identical files.  No environment variable is honored.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ variables, and
 
     {F, G} = sum_{i,j} Tr( grad_i F [P_ij, grad_j G] ).
 
+Such a bracket is a biderivation, so it is fixed by its values on coordinate
+pairs.  Every bracket description (standard, limit, block operator, pencil)
+compiles to that letter table once per check, and the table drives the same
+Leibniz loop as the standard bracket (``algebra.poisson_bracket``).
+
 The diagonal operator with P_ii = X_i reproduces the standard product
 Lie-Poisson bracket.  The parameter-free limit bracket arising from the total
 collision has coefficients
@@ -20,15 +25,17 @@ checks are diagnostics only.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .algebra import (
     AlgebraSignature,
+    LetterTable,
     ModeError,
     NCPoly,
-    partial,
     poisson_bracket,
 )
 from .lax import InvariantFamily
@@ -160,9 +167,6 @@ class LimitBracket(BracketSpec):
 class OperatorBracket(BracketSpec):
     operator: PoissonOperator
 
-    def __hash__(self):  # operators hold dicts; identity hash is enough here
-        return id(self.operator)
-
 
 @dataclass(frozen=True)
 class PencilBracket(BracketSpec):
@@ -185,81 +189,67 @@ def describe(spec: BracketSpec) -> str:
     return spec.__class__.__name__
 
 
-def gradient_matrix(F: NCPoly, site: int) -> list[list[NCPoly]]:
-    """Trace-pairing gradient: entry (u,v) is dF / dx[v,u]@site."""
-    r = F.sig.rank
-    return [[partial(F, (site, v, u)) for v in range(1, r + 1)]
-            for u in range(1, r + 1)]
+def _table() -> defaultdict:
+    return defaultdict(lambda: defaultdict(Fraction))
 
 
-def _combo_matrix(sig: AlgebraSignature, combo: Block) -> list[list[NCPoly]]:
-    r = sig.rank
-    out = []
-    for a in range(1, r + 1):
-        row = []
-        for b in range(1, r + 1):
-            p = sig.zero()
-            for k, c in combo.items():
-                p = p + sig.gen(k, a, b) * c
-            row.append(p)
-        out.append(row)
-    return out
-
-
-def _mat_mul(a, b, sig):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), sig.zero())
-             for j in range(n)] for i in range(n)]
-
-
-def _operator_bracket(op: PoissonOperator, F: NCPoly, G: NCPoly) -> NCPoly:
-    sig = F.sig
+def _operator_table(op: PoissonOperator, sig: AlgebraSignature) -> defaultdict:
+    """{x[a,b]@i, x[c,d]@j} = sum_k c^ij_k (d_bc x[a,d]@k - d_ad x[c,b]@k),
+    read off Tr(grad_i F [P_ij, grad_j G]) on coordinate functions."""
     if op.sites != sig.sites:
         raise ValueError(f"operator is for {op.sites} sites, signature has {sig.sites}")
-    grads_F: dict[int, list[list[NCPoly]]] = {}
-    grads_G: dict[int, list[list[NCPoly]]] = {}
-    total = sig.zero()
-    r = sig.rank
+    table = _table()
     for (i, j), combo in op.blocks.items():
-        gF = grads_F.get(i)
-        if gF is None:
-            gF = grads_F[i] = gradient_matrix(F, i)
-        gG = grads_G.get(j)
-        if gG is None:
-            gG = grads_G[j] = gradient_matrix(G, j)
-        P = _combo_matrix(sig, combo)
-        C = [[_mat_entry_sub(_mat_mul(P, gG, sig), _mat_mul(gG, P, sig), u, v)
-              for v in range(r)] for u in range(r)]
-        for u in range(r):
-            for v in range(r):
-                total = total + gF[u][v] * C[v][u]
-    return total
+        for k, coeff in combo.items():
+            for a, b, c in product(range(1, sig.rank + 1), repeat=3):
+                table[(i, a, b), (j, b, c)][k, a, c] += coeff  # the d_bc term
+                table[(i, a, b), (j, c, a)][k, c, b] -= coeff  # the d_ad term
+    return table
 
 
-def _mat_entry_sub(A, B, u, v):
-    return A[u][v] - B[u][v]
-
-
-def bracket_eval(spec: BracketSpec, F: NCPoly, G: NCPoly) -> NCPoly:
-    """Evaluate the described bracket on two classical polynomials."""
-    if F.sig.is_quantum:
-        raise ModeError("bracket_eval works on Classical-mode elements")
+def _spec_table(spec: BracketSpec, sig: AlgebraSignature) -> defaultdict:
     if isinstance(spec, StandardBracket):
-        return poisson_bracket(F, G)
+        return _operator_table(standard_operator(sig.sites), sig)
     if isinstance(spec, LimitBracket):
-        return _operator_bracket(limit_rijk_operator(F.sig.sites), F, G)
+        return _operator_table(limit_rijk_operator(sig.sites), sig)
     if isinstance(spec, OperatorBracket):
-        return _operator_bracket(spec.operator, F, G)
+        return _operator_table(spec.operator, sig)
     if isinstance(spec, PencilBracket):
-        return (bracket_eval(spec.first, F, G) * Fraction(spec.lam)
-                + bracket_eval(spec.second, F, G) * Fraction(spec.mu))
+        table = _table()
+        for scale, part in ((Fraction(spec.lam), spec.first),
+                            (Fraction(spec.mu), spec.second)):
+            for pair, combo in _spec_table(part, sig).items():
+                for letter, coeff in combo.items():
+                    table[pair][letter] += scale * coeff
+        return table
     raise TypeError(f"unknown bracket spec {spec!r}")
 
 
-def _jacobi_sum(spec: BracketSpec, F: NCPoly, G: NCPoly, H: NCPoly) -> NCPoly:
-    return (bracket_eval(spec, F, bracket_eval(spec, G, H))
-            + bracket_eval(spec, G, bracket_eval(spec, H, F))
-            + bracket_eval(spec, H, bracket_eval(spec, F, G)))
+def letter_table(spec: BracketSpec, sig: AlgebraSignature) -> LetterTable:
+    """Compile a bracket description to its nonzero values on coordinate pairs."""
+    table = {}
+    for pair, combo in _spec_table(spec, sig).items():
+        terms = [(letter, coeff) for letter, coeff in combo.items() if coeff]
+        if terms:
+            table[pair] = terms
+    return table
+
+
+def bracket_eval(spec: BracketSpec, F: NCPoly, G: NCPoly) -> NCPoly:
+    """Evaluate the described bracket on two classical polynomials.
+
+    Compiles the letter table on every call; checks that evaluate many
+    brackets compile it once with ``letter_table``.
+    """
+    if F.sig.is_quantum:
+        raise ModeError("bracket_eval works on Classical-mode elements")
+    return poisson_bracket(F, G, letter_table(spec, F.sig))
+
+
+def _jacobi_sum(table: LetterTable, F: NCPoly, G: NCPoly, H: NCPoly) -> NCPoly:
+    return (poisson_bracket(F, poisson_bracket(G, H, table), table)
+            + poisson_bracket(G, poisson_bracket(H, F, table), table)
+            + poisson_bracket(H, poisson_bracket(F, G, table), table))
 
 
 def jacobi_check(spec: BracketSpec, sig: AlgebraSignature,
@@ -267,6 +257,7 @@ def jacobi_check(spec: BracketSpec, sig: AlgebraSignature,
     """Jacobi cyclic sum on random coordinate triples and random quadratics."""
     if sig.is_quantum:
         raise ModeError("jacobi_check runs in Classical mode")
+    table = letter_table(spec, sig)
     rng = random.Random(seed)
     letters = list(sig.letters())
     witnesses = []
@@ -277,7 +268,7 @@ def jacobi_check(spec: BracketSpec, sig: AlgebraSignature,
         else:
             triple = [random_ncpoly(rng, sig, max_degree=2, terms=3) for _ in range(3)]
             kind = "degree<=2"
-        res = _jacobi_sum(spec, *triple)
+        res = _jacobi_sum(table, *triple)
         if not res.is_zero():
             witnesses.append({
                 "trial": trial,
@@ -315,10 +306,11 @@ def compatibility_check(first: BracketSpec, second: BracketSpec,
 def family_commutes_under(spec: BracketSpec, family: InvariantFamily) -> CheckReport:
     """All pairwise brackets of the family members under the given spec."""
     members = family.members
+    table = letter_table(spec, members[0].expr.sig) if len(members) > 1 else {}
     witnesses = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            res = bracket_eval(spec, members[i].expr, members[j].expr)
+            res = poisson_bracket(members[i].expr, members[j].expr, table)
             if not res.is_zero():
                 witnesses.append({
                     "pair": [members[i].provenance, members[j].provenance],
@@ -337,12 +329,13 @@ def antisymmetry_check(spec: BracketSpec, sig: AlgebraSignature,
                        trials: int = 20, seed: int = 0) -> CheckReport:
     if sig.is_quantum:
         raise ModeError("antisymmetry_check runs in Classical mode")
+    table = letter_table(spec, sig)
     rng = random.Random(seed)
     witnesses = []
     for trial in range(trials):
         F = random_ncpoly(rng, sig, max_degree=2, terms=3)
         G = random_ncpoly(rng, sig, max_degree=2, terms=3)
-        res = bracket_eval(spec, F, G) + bracket_eval(spec, G, F)
+        res = poisson_bracket(F, G, table) + poisson_bracket(G, F, table)
         if not res.is_zero():
             witnesses.append({"trial": trial, "residual": res.render()})
     return CheckReport(
@@ -358,15 +351,16 @@ def leibniz_check(spec: BracketSpec, sig: AlgebraSignature,
                   trials: int = 20, seed: int = 0) -> CheckReport:
     if sig.is_quantum:
         raise ModeError("leibniz_check runs in Classical mode")
+    table = letter_table(spec, sig)
     rng = random.Random(seed)
     witnesses = []
     for trial in range(trials):
         F = random_ncpoly(rng, sig, max_degree=2, terms=2)
         G = random_ncpoly(rng, sig, max_degree=1, terms=2)
         H = random_ncpoly(rng, sig, max_degree=1, terms=2)
-        res = (bracket_eval(spec, F, G * H)
-               - bracket_eval(spec, F, G) * H
-               - G * bracket_eval(spec, F, H))
+        res = (poisson_bracket(F, G * H, table)
+               - poisson_bracket(F, G, table) * H
+               - G * poisson_bracket(F, H, table))
         if not res.is_zero():
             witnesses.append({"trial": trial, "residual": res.render()})
     return CheckReport(

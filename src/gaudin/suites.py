@@ -7,9 +7,7 @@ drawn from the configured seed, which is recorded in the emitted report.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,8 +60,6 @@ from .poisson import (
 from .ratfun import DiffOpEntry, LaxEntry, RatFun
 from .reports import CheckReport
 
-WORKERS_ENV = "GAUDIN_WORKERS"
-
 SUITES = ("quadratic", "glue", "bending", "talalaev", "manin", "poisson")
 
 
@@ -115,39 +111,6 @@ class RunConfig:
         }
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def run_parallel(tasks):
-    """Evaluate zero-argument callables, fanning out when workers allow.
-
-    Results are collected in task order, so the merged report is
-    deterministic regardless of scheduling.
-    """
-    n = worker_count()
-    if n <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
-def _pairwise_bracket_report(check: str, gens: list[NCPoly], labels: list[str],
-                             params: dict) -> CheckReport:
-    witnesses = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            res = bracket(gens[i], gens[j])
-            if not res.is_zero():
-                witnesses.append({"pair": [labels[i], labels[j]],
-                                  "bracket": res.render()})
-    return CheckReport(check=check, passed=not witnesses, params=params,
-                       witnesses=witnesses)
-
-
 def suite_quadratic(cfg: RunConfig) -> list[CheckReport]:
     cfg.check_scale()
     poles = cfg.pole_list()
@@ -156,10 +119,11 @@ def suite_quadratic(cfg: RunConfig) -> list[CheckReport]:
         sig = cfg.signature(mode)
         hams = quadratic_hamiltonians(sig, poles)
         labels = [f"H{i + 1}" for i in range(len(hams))]
-        reports.append(_pairwise_bracket_report(
-            f"quadratic_commute_{mode}", hams, labels,
-            {"rank": cfg.rank, "sites": cfg.sites, "poles": [str(p) for p in poles]},
-        ))
+        rep = commutation_matrix(hams, labels)
+        rep.check = f"quadratic_commute_{mode}"
+        rep.params = {"rank": cfg.rank, "sites": cfg.sites,
+                      "poles": [str(p) for p in poles]}
+        reports.append(rep)
         total = sig.zero()
         for h in hams:
             total = total + h
@@ -192,11 +156,10 @@ def suite_glue(cfg: RunConfig) -> list[CheckReport]:
     sig = cfg.signature("classical")
     family = iterate_pattern(sig, pattern, poles)
     inv = family.invariant_family()
-    reports.append(_pairwise_bracket_report(
-        "glued_family_commutes", inv.exprs(),
-        [str(m.provenance) for m in inv.members],
-        {"pattern": text, "members": len(inv)},
-    ))
+    rep = commutation_matrix(inv.exprs(), [str(m.provenance) for m in inv.members])
+    rep.check = "glued_family_commutes"
+    rep.params = {"pattern": text, "members": len(inv)}
+    reports.append(rep)
     generic = spectral_invariants(gaudin_lax(sig, poles))
     reports.append(rank_completeness_check(sig, family, generic,
                                            trials=5, seed=cfg.seed))
@@ -237,11 +200,8 @@ def suite_bending(cfg: RunConfig) -> list[CheckReport]:
         witnesses=[{"k": k} for k in mismatched],
     ))
     inv = family.invariant_family()
-    tasks = [
-        lambda: family_commutes_under(StandardBracket(), inv),
-        lambda: family_commutes_under(LimitBracket(), inv),
-    ]
-    std_rep, lim_rep = run_parallel(tasks)
+    std_rep = family_commutes_under(StandardBracket(), inv)
+    lim_rep = family_commutes_under(LimitBracket(), inv)
     std_rep.check = "bending_commutes_standard"
     lim_rep.check = "bending_commutes_limit"
     reports += [std_rep, lim_rep]
@@ -384,18 +344,17 @@ def suite_poisson(cfg: RunConfig) -> list[CheckReport]:
         witnesses=[] if got == expected else [{"got": str(got)}],
     ))
 
-    tasks = [
-        lambda: antisymmetry_check(StandardBracket(), sig, cfg.trials, cfg.seed),
-        lambda: antisymmetry_check(LimitBracket(), sig, cfg.trials, cfg.seed),
-        lambda: jacobi_check(StandardBracket(), sig, cfg.trials, cfg.seed),
-        lambda: jacobi_check(LimitBracket(), sig, cfg.trials, cfg.seed),
-        lambda: compatibility_check(StandardBracket(), LimitBracket(), sig,
-                                    cfg.trials, cfg.seed),
-    ]
-    for rep, name in zip(run_parallel(tasks),
-                         ["antisymmetry_standard", "antisymmetry_limit",
-                          "jacobi_standard", "jacobi_limit",
-                          "compatibility_standard_limit"]):
+    for rep, name in (
+        (antisymmetry_check(StandardBracket(), sig, cfg.trials, cfg.seed),
+         "antisymmetry_standard"),
+        (antisymmetry_check(LimitBracket(), sig, cfg.trials, cfg.seed),
+         "antisymmetry_limit"),
+        (jacobi_check(StandardBracket(), sig, cfg.trials, cfg.seed),
+         "jacobi_standard"),
+        (jacobi_check(LimitBracket(), sig, cfg.trials, cfg.seed), "jacobi_limit"),
+        (compatibility_check(StandardBracket(), LimitBracket(), sig,
+                             cfg.trials, cfg.seed), "compatibility_standard_limit"),
+    ):
         rep.check = name
         reports.append(rep)
 

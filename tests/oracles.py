@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's straightening / bracket code paths:
 the free-word reducer normal-orders by right-to-left insertion without
-memoization, and the numeric Poisson oracle differentiates by exact finite
-differences.  Agreement between these and the kernel is evidence, not
+memoization, the numeric Poisson oracle differentiates by exact finite
+differences, and the block-operator oracle multiplies plain Fraction matrices
+of finite-difference gradients.  Agreement between these and the kernel is evidence, not
 circularity.
 """
 
@@ -131,4 +132,35 @@ def numeric_poisson(f_terms: dict, g_terms: dict, point: dict,
                 continue
             for letter, sign in brs:
                 total += df * dg * sign * point[letter]
+    return total
+
+
+def numeric_block_bracket(blocks: dict, rank: int, f_terms: dict, g_terms: dict,
+                          point: dict, max_degree: int) -> Fraction:
+    """sum_{i,j} Tr(grad_i F [P_ij, grad_j G]) at a point, with the block
+    operator's matrices built as plain r x r lists of Fractions.
+
+    ``blocks`` maps (i, j) to {k: c_k}, so that P_ij = sum_k c_k X_k with X_k
+    the matrix of site-k coordinates.  Gradient entry (u, v) at site i is
+    dF/dx[v,u]@i, taken by exact finite differences.
+    """
+    idx = range(rank)
+
+    def gradient(terms, site):
+        return [[fd_partial(terms, (site, v + 1, u + 1), point, max_degree)
+                 for v in idx] for u in idx]
+
+    def matmul(a, b):
+        return [[sum((a[u][w] * b[w][v] for w in idx), Fraction(0))
+                 for v in idx] for u in idx]
+
+    total = Fraction(0)
+    for (i, j), combo in blocks.items():
+        grad_f, grad_g = gradient(f_terms, i), gradient(g_terms, j)
+        p = [[sum((c * point[(k, u + 1, v + 1)] for k, c in combo.items()),
+                  Fraction(0)) for v in idx] for u in idx]
+        pg, gp = matmul(p, grad_g), matmul(grad_g, p)
+        comm = [[pg[u][v] - gp[u][v] for v in idx] for u in idx]
+        prod = matmul(grad_f, comm)
+        total += sum((prod[u][u] for u in idx), Fraction(0))
     return total

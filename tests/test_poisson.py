@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.algebra import AlgebraSignature, Mode, ModeError, poisson_bracket
+from gaudin.algebra import AlgebraSignature, Mode, ModeError, evaluate, poisson_bracket
 from gaudin.gluing import iterate_pattern, left_comb_pattern
 from gaudin.lax import InvariantFamily, lax_from_groups, spectral_invariants
 from gaudin.poisson import (
     LimitBracket,
     OperatorBracket,
     PencilBracket,
+    PoissonOperator,
     StandardBracket,
     antisymmetry_check,
     bracket_eval,
@@ -23,6 +24,8 @@ from gaudin.poisson import (
     standard_operator,
 )
 from gaudin.sampling import random_ncpoly
+
+from oracles import numeric_block_bracket
 
 
 def xx2_blocks():
@@ -191,3 +194,55 @@ class TestBracketAxioms:
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
         assert antisymmetry_check(LimitBracket(), sig, trials=30, seed=8).passed
         assert leibniz_check(LimitBracket(), sig, trials=20, seed=9).passed
+
+
+class TestBlockFormulaOracle:
+    """bracket_eval against sum_{i,j} Tr(grad_i F [P_ij, grad_j G]) computed
+    independently at random rational points."""
+
+    @staticmethod
+    def agree(spec, blocks_by_scale, sig, rng, pairs=6):
+        for _ in range(pairs):
+            f = random_ncpoly(rng, sig, max_degree=3, terms=3)
+            g = random_ncpoly(rng, sig, max_degree=2, terms=3)
+            point = {letter: Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+                     for letter in sig.letters()}
+            expected = sum(
+                (scale * numeric_block_bracket(blocks, sig.rank, f.terms, g.terms,
+                                               point, max_degree=3)
+                 for scale, blocks in blocks_by_scale),
+                Fraction(0))
+            assert evaluate(bracket_eval(spec, f, g), point) == expected
+
+    def test_limit_bracket_four_sites(self, rng):
+        sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
+        self.agree(LimitBracket(), [(1, xx2_blocks())], sig, rng)
+
+    def test_fivesite_operator(self, rng):
+        sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
+        op = fivesite_operator([0, 1, Fraction(5, 2), 3, 7])
+        self.agree(OperatorBracket(op), [(1, op.blocks)], sig, rng)
+
+    def test_corrupted_operator(self, rng):
+        sig = AlgebraSignature(3, 4, Mode.CLASSICAL)
+        bad = dict(xx2_blocks())
+        bad[(2, 2)] = {1: Fraction(1), 2: Fraction(1)}
+        op = limit_rijk_operator(4).with_block(2, 2, bad[(2, 2)])
+        self.agree(OperatorBracket(op), [(1, bad)], sig, rng, pairs=3)
+
+    def test_random_asymmetric_operator(self, rng):
+        # block (i,j) differs from block (j,i), so the oracle also pins which
+        # site index belongs to which argument
+        sig = AlgebraSignature(2, 3, Mode.CLASSICAL)
+        blocks = {(i, j): {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           for k in range(1, 4)}
+                  for i in range(1, 4) for j in range(1, 4)}
+        op = PoissonOperator(3, blocks)
+        self.agree(OperatorBracket(op), [(1, blocks)], sig, rng)
+
+    def test_pencil(self, rng):
+        sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
+        lam, mu = Fraction(2, 3), Fraction(-5)
+        pencil = PencilBracket(lam, StandardBracket(), mu, LimitBracket())
+        standard = {(i, i): {i: Fraction(1)} for i in range(1, 5)}
+        self.agree(pencil, [(lam, standard), (mu, xx2_blocks())], sig, rng)

@@ -1,7 +1,7 @@
 import pytest
 
-from gaudin.reports import CheckReport, all_passed, dumps_json
-from gaudin.suites import RunConfig, run_parallel, run_suite, worker_count
+from gaudin.reports import CheckReport, all_passed
+from gaudin.suites import RunConfig, run_suite
 
 
 def small_cfg(**kw):
@@ -26,24 +26,6 @@ def test_scale_guard_and_override():
         run_suite("quadratic", cfg)
     cfg = small_cfg(sites=4, mode="quantum", unsafe_scale=True)
     cfg.check_scale()  # no error once overridden
-
-
-def test_worker_env_controls_fanout(monkeypatch):
-    monkeypatch.setenv("GAUDIN_WORKERS", "3")
-    assert worker_count() == 3
-    calls = [lambda: 1, lambda: 2, lambda: 3]
-    assert run_parallel(calls) == [1, 2, 3]
-    monkeypatch.setenv("GAUDIN_WORKERS", "not-a-number")
-    assert worker_count() == 1
-
-
-def test_parallel_results_match_serial(monkeypatch):
-    cfg = small_cfg(rank=2, sites=3, trials=4)
-    monkeypatch.delenv("GAUDIN_WORKERS", raising=False)
-    serial = [r.to_json_dict() for r in run_suite("poisson", cfg)]
-    monkeypatch.setenv("GAUDIN_WORKERS", "4")
-    parallel = [r.to_json_dict() for r in run_suite("poisson", cfg)]
-    assert dumps_json(serial) == dumps_json(parallel)
 
 
 def test_diagnostics_do_not_gate():
