@@ -9,8 +9,12 @@ non-decreasing in the lexicographic order on these triples, which is the PBW
 straightening order (different-site letters sort by site, so cross-site
 products never need correction terms).
 
-Coefficients are exact ``fractions.Fraction`` values throughout.  An exact
-zero is the only accepted "commutes" verdict anywhere downstream.
+Coefficients are exact ``fractions.Fraction`` values at the API.  The two
+bracket engines (``commutator`` and ``poisson_bracket``) scale each operand
+once to integer numerators over one common denominator, run their loops on
+Python ints and divide by the product of the denominators at the end, so a
+bracket builds one ``Fraction`` per output term.  An exact zero is the only
+accepted "commutes" verdict anywhere downstream.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 Letter = tuple[int, int, int]
@@ -299,11 +304,48 @@ def multiply(p: NCPoly, q: NCPoly) -> NCPoly:
     return p * q
 
 
+def _integer_terms(p: NCPoly) -> tuple[int, dict[Word, int]]:
+    """(d, numerators): p's terms times d, the lcm of its denominators."""
+    d = 1
+    for c in p.terms.values():
+        d = lcm(d, c.denominator)
+    return d, {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}
+
+
+def _from_integer_terms(sig: AlgebraSignature, terms: dict[Word, int], d: int) -> NCPoly:
+    return NCPoly(sig, {w: Fraction(c, d) for w, c in terms.items() if c})
+
+
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     """pq - qp in normal form.  Quantum mode only."""
     if not p.sig.is_quantum:
         raise ModeError("commutator requires Quantum mode; use poisson_bracket")
-    return p * q - q * p
+    if p.sig != q.sig:
+        raise SignatureMismatchError(
+            f"operands over different signatures: {p.sig} vs {q.sig}")
+    dp, ip = _integer_terms(p)
+    dq, iq = _integer_terms(q)
+    terms: dict[Word, int] = {}
+    get = terms.get
+    for w1, c1 in ip.items():
+        for w2, c2 in iq.items():
+            c = c1 * c2
+            for w, k in straighten_word(w1 + w2).items():
+                terms[w] = get(w, 0) + c * k
+            for w, k in straighten_word(w2 + w1).items():
+                terms[w] = get(w, 0) - c * k
+    return _from_integer_terms(p.sig, terms, dp * dq)
+
+
+def _gradient(terms: dict[Word, int]) -> dict[Letter, list[tuple[Word, int]]]:
+    """letter -> [(word with one copy of letter removed, coeff * multiplicity)]."""
+    grad: dict[Letter, list[tuple[Word, int]]] = {}
+    for w, c in terms.items():
+        for s, g in enumerate(w):
+            if s and w[s - 1] == g:
+                continue
+            grad.setdefault(g, []).append((w[:s] + w[s + 1:], c * w.count(g)))
+    return grad
 
 
 def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
@@ -312,27 +354,39 @@ def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> N
     Without a table this is the site-wise Lie-Poisson bracket; a table maps
     each letter pair (g, h) to the (letter, coefficient) expansion of {g, h},
     absent pairs bracketing to zero.  Classical mode only.
+
+    The sum over (term of p, letter) x (term of q, letter) runs letter pair by
+    letter pair, so the letter rule is consulted once per pair and terms are
+    multiplied only where it is nonzero.
     """
     if p.sig.is_quantum:
         raise ModeError("poisson_bracket requires Classical mode; use commutator")
     if p.sig != q.sig:
         raise SignatureMismatchError(f"{p.sig} vs {q.sig}")
-    letter_bracket = (_letter_bracket if table is None
-                      else lambda g, h: table.get((g, h), ()))
-    terms: dict[Word, Fraction] = {}
-    for w1, c1 in p.terms.items():
-        for s, g in enumerate(w1):
-            rest1 = w1[:s] + w1[s + 1:]
-            for w2, c2 in q.terms.items():
-                c12 = c1 * c2
-                for t, h in enumerate(w2):
-                    br = letter_bracket(g, h)
-                    if not br:
-                        continue
-                    rest = rest1 + w2[:t] + w2[t + 1:]
-                    for letter, coeff in br:
-                        _acc(terms, tuple(sorted(rest + (letter,))), c12 * coeff)
-    return NCPoly(p.sig, terms)
+    dp, ip = _integer_terms(p)
+    dq, iq = _integer_terms(q)
+    grad_q = _gradient(iq)
+    pairs = []
+    dt = 1
+    for g, left in _gradient(ip).items():
+        for h, right in grad_q.items():
+            br = _letter_bracket(g, h) if table is None else table.get((g, h))
+            if br:
+                pairs.append((left, right, br))
+                for _, k in br:
+                    dt = lcm(dt, k.denominator)
+    terms: dict[Word, int] = {}
+    get = terms.get
+    for left, right, br in pairs:
+        br = [(letter, k.numerator * (dt // k.denominator)) for letter, k in br]
+        for r1, c1 in left:
+            for r2, c2 in right:
+                rest = r1 + r2
+                c = c1 * c2
+                for letter, k in br:
+                    w = tuple(sorted(rest + (letter,)))
+                    terms[w] = get(w, 0) + c * k
+    return _from_integer_terms(p.sig, terms, dp * dq * dt)
 
 
 def classical_limit(p: NCPoly) -> NCPoly:

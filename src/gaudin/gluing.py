@@ -210,12 +210,20 @@ class LimitFamily:
     sig: AlgebraSignature
     matrices: list[LaxMatrix]
     provenance: dict = field(default_factory=dict)
+    # invariant_family results per max_power; the matrices are never mutated
+    # once built, so the suites and checks share one computation.
+    _invariants: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def invariant_family(self, max_power: int | None = None) -> InvariantFamily:
-        members: list[InvariantMember] = []
-        for matrix in self.matrices:
-            members.extend(spectral_invariants(matrix, max_power).members)
-        return InvariantFamily(members, label=self.provenance.get("label", "limit"))
+        family = self._invariants.get(max_power)
+        if family is None:
+            members: list[InvariantMember] = []
+            for matrix in self.matrices:
+                members.extend(spectral_invariants(matrix, max_power).members)
+            family = InvariantFamily(members, label=self.provenance.get("label", "limit"))
+            self._invariants[max_power] = family
+        return family
 
     def to_json_dict(self) -> dict:
         return {
@@ -319,16 +327,15 @@ def rank_completeness_check(sig: AlgebraSignature, family: LimitFamily,
     limit_members = family.invariant_family().exprs()
     generic_members = generic.exprs()
     letters = list(sig.letters())
+    jac_limit = [[partial(m, g) for g in letters] for m in limit_members]
+    jac_generic = [[partial(m, g) for g in letters] for m in generic_members]
     rng = random.Random(seed)
     results = []
     ok = True
     for trial in range(trials):
         point = random_point(rng, sig)
-        jac_limit = [[evaluate(partial(m, g), point) for g in letters]
-                     for m in limit_members]
-        jac_generic = [[evaluate(partial(m, g), point) for g in letters]
-                       for m in generic_members]
-        r_limit, r_generic = rank(jac_limit), rank(jac_generic)
+        r_limit = rank([[evaluate(d, point) for d in row] for row in jac_limit])
+        r_generic = rank([[evaluate(d, point) for d in row] for row in jac_generic])
         results.append({"trial": trial, "limit": r_limit, "generic": r_generic})
         if r_limit != r_generic:
             ok = False

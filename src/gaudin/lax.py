@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraSignature, ModeError, NCPoly
 from .ratfun import LaxEntry, RatFun
@@ -53,17 +53,31 @@ class LaxMatrix:
     def matmul(self, other: "LaxMatrix") -> list[list[LaxEntry]]:
         return _matmul(self.entries, other.entries, self.sig)
 
+    def power_traces(self, max_power: int) -> Iterator[LaxEntry]:
+        """Tr L, Tr L^2, ..., Tr L^max_power.
+
+        L^(m-1) is carried across the powers, and only the diagonal of the
+        last product is formed: Tr L^m = sum_{i,k} (L^(m-1))_ik L_ki.
+        """
+        if max_power < 1:
+            return
+        yield self.trace()
+        power = self.entries  # L^(m-1)
+        for m in range(2, max_power + 1):
+            out = LaxEntry.zero(self.sig)
+            for i in range(self.size):
+                for k in range(self.size):
+                    out = out + power[i][k] * self.entries[k][i]
+            yield out
+            if m < max_power:
+                power = _matmul(power, self.entries, self.sig)
+
     def trace_of_power(self, m: int) -> LaxEntry:
         """Tr L^m as a rational function of z with algebra coefficients."""
         if m < 1:
             raise ValueError("power must be >= 1")
-        power = self.entries
-        for _ in range(m - 1):
-            power = _matmul(power, self.entries, self.sig)
-        out = LaxEntry.zero(self.sig)
-        for i in range(self.size):
-            out = out + power[i][i]
-        return out
+        *_, last = self.power_traces(m)
+        return last
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaxMatrix):
@@ -207,8 +221,7 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
     if max_power is None:
         max_power = sig.rank
     members: list[InvariantMember] = []
-    for m in range(1, max_power + 1):
-        tr = matrix.trace_of_power(m)
+    for m, tr in enumerate(matrix.power_traces(max_power), start=1):
         if matrix.is_polynomial():
             top = max((f.num.degree for f in tr.terms.values()), default=-1)
             for a in range(top + 1):

@@ -18,9 +18,16 @@ from gaudin.algebra import (
     poisson_bracket,
 )
 from gaudin.lax import physical_hamiltonian, quadratic_hamiltonians
+from gaudin.poisson import (
+    OperatorBracket,
+    PencilBracket,
+    PoissonOperator,
+    StandardBracket,
+    letter_table,
+)
 from gaudin.sampling import random_ncpoly, random_point
 
-from oracles import naive_commutator, numeric_poisson
+from oracles import naive_commutator, numeric_block_bracket, numeric_poisson
 
 
 def test_multiply_straightens_single_site(q1):
@@ -216,3 +223,84 @@ def test_render_is_stable(q1):
     p = q1.gen(1, 1, 1) * q1.gen(1, 1, 2) - q1.gen(1, 1, 2) * Fraction(1, 2)
     assert p.render() == "-1/2 * e[1,2]@1 + e[1,1]@1 * e[1,2]@1"
     assert q1.zero().render() == "0"
+
+
+# Integer-content bracket kernel: operands whose coefficients carry coprime
+# denominators, so every operand is scaled by a nontrivial common denominator.
+SCALES = (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7))
+
+
+def _fractional_ncpoly(rng, sig, max_degree=3, terms=4):
+    p = random_ncpoly(rng, sig, max_degree=max_degree, terms=terms)
+    return NCPoly(sig, {w: c * rng.choice(SCALES) for w, c in p.terms.items()})
+
+
+def _rational_point(rng, sig):
+    return {g: Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for g in sig.letters()}
+
+
+def test_integer_kernel_poisson_matches_numeric_oracle(rng):
+    sig = AlgebraSignature(2, 2, Mode.CLASSICAL)
+    nonzero = 0
+    for _ in range(15):
+        f, g = _fractional_ncpoly(rng, sig), _fractional_ncpoly(rng, sig)
+        br = poisson_bracket(f, g)
+        nonzero += not br.is_zero()
+        point = _rational_point(rng, sig)
+        assert evaluate(br, point) == numeric_poisson(f.terms, g.terms, point, 3)
+    assert nonzero >= 10
+
+
+def test_integer_kernel_commutator_matches_naive_reducer(q2, rng):
+    nonzero = 0
+    for _ in range(15):
+        p = _fractional_ncpoly(rng, q2, max_degree=2, terms=3)
+        q = _fractional_ncpoly(rng, q2, max_degree=2, terms=3)
+        res = commutator(p, q)
+        nonzero += not res.is_zero()
+        assert res.terms == naive_commutator(p.terms, q.terms)
+    assert nonzero >= 10
+
+
+def test_integer_kernel_table_pencil_matches_block_oracle(rng):
+    sig = AlgebraSignature(2, 3, Mode.CLASSICAL)
+    lam, mu = Fraction(1, 2), Fraction(-2, 3)
+    blocks = {(i, j): {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                       for k in range(1, 4)}
+              for i in range(1, 4) for j in range(1, 4)}
+    standard = {(i, i): {i: Fraction(1)} for i in range(1, 4)}
+    pencil = PencilBracket(lam, StandardBracket(), mu, OperatorBracket(PoissonOperator(3, blocks)))
+    table = letter_table(pencil, sig)
+    for _ in range(4):
+        f = _fractional_ncpoly(rng, sig, max_degree=3, terms=3)
+        g = _fractional_ncpoly(rng, sig, max_degree=2, terms=3)
+        point = _rational_point(rng, sig)
+        expected = (lam * numeric_block_bracket(standard, 2, f.terms, g.terms, point, 3)
+                    + mu * numeric_block_bracket(blocks, 2, f.terms, g.terms, point, 3))
+        assert evaluate(poisson_bracket(f, g, table), point) == expected
+
+
+def test_integer_kernel_results_keep_fraction_coefficients(c2, q2):
+    x12 = c2.gen(1, 1, 2) * Fraction(1, 2)
+    x21 = c2.gen(1, 2, 1) * Fraction(2, 3) + Fraction(5, 7)
+    br = poisson_bracket(x12, x21)
+    assert all(type(c) is Fraction for c in br.terms.values())
+    assert br.render() == "1/3 * x[1,1]@1 - 1/3 * x[2,2]@1"
+    p = q2.gen(1, 1, 2) * Fraction(-5, 7) + q2.gen(2, 1, 1) * Fraction(1, 2)
+    q = q2.gen(1, 2, 1) * q2.gen(1, 1, 1) * Fraction(2, 3)
+    res = commutator(p, q)
+    assert all(type(c) is Fraction for c in res.terms.values())
+    assert res.render() == (p * q - q * p).render() == (
+        "-10/21 * e[1,1]@1 + 10/21 * e[2,2]@1 - 10/21 * e[1,1]@1 * e[1,1]@1"
+        " + 10/21 * e[1,1]@1 * e[2,2]@1 + 10/21 * e[1,2]@1 * e[2,1]@1")
+
+
+def test_integer_kernel_rejects_mixed_signatures(c2, c3, q2, q3):
+    with pytest.raises(SignatureMismatchError):
+        poisson_bracket(c2.gen(1, 1, 2), c3.gen(1, 2, 1))
+    with pytest.raises(SignatureMismatchError):
+        commutator(q2.gen(1, 1, 2), q3.gen(1, 2, 1))
+    with pytest.raises(ModeError):
+        commutator(c2.gen(1, 1, 2), q2.gen(1, 2, 1))
+    with pytest.raises(ModeError):
+        poisson_bracket(q2.gen(1, 1, 2), c2.gen(1, 2, 1))

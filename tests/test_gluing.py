@@ -137,6 +137,15 @@ class TestIteratePattern:
                 for j in range(i + 1, len(exprs)):
                     assert poisson_bracket(exprs[i], exprs[j]).is_zero(), text
 
+    def test_invariant_family_is_computed_once_per_power(self, c3):
+        fam = iterate_pattern(c3, parse_pattern("[1,[2,3]@7]", 3))
+        full = fam.invariant_family()
+        assert fam.invariant_family() is full
+        assert fam.invariant_family(1) is fam.invariant_family(1)
+        assert fam.invariant_family(1).exprs() == [m.expr for m in full.members
+                                                   if m.provenance["power"] == 1]
+        assert fam == iterate_pattern(c3, parse_pattern("[1,[2,3]@7]", 3))
+
     def test_four_site_elementary_family_commutes(self):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
         fam = elementary_glue(sig, fixed=[0, 1], collapsing=[2, 3], w=7)

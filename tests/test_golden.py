@@ -1,8 +1,10 @@
-"""Behaviour gate: every suite's canonical report at CLI defaults must match
-its committed golden copy byte for byte.
+"""Behaviour gate: every suite's canonical report at CLI defaults, plus the
+rank-3 glue run, must match its committed golden copy byte for byte.
 
 To refresh a golden file after an intended behaviour change, run
-``PYTHONPATH=src python -m gaudin.cli verify SUITE --out tests/golden``.
+``PYTHONPATH=src python -m gaudin.cli verify SUITE --out tests/golden``; the
+rank-3 glue report is written as ``verify-glue.json`` by
+``verify glue --r 3`` and kept as ``verify-glue-r3.json``.
 """
 
 from pathlib import Path
@@ -15,8 +17,12 @@ from gaudin.suites import SUITES
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_default_report_matches_golden(suite, tmp_path):
-    assert main(["verify", suite, "--out", str(tmp_path)]) == 0
+# (id, suite, extra CLI arguments); each report is kept as verify-<id>.json.
+CASES = [(suite, suite, ()) for suite in SUITES] + [("glue-r3", "glue", ("--r", "3"))]
+
+
+@pytest.mark.parametrize("case, suite, args", CASES, ids=[c[0] for c in CASES])
+def test_default_report_matches_golden(case, suite, args, tmp_path):
+    assert main(["verify", suite, *args, "--out", str(tmp_path)]) == 0
     name = f"verify-{suite}.json"
-    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert (tmp_path / name).read_bytes() == (GOLDEN / f"verify-{case}.json").read_bytes()

@@ -62,6 +62,16 @@ class TestGaudinLax:
         # no simple-pole part for a one-site matrix
         assert tr2.residue(Fraction(3), 0).is_zero()
 
+    def test_power_traces_match_full_matrix_powers(self):
+        sig = AlgebraSignature(2, 2, Mode.CLASSICAL)
+        L = gaudin_lax(sig, [0, Fraction(1, 2)])
+        power = L.entries
+        for m, tr in enumerate(L.power_traces(4), start=1):
+            assert tr == sum((power[i][i] for i in range(2)), LaxEntry.zero(sig))
+            assert L.trace_of_power(m) == tr
+            power = L.matmul(LaxMatrix(sig, power, L.poles))
+        assert list(L.power_traces(0)) == []
+
     def test_repeated_poles_rejected(self, c3):
         with pytest.raises(ValueError):
             gaudin_lax(c3, [0, 0, 1])
