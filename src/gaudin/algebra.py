@@ -415,11 +415,17 @@ def diagonal_generators(sig: AlgebraSignature) -> list[NCPoly]:
     return out
 
 
-def bracket(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Mode-appropriate bracket: commutator or Poisson bracket."""
+def bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
+    """Mode-appropriate bracket: commutator or Poisson bracket.
+
+    A letter ``table`` (Classical mode only) is passed to ``poisson_bracket``.
+    """
     if p.sig.is_quantum:
+        if table is not None:
+            raise ModeError("a letter table defines a Poisson bracket; "
+                            "Quantum mode uses the commutator")
         return commutator(p, q)
-    return poisson_bracket(p, q)
+    return poisson_bracket(p, q, table)
 
 
 def partial(p: NCPoly, letter: Letter) -> NCPoly:

@@ -78,11 +78,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_DEFAULTS = {
-    "rank": 2, "sites": 3, "mode": "classical", "poles": "", "pattern": "",
-    "eval_points": "5,7", "trials": 20, "seed": 12345, "k": 1,
-    "z1": "0", "z2": "1", "unsafe_scale": False, "out": "runs", "fmt": "json",
-}
+def _flag_text(value):
+    """A RunConfig default as its flag would spell it; ints and bools stay
+    typed so that config-file values are coerced to match."""
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+_DEFAULTS = {key: _flag_text(value) for key, value in vars(RunConfig()).items()}
+_DEFAULTS.update(out="runs", fmt="json")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -125,7 +132,7 @@ def _run_config(merged: dict) -> RunConfig:
         mode=merged["mode"],
         poles=_parse_fraction_list(str(merged["poles"])),
         pattern=str(merged["pattern"]),
-        eval_points=_parse_fraction_list(str(merged["eval_points"])) or [Fraction(5), Fraction(7)],
+        eval_points=_parse_fraction_list(str(merged["eval_points"])) or RunConfig().eval_points,
         trials=merged["trials"],
         seed=merged["seed"],
         k=merged["k"],

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraSignature, ModeError, NCPoly
+from .linalg import matmul
 from .ratfun import LaxEntry, RatFun
 
 
@@ -51,7 +52,7 @@ class LaxMatrix:
         return out
 
     def matmul(self, other: "LaxMatrix") -> list[list[LaxEntry]]:
-        return _matmul(self.entries, other.entries, self.sig)
+        return matmul(self.entries, other.entries)
 
     def power_traces(self, max_power: int) -> Iterator[LaxEntry]:
         """Tr L, Tr L^2, ..., Tr L^max_power.
@@ -70,7 +71,7 @@ class LaxMatrix:
                     out = out + power[i][k] * self.entries[k][i]
             yield out
             if m < max_power:
-                power = _matmul(power, self.entries, self.sig)
+                power = matmul(power, self.entries)
 
     def trace_of_power(self, m: int) -> LaxEntry:
         """Tr L^m as a rational function of z with algebra coefficients."""
@@ -91,20 +92,6 @@ class LaxMatrix:
         return "[" + ", ".join(rows) + "]"
 
     __str__ = render
-
-
-def _matmul(a, b, sig) -> list[list[LaxEntry]]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaxEntry.zero(sig)
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 @dataclass

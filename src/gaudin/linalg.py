@@ -1,10 +1,89 @@
-"""Exact linear algebra over the rationals: rank, span comparison, and
-expressing a target vector as a combination of given sparse vectors."""
+"""Exact linear algebra: the one row reduction, matrix product and column
+determinant of the package, plus rank, span comparison and expressing a
+target vector as a combination of given sparse vectors.
+
+The three shared routines are generic over the entry ring: they use only
+``+``, ``-``, ``*`` and unary ``-`` on entries, and row reduction also uses
+``1 / x`` and the truth value (nonzero test).  ``Fraction``, ``RatFun`` and
+the noncommutative ``LaxEntry``/``DiffOpEntry`` all qualify; products keep
+the factor order they are written in.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Hashable, Mapping, Sequence
+
+
+def row_reduce(rows: list[list], ncols: int) -> list[int]:
+    """In-place Gauss-Jordan elimination on the first ``ncols`` columns.
+
+    The pivot of each column is the first nonzero entry at or below the
+    current row; its row is scaled to a unit pivot and the column is cleared
+    in every other row.  Row operations act on whole rows, so columns past
+    ``ncols`` (an augmented block) are carried along.  Returns the pivot
+    columns; the i-th pivot sits in row i.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """The product ab, each entry summed as a_i0 b_0j + a_i1 b_1j + ...
+
+    ``b`` must have at least one row and one column.
+    """
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = None):
+    """Column determinant of a nonempty square matrix.
+
+    The signed sum over permutations s of the products of the entries
+    (s(c), c), taken column by column in ``column_order`` (default 0..n-1),
+    the first column's factor written first.
+    """
+    n = len(entries)
+    if n == 0:
+        raise ValueError("column determinant of an empty matrix")
+    cols = tuple(range(n)) if column_order is None else tuple(column_order)
+    if sorted(cols) != list(range(n)):
+        raise ValueError(f"column order must be a permutation of 0..{n - 1}")
+    total = None
+    for perm in permutations(range(n)):
+        prod = entries[perm[cols[0]]][cols[0]]
+        for c in cols[1:]:
+            prod = prod * entries[perm[c]][c]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        if inversions % 2:
+            prod = -prod
+        total = prod if total is None else total + prod
+    return total
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -12,23 +91,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     mat = [list(map(Fraction, row)) for row in rows]
     if not mat:
         return 0
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    return len(row_reduce(mat, len(mat[0])))
 
 
 def _to_dense(vectors: Sequence[Mapping[Hashable, Fraction]],
@@ -65,39 +128,14 @@ def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],
     the elimination order.
     """
     keys = sorted({k for vec in vectors for k in vec} | set(target))
-    nrows, ncols = len(keys), len(vectors)
-    aug = []
-    kindex = {k: i for i, k in enumerate(keys)}
-    cols = [[Fraction(0)] * nrows for _ in range(ncols)]
-    for j, vec in enumerate(vectors):
-        for k, v in vec.items():
-            cols[j][kindex[k]] = v
-    rhs = [Fraction(0)] * nrows
-    for k, v in target.items():
-        rhs[kindex[k]] = v
-    aug = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
-
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
+    ncols = len(vectors)
+    # Row i of the augmented system: the i-th coordinate of every vector,
+    # then of the target.
+    aug = [list(row) for row in zip(*_to_dense(list(vectors) + [target], keys))]
+    pivots = row_reduce(aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
     solution = [Fraction(0)] * ncols
-    for row, col in pivots:
+    for row, col in enumerate(pivots):
         solution[col] = aug[row][ncols]
     return solution

@@ -13,15 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
+from math import factorial
+from operator import add
 
 from .algebra import (
     AlgebraSignature,
+    LetterTable,
     ModeError,
     NCPoly,
     SignatureMismatchError,
     bracket,
 )
+from . import linalg
 from .lax import LaxMatrix, pole_site_groups
 from .ratfun import DiffOpEntry, LaxEntry, RatFun
 from .reports import CheckReport
@@ -51,17 +56,7 @@ class DiffOpMatrix:
         return DiffOpMatrix(sig, [[DiffOpEntry.from_entry(e) for e in row] for row in entries])
 
     def __mul__(self, other: "DiffOpMatrix") -> "DiffOpMatrix":
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = DiffOpEntry.zero(self.sig)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return DiffOpMatrix(self.sig, out)
+        return DiffOpMatrix(self.sig, linalg.matmul(self.entries, other.entries))
 
     def __add__(self, other: "DiffOpMatrix") -> "DiffOpMatrix":
         return DiffOpMatrix(self.sig, [
@@ -79,8 +74,10 @@ class DiffOpMatrix:
         return DiffOpMatrix(self.sig, [[e.scale(c) for e in row] for row in self.entries])
 
     def power(self, m: int) -> "DiffOpMatrix":
-        out = DiffOpMatrix.identity(self.sig, self.size)
-        for _ in range(m):
+        if m == 0:
+            return DiffOpMatrix.identity(self.sig, self.size)
+        out = self
+        for _ in range(m - 1):
             out = out * self
         return out
 
@@ -102,6 +99,10 @@ class DiffOpMatrix:
             for i, row in enumerate(self.entries) if i != drop_row
         ]
         return DiffOpMatrix(self.sig, ents)
+
+    def principal(self, keep: tuple[int, ...]) -> "DiffOpMatrix":
+        """The submatrix on rows and columns ``keep``, in that order."""
+        return DiffOpMatrix(self.sig, [[self.entries[i][j] for j in keep] for i in keep])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOpMatrix):
@@ -168,30 +169,13 @@ def is_manin(M: DiffOpMatrix) -> CheckReport:
     )
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def col_det(M: DiffOpMatrix, column_order: tuple[int, ...] | None = None) -> DiffOpEntry:
     """Column determinant: signed sum over permutations with factors taken
-    column by column, the first column's factor written first."""
-    n = M.size
-    cols = tuple(range(n)) if column_order is None else tuple(column_order)
-    if sorted(cols) != list(range(n)):
-        raise ValueError(f"column order must be a permutation of 0..{n - 1}")
-    acc = DiffOpEntry.zero(M.sig)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = DiffOpEntry.one(M.sig)
-        for c in cols:
-            prod = prod * M.entries[perm[c]][c]
-        acc = acc + prod.scale(sign)
-    return acc
+    column by column, the first column's factor written first (see
+    ``linalg.col_det``).  The empty matrix has determinant 1."""
+    if not M.entries:
+        return DiffOpEntry.one(M.sig)
+    return linalg.col_det(M.entries, column_order)
 
 
 def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
@@ -211,16 +195,9 @@ def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
     return CheckReport(
         check="column_order_invariance",
         passed=not witnesses,
-        params={"size": n, "orders": _factorial(n)},
+        params={"size": n, "orders": factorial(n)},
         witnesses=witnesses,
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def adjugate(M: DiffOpMatrix) -> DiffOpMatrix:
@@ -231,124 +208,24 @@ def adjugate(M: DiffOpMatrix) -> DiffOpMatrix:
         row = []
         for j in range(n):
             cof = col_det(M.minor(j, i))
-            row.append(cof.scale((-1) ** (i + j)))
+            row.append(-cof if (i + j) % 2 else cof)
         out.append(row)
     return DiffOpMatrix(M.sig, out)
 
 
-class TPoly:
-    """Polynomial in a central variable t with DiffOpEntry coefficients.
+def _principal_minor_sums(M: DiffOpMatrix) -> list[DiffOpEntry]:
+    """sigma_0 = 1, sigma_1, ..., sigma_n with det_col(t + M) = sum_k sigma_k t^(n-k).
 
-    Used for characteristic polynomials det_col(t +/- M); t commutes with
-    everything, so multiplication is an ordinary convolution.
+    For a central variable t, expanding the column determinant column by
+    column gives  det_col(t + M) = sum over index sets S of t^(n-|S|) det_col(M_S)
+    for any matrix, M_S being the principal submatrix with its column order
+    kept; so sigma_k sums the column determinants of the k x k ones.
     """
-
-    __slots__ = ("sig", "coeffs")
-
-    def __init__(self, sig: AlgebraSignature, coeffs: dict[int, DiffOpEntry]):
-        self.sig = sig
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    @staticmethod
-    def zero(sig: AlgebraSignature) -> "TPoly":
-        return TPoly(sig, {})
-
-    @staticmethod
-    def one(sig: AlgebraSignature) -> "TPoly":
-        return TPoly(sig, {0: DiffOpEntry.one(sig)})
-
-    @staticmethod
-    def t(sig: AlgebraSignature) -> "TPoly":
-        return TPoly(sig, {1: DiffOpEntry.one(sig)})
-
-    @staticmethod
-    def const(entry: DiffOpEntry) -> "TPoly":
-        return TPoly(entry.sig, {0: entry})
-
-    def entry(self, k: int) -> DiffOpEntry:
-        return self.coeffs.get(k, DiffOpEntry.zero(self.sig))
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = coeffs.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
-        return TPoly(self.sig, coeffs)
-
-    def __neg__(self) -> "TPoly":
-        return TPoly(self.sig, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        out: dict[int, DiffOpEntry] = {}
-        for m, a in self.coeffs.items():
-            for n, b in other.coeffs.items():
-                prod = a * b
-                if prod.is_zero():
-                    continue
-                cur = out.get(m + n)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(m + n, None)
-                else:
-                    out[m + n] = s
-        return TPoly(self.sig, out)
-
-    def scale(self, c) -> "TPoly":
-        return TPoly(self.sig, {k: v.scale(c) for k, v in self.coeffs.items()})
-
-    def t_derivative(self) -> "TPoly":
-        return TPoly(self.sig, {k - 1: v.scale(k) for k, v in self.coeffs.items() if k > 0})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.sig == other.sig and self.coeffs == other.coeffs
-
-
-def _tpoly_col_det(entries: list[list[TPoly]], sig: AlgebraSignature) -> TPoly:
-    n = len(entries)
-    acc = TPoly.zero(sig)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = TPoly.one(sig)
-        for c in range(n):
-            prod = prod * entries[perm[c]][c]
-        acc = acc + prod.scale(sign)
-    return acc
-
-
-def _t_shifted(M: DiffOpMatrix, sign: int) -> list[list[TPoly]]:
-    """The matrix t*Id + sign*M as TPoly entries."""
     n = M.size
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = TPoly.const(M.entries[i][j].scale(sign))
-            if i == j:
-                p = p + TPoly.t(M.sig)
-            row.append(p)
-        out.append(row)
-    return out
-
-
-def char_tpoly(M: DiffOpMatrix, sign: int = 1) -> TPoly:
-    """det_col(t + sign*M) as a polynomial in the central variable t."""
-    return _tpoly_col_det(_t_shifted(M, sign), M.sig)
+    return [DiffOpEntry.one(M.sig)] + [
+        reduce(add, (col_det(M.principal(keep)) for keep in combinations(range(n), k)))
+        for k in range(1, n + 1)
+    ]
 
 
 def manin_property_suite(M: DiffOpMatrix,
@@ -378,12 +255,13 @@ def manin_property_suite(M: DiffOpMatrix,
         check="cramer", passed=not witnesses, params={"size": n}, witnesses=witnesses,
     ))
 
-    # Cayley-Hamilton with coefficients substituted on the left.
+    # Cayley-Hamilton with coefficients substituted on the left:  the
+    # t^k coefficient of det_col(t - M) is (-1)^(n-k) sigma_(n-k).
     if M.is_diff_free():
-        char = char_tpoly(M, sign=-1)
+        sigma = _principal_minor_sums(M)
         acc = DiffOpMatrix(sig, [[DiffOpEntry.zero(sig)] * n for _ in range(n)])
-        for k in range(char.degree + 1):
-            coeff = char.entry(k)
+        for k in range(n + 1):
+            coeff = -sigma[n - k] if (n - k) % 2 else sigma[n - k]
             term = M.power(k)
             acc = acc + DiffOpMatrix(sig, [
                 [coeff * e for e in row] for row in term.entries
@@ -422,24 +300,14 @@ def _scalar_matrix(M: DiffOpMatrix) -> list[list[RatFun]] | None:
     return out
 
 
-def _ratfun_inverse(mat: list[list[RatFun]]) -> list[list[RatFun]] | None:
+def _inverse(mat: list[list[RatFun]]) -> list[list[RatFun]] | None:
+    """Inverse of a square RatFun matrix, or None if it is singular."""
     n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] +
-           [RatFun.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, n) if not aug[i][col].is_zero()), None)
-        if pivot is None:
-            return None
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = RatFun.const(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for i in range(n):
-            if i != row and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]
+    one, zero = RatFun.const(1), RatFun.const(0)
+    aug = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
+    if len(linalg.row_reduce(aug, n)) < n:
+        return None
+    return [row[n:] for row in aug]
 
 
 def _schur_check(M: DiffOpMatrix, split: int | None) -> CheckReport:
@@ -457,32 +325,20 @@ def _schur_check(M: DiffOpMatrix, split: int | None) -> CheckReport:
     B = [row[k:] for row in scal[:k]]
     C = [row[:k] for row in scal[k:]]
     D = [row[k:] for row in scal[k:]]
-    Ainv = _ratfun_inverse(A)
+    Ainv = _inverse(A)
     if Ainv is None:
         return CheckReport(check="schur", passed=None, params={"size": n, "split": k},
                            info={"skipped": "leading block is singular"})
 
-    def mul(X, Y):
-        return [[sum((X[i][t] * Y[t][j] for t in range(len(Y))), RatFun.const(0))
-                 for j in range(len(Y[0]))] for i in range(len(X))]
-
     def sub(X, Y):
         return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)]
 
-    def det(X):
-        acc = RatFun.const(0)
-        for perm in permutations(range(len(X))):
-            prod = RatFun.const(1)
-            for c in range(len(X)):
-                prod = prod * X[perm[c]][c]
-            acc = acc + prod * _perm_sign(perm)
-        return acc
-
+    det, mul = linalg.col_det, linalg.matmul
     lhs = det(scal)
     rhs = det(A) * det(sub(D, mul(mul(C, Ainv), B)))
     ok = lhs == rhs
     witnesses = [] if ok else [{"residual": (lhs - rhs).render()}]
-    Dinv = _ratfun_inverse(D)
+    Dinv = _inverse(D)
     if Dinv is not None:
         rhs2 = det(D) * det(sub(A, mul(mul(B, Dinv), C)))
         if lhs != rhs2:
@@ -494,11 +350,16 @@ def _schur_check(M: DiffOpMatrix, split: int | None) -> CheckReport:
 
 def newton_check(M: DiffOpMatrix) -> CheckReport:
     """Newton identities between det_col(t+M) coefficients and trace powers,
-    plus the adjugate-trace identity  Tr (t+M)^adj = d/dt det_col(t+M)."""
+    plus the adjugate-trace identity  Tr (t+M)^adj = d/dt det_col(t+M).
+
+    The adjugate-trace line is a formal identity of the column expansion: the
+    diagonal cofactors of t+M are det_col(t + M_ii) for the minors M_ii, and
+    it holds for any matrix once t is central.  The Newton identities proper
+    are the part that needs the Manin property.
+    """
     n = M.size
     sig = M.sig
-    char = char_tpoly(M, sign=1)           # det_col(t + M)
-    sigma = [char.entry(n - i) for i in range(n + 1)]   # sigma_0 = 1
+    sigma = _principal_minor_sums(M)       # det_col(t + M) = sum sigma_k t^(n-k)
     tau = [None] + [M.power(i).trace() for i in range(1, n + 1)]
     witnesses = []
     for k in range(1, n + 1):
@@ -509,16 +370,14 @@ def newton_check(M: DiffOpMatrix) -> CheckReport:
         if lhs != rhs:
             witnesses.append({"k": k, "residual": (lhs - rhs).render()})
 
-    # Adjugate-trace identity over the t-polynomial ring.
-    shifted = _t_shifted(M, 1)
-    adj_trace = TPoly.zero(sig)
-    for i in range(n):
-        minor = [[shifted[r][c] for c in range(n) if c != i]
-                 for r in range(n) if r != i]
-        adj_trace = adj_trace + _tpoly_col_det(minor, sig)
-    deriv = char.t_derivative()
-    if adj_trace != deriv:
-        witnesses.append({"k": "adjugate-trace", "residual": "nonzero difference"})
+    # Adjugate-trace identity, coefficient by coefficient in t: the t^(n-1-m)
+    # coefficient is sum_i sigma_m(M_ii) on the left and (n-m) sigma_m on the
+    # right.
+    minor_sums = [_principal_minor_sums(M.minor(i, i)) for i in range(n)]
+    for m in range(n):
+        if reduce(add, (sums[m] for sums in minor_sums)) != sigma[m].scale(n - m):
+            witnesses.append({"k": "adjugate-trace", "residual": "nonzero difference"})
+            break
     return CheckReport(
         check="newton_identities", passed=not witnesses,
         params={"size": n}, witnesses=witnesses,
@@ -605,8 +464,13 @@ def talalaev_generators(L: LaxMatrix) -> TalalaevOutput:
     return TalalaevOutput(lax=L, qh=qh, qtr=qtr, recursion_constants=constants)
 
 
-def commutation_matrix(gens: list[NCPoly], labels: list[str] | None = None) -> CheckReport:
-    """Full antisymmetric table of pairwise brackets; PASS iff all vanish."""
+def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
+                       table: LetterTable | None = None) -> CheckReport:
+    """Full antisymmetric table of pairwise brackets; PASS iff all vanish.
+
+    A classical letter ``table`` replaces the Lie-Poisson rule (see
+    ``algebra.poisson_bracket``).
+    """
     if not gens:
         return CheckReport(check="commutation_matrix", passed=True, params={"count": 0})
     sig = gens[0].sig
@@ -618,7 +482,7 @@ def commutation_matrix(gens: list[NCPoly], labels: list[str] | None = None) -> C
     witnesses = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            res = bracket(gens[i], gens[j])
+            res = bracket(gens[i], gens[j], table)
             if not res.is_zero():
                 witnesses.append({
                     "pair": [labels[i], labels[j]],

@@ -39,6 +39,7 @@ from .algebra import (
     poisson_bracket,
 )
 from .lax import InvariantFamily
+from .manin import commutation_matrix
 from .reports import CheckReport
 from .sampling import random_ncpoly
 import random
@@ -307,22 +308,10 @@ def family_commutes_under(spec: BracketSpec, family: InvariantFamily) -> CheckRe
     """All pairwise brackets of the family members under the given spec."""
     members = family.members
     table = letter_table(spec, members[0].expr.sig) if len(members) > 1 else {}
-    witnesses = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            res = poisson_bracket(members[i].expr, members[j].expr, table)
-            if not res.is_zero():
-                witnesses.append({
-                    "pair": [members[i].provenance, members[j].provenance],
-                    "bracket": res.render(),
-                })
-    return CheckReport(
-        check="family_commutes",
-        passed=not witnesses,
-        params={"spec": describe(spec), "family": family.label,
-                "members": len(members)},
-        witnesses=witnesses,
-    )
+    rep = commutation_matrix(family.exprs(), [m.provenance for m in members], table)
+    rep.check = "family_commutes"
+    rep.params = {"spec": describe(spec), "family": family.label, "members": len(members)}
+    return rep
 
 
 def antisymmetry_check(spec: BracketSpec, sig: AlgebraSignature,

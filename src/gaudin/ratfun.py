@@ -216,6 +216,9 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 

@@ -185,3 +185,12 @@ def test_build_talalaev_rank_one(tmp_path, capsys):
     assert qh["1"] == "(1)"
     assert "e[1,1]@1" in qh["0"] and "e[1,1]@2" in qh["0"]
     assert doc["evaluations"]["5"]["qh"][1] == "1"
+
+
+@pytest.mark.parametrize("extra", [(), ("--eval", "")], ids=["no-flags", "empty-eval"])
+def test_verify_defaults_are_the_run_config_defaults(extra, tmp_path, capsys):
+    from gaudin.suites import RunConfig
+
+    code, out, _ = run_cli(["verify", "quadratic", *extra, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"] == RunConfig().to_json_dict()

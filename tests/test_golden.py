@@ -1,10 +1,10 @@
 """Behaviour gate: every suite's canonical report at CLI defaults, plus the
-rank-3 glue run, must match its committed golden copy byte for byte.
+rank-3 glue and manin runs, must match its committed golden copy byte for byte.
 
 To refresh a golden file after an intended behaviour change, run
-``PYTHONPATH=src python -m gaudin.cli verify SUITE --out tests/golden``; the
-rank-3 glue report is written as ``verify-glue.json`` by
-``verify glue --r 3`` and kept as ``verify-glue-r3.json``.
+``PYTHONPATH=src python -m gaudin.cli verify SUITE --out tests/golden``; a
+rank-3 report is written as ``verify-SUITE.json`` by ``verify SUITE --r 3``
+and kept as ``verify-SUITE-r3.json``.
 """
 
 from pathlib import Path
@@ -18,7 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 # (id, suite, extra CLI arguments); each report is kept as verify-<id>.json.
-CASES = [(suite, suite, ()) for suite in SUITES] + [("glue-r3", "glue", ("--r", "3"))]
+CASES = [(suite, suite, ()) for suite in SUITES] + [
+    (f"{suite}-r3", suite, ("--r", "3")) for suite in ("glue", "manin")]
 
 
 @pytest.mark.parametrize("case, suite, args", CASES, ids=[c[0] for c in CASES])

@@ -1,6 +1,18 @@
 from fractions import Fraction
 
-from gaudin.linalg import rank, solve_combination, span_dimension, spans_equal
+import pytest
+
+from gaudin.algebra import AlgebraSignature, Mode
+from gaudin.linalg import (
+    col_det,
+    matmul,
+    rank,
+    row_reduce,
+    solve_combination,
+    span_dimension,
+    spans_equal,
+)
+from gaudin.ratfun import DiffOpEntry, LaxEntry, Poly, RatFun
 
 
 def F(v):
@@ -40,3 +52,50 @@ def test_solve_combination_inconsistent():
     vectors = [{"u": F(1)}]
     target = {"u": F(1), "v": F(1)}
     assert solve_combination(vectors, target) is None
+
+
+def rf(*coeffs):
+    return RatFun(Poly(coeffs))
+
+
+def test_row_reduce_inverts_ratfun_matrix():
+    A = [[rf(0, 1), rf(1)], [rf(1), rf(0, 1)]]          # [[z, 1], [1, z]]
+    one, zero = RatFun.const(1), RatFun.const(0)
+    aug = [row + [one if i == j else zero for j in range(2)] for i, row in enumerate(A)]
+    assert row_reduce(aug, 2) == [0, 1]
+    inverse = [row[2:] for row in aug]
+    assert matmul(A, inverse) == [[one, zero], [zero, one]]
+
+
+def test_row_reduce_singular_ratfun_block_has_fewer_pivots():
+    A = [[rf(0, 1), rf(0, 0, 1)], [rf(1), rf(0, 1)]]    # [[z, z^2], [1, z]]
+    assert row_reduce(A, 2) == [0]
+
+
+def weyl_sig():
+    return AlgebraSignature(1, 1, Mode.QUANTUM)
+
+
+def test_matmul_keeps_factor_order():
+    sig = weyl_sig()
+    d = DiffOpEntry.partial(sig)
+    z = DiffOpEntry.from_entry(LaxEntry.scalar(sig, RatFun.z()))
+    assert d * z != z * d
+    assert matmul([[d, z]], [[z], [d]]) == [[d * z + z * d]]
+    assert matmul([[d]], [[z]]) == [[d * z]]
+
+
+def test_col_det_takes_factors_column_by_column():
+    sig = weyl_sig()
+    d = DiffOpEntry.partial(sig)
+    z = DiffOpEntry.from_entry(LaxEntry.scalar(sig, RatFun.z()))
+    M = [[d, d], [z, z]]
+    # M00 M11 - M10 M01 = d z - z d = 1; the other column order gives -1.
+    assert col_det(M) == M[0][0] * M[1][1] - M[1][0] * M[0][1] == DiffOpEntry.one(sig)
+    assert col_det(M, (1, 0)) == -DiffOpEntry.one(sig)
+
+
+@pytest.mark.parametrize("order", [(0, 0), (0,), (0, 2), (1, 0, 2)])
+def test_col_det_rejects_bad_column_order(order):
+    with pytest.raises(ValueError):
+        col_det([[F(1), F(2)], [F(3), F(4)]], order)

@@ -44,6 +44,15 @@ def cross_site_matrix(rank):
     ])
 
 
+def single_site_generator_matrix():
+    """E = (e[a,b]@1) over gl2: one site, so column entries do not commute."""
+    sig = AlgebraSignature(2, 1, Mode.QUANTUM)
+    return DiffOpMatrix(sig, [
+        [DiffOpEntry.from_entry(LaxEntry.from_ncpoly(sig.gen(1, a, b))) for b in (1, 2)]
+        for a in (1, 2)
+    ])
+
+
 def weyl_control():
     sig = scalar_sig()
     z = DiffOpEntry.from_entry(LaxEntry.scalar(sig, RatFun.z()))
@@ -184,6 +193,14 @@ class TestPropertySuite:
         assert reports["schur"].passed is None
         assert "singular" in reports["schur"].info["skipped"]
 
+    def test_non_manin_generator_matrix_fails_cramer_and_cayley_hamilton(self):
+        reports = {r.check: r for r in manin_property_suite(single_site_generator_matrix())}
+        assert reports["is_manin"].passed is False
+        assert reports["cramer"].passed is False
+        assert reports["cayley_hamilton"].passed is False
+        assert reports["cayley_hamilton"].witnesses[0] == {
+            "position": [1, 1], "residual": "((1) * e[1,1]@1 + (-1) * e[2,2]@1)"}
+
 
 class TestNewton:
     def test_diagonal_numeric_example(self):
@@ -217,6 +234,13 @@ class TestNewton:
         for n in (2, 3, 4):
             M = const_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             assert newton_check(M).passed
+
+    def test_non_manin_generator_matrix_fails_at_k2(self):
+        # The adjugate-trace line holds for any matrix, so only k=2 fails.
+        rep = newton_check(single_site_generator_matrix())
+        assert rep.passed is False
+        assert rep.witnesses == [
+            {"k": 2, "residual": "((-1) * e[1,1]@1 + (1) * e[2,2]@1)"}]
 
 
 class TestQuantumPowers:
@@ -314,3 +338,15 @@ class TestCommutationMatrix:
 
     def test_single_generator(self, q2):
         assert commutation_matrix([q2.gen(1, 1, 1)]).passed
+
+    def test_letter_table_replaces_lie_poisson_rule(self, c2):
+        gens = [c2.gen(1, 1, 1), c2.gen(1, 1, 2)]
+        assert commutation_matrix(gens).passed is False
+        assert commutation_matrix(gens, table={}).passed
+        # {x[1,1]@1, x[1,2]@1} = 3 x[2,2]@2 under a one-entry table
+        rep = commutation_matrix(gens, ["a", "b"], {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), Fraction(3))]})
+        assert rep.witnesses == [{"pair": ["a", "b"], "bracket": "3 * x[2,2]@2"}]
+
+    def test_letter_table_rejected_in_quantum_mode(self, q2):
+        with pytest.raises(ModeError):
+            commutation_matrix([q2.gen(1, 1, 1), q2.gen(1, 1, 2)], table={})

@@ -184,6 +184,14 @@ class TestFamilyCommutes:
         rep = family_commutes_under(StandardBracket(), bad)
         assert rep.passed is False and rep.witnesses
 
+    def test_gaudin_invariants_commute_under_standard_bracket_only(self, c3):
+        inv = spectral_invariants(lax_from_groups(c3, [([1], 0), ([2], 1), ([3], 2)], "g"))
+        assert family_commutes_under(StandardBracket(), inv).passed
+        rep = family_commutes_under(LimitBracket(), inv)
+        assert rep.passed is False and rep.witnesses
+        assert rep.check == "family_commutes"
+        assert rep.params == {"spec": "limit_rijk", "family": "g", "members": len(inv)}
+
 
 class TestBracketAxioms:
     def test_antisymmetry_and_leibniz_standard(self, c3):
