@@ -9,6 +9,13 @@ non-decreasing in the lexicographic order on these triples, which is the PBW
 straightening order (different-site letters sort by site, so cross-site
 products never need correction terms).
 
+``SparseSum`` is the one sparse container of the package: a zero-free map from
+keys to coefficients with addition, negation, equality, scaling and
+coefficient maps written once.  ``NCPoly`` adds the PBW product over
+``Fraction`` coefficients; ``ratfun.LaxEntry`` is the same product over
+rational functions of z, and ``ratfun.DiffOpEntry`` keys LaxEntry
+coefficients by powers of d/dz.
+
 Coefficients are exact ``fractions.Fraction`` values at the API.  The two
 bracket engines (``commutator`` and ``poisson_bracket``) scale each operand
 once to integer numerators over one common denominator, run their loops on
@@ -153,53 +160,67 @@ def _acc(terms: dict, key, val) -> None:
         del terms[key]
 
 
-class NCPoly:
-    """Sparse exact-rational combination of PBW-normal-form words.
+class SparseSum:
+    """Zero-free sparse sum over an algebra signature: ``terms`` maps each key
+    to a nonzero coefficient.
 
+    The additive structure, scaling and coefficient maps live here once.  A
+    subclass fixes its coefficient ring with ``_coeff(sig, c)``, which turns
+    a constant into a coefficient, and names the constant types it accepts
+    as operands in ``_scalars``; a constant sits at key ``_unit``.  Operands
+    of another class are refused (``NotImplemented``, hence ``TypeError``),
+    and operands over another signature raise ``SignatureMismatchError``.
     Values are immutable by convention: operations always build new objects.
     """
 
     __slots__ = ("sig", "terms")
+    _scalars: tuple[type, ...] = ()
+    _unit = ()
 
-    def __init__(self, sig: AlgebraSignature, terms: dict[Word, Fraction]):
+    def __init__(self, sig: AlgebraSignature, terms: dict):
         self.sig = sig
         self.terms = terms
 
     @staticmethod
-    def zero(sig: AlgebraSignature) -> "NCPoly":
-        return NCPoly(sig, {})
+    def _coeff(sig: AlgebraSignature, c):
+        raise NotImplementedError
 
-    @staticmethod
-    def from_terms(sig: AlgebraSignature, items) -> "NCPoly":
-        """Build from (word, coefficient) pairs, accumulating duplicates."""
-        terms: dict[Word, Fraction] = {}
-        for word, coeff in items:
-            _acc(terms, word, Fraction(coeff))
-        return NCPoly(sig, terms)
+    @classmethod
+    def zero(cls, sig: AlgebraSignature):
+        return cls(sig, {})
+
+    @classmethod
+    def scalar(cls, sig: AlgebraSignature, c):
+        """The constant c."""
+        c = cls._coeff(sig, c)
+        return cls(sig, {cls._unit: c} if c else {})
+
+    @classmethod
+    def one(cls, sig: AlgebraSignature):
+        return cls.scalar(sig, 1)
+
+    @classmethod
+    def from_terms(cls, sig: AlgebraSignature, items):
+        """Build from (key, coefficient) pairs, accumulating duplicates."""
+        terms: dict = {}
+        for key, c in items:
+            _acc(terms, key, cls._coeff(sig, c))
+        return cls(sig, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def degree(self):
-        """Word-length degree; the zero polynomial reports -inf."""
-        if not self.terms:
-            return float("-inf")
-        return max(len(w) for w in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def _coerce(self, other):
-        if isinstance(other, NCPoly):
+        if type(other) is type(self):
             if other.sig != self.sig:
                 raise SignatureMismatchError(
-                    f"operands over different signatures: {self.sig} vs {other.sig}"
-                )
+                    f"operands over different signatures: {self.sig} vs {other.sig}")
             return other
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return NCPoly(self.sig, {(): c} if c else {})
+        if isinstance(other, self._scalars):
+            return self.scalar(self.sig, other)
         return None
 
     def __add__(self, other):
@@ -207,14 +228,14 @@ class NCPoly:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(terms, w, c)
-        return NCPoly(self.sig, terms)
+        for key, c in other.terms.items():
+            _acc(terms, key, c)
+        return type(self)(self.sig, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly(self.sig, {w: -c for w, c in self.terms.items()})
+        return type(self)(self.sig, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -228,17 +249,70 @@ class NCPoly:
             return NotImplemented
         return other + (-self)
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SparseSum) and other.sig != self.sig:
+            return False
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def scale(self, c):
+        """Every coefficient times the constant c."""
+        c = self._coeff(self.sig, c)
+        if not c:
+            return self.zero(self.sig)
+        return self.map(lambda t: t * c)
+
+    def map(self, fn, cls=None):
+        """``fn`` applied to every coefficient, zeros dropped; the result is a
+        ``cls`` (default: this class) over the same signature."""
+        terms = {}
+        for key, c in self.terms.items():
+            c = fn(c)
+            if c:
+                terms[key] = c
+        return (cls or type(self))(self.sig, terms)
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.render()}>"
+
+
+class NCPoly(SparseSum):
+    """Sparse exact-rational combination of PBW-normal-form words.
+
+    Subclasses keep the PBW product over another coefficient ring (see
+    ``ratfun.LaxEntry``).
+    """
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
+
+    @staticmethod
+    def _coeff(sig: AlgebraSignature, c) -> Fraction:
+        return Fraction(c)
+
+    @property
+    def degree(self):
+        """Word-length degree; the zero polynomial reports -inf."""
+        if not self.terms:
+            return float("-inf")
+        return max(len(w) for w in self.terms)
+
+    def constant_term(self):
+        return self.terms.get((), self._coeff(self.sig, 0))
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return NCPoly(self.sig, {})
-            return NCPoly(self.sig, {w: c * q for w, c in self.terms.items()})
+        if isinstance(other, self._scalars):
+            return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         quantum = self.sig.is_quantum
-        terms: dict[Word, Fraction] = {}
+        terms: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c = c1 * c2
@@ -247,27 +321,20 @@ class NCPoly:
                         _acc(terms, w, c * k)
                 else:
                     _acc(terms, tuple(sorted(w1 + w2)), c)
-        return NCPoly(self.sig, terms)
+        return type(self)(self.sig, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
+        if isinstance(other, self._scalars):
+            return self.scale(other)
         return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = self.sig.one()
+        out = self.one(self.sig)
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in the stable output order: graded, then PBW-lexicographic."""
@@ -292,11 +359,6 @@ class NCPoly:
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return f"<NCPoly {self.render()}>"
 
 
 def multiply(p: NCPoly, q: NCPoly) -> NCPoly:

@@ -5,8 +5,9 @@ target vector as a combination of given sparse vectors.
 The three shared routines are generic over the entry ring: they use only
 ``+``, ``-``, ``*`` and unary ``-`` on entries, and row reduction also uses
 ``1 / x`` and the truth value (nonzero test).  ``Fraction``, ``RatFun`` and
-the noncommutative ``LaxEntry``/``DiffOpEntry`` all qualify; products keep
-the factor order they are written in.
+the noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` (whose
+truth value is "has a term") all qualify; products keep the factor order they
+are written in.
 """
 
 from __future__ import annotations

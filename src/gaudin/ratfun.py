@@ -3,10 +3,11 @@ layered on it.
 
 ``Poly`` and ``RatFun`` are univariate polynomials / rational functions over
 the rationals in canonical form (monic denominator, gcd removed).  ``LaxEntry``
-is a noncommutative polynomial whose coefficients are rational functions: one
-matrix entry of a Lax matrix.  ``DiffOpEntry`` is a polynomial in d/dz with
-LaxEntry coefficients, multiplying by the exact Leibniz rule
-``d/dz . f = f . d/dz + f'``.
+is ``algebra.NCPoly`` over rational-function coefficients: one matrix entry of
+a Lax matrix, whose z-operations (derivative, evaluation, residues) map the
+coefficients.  ``DiffOpEntry`` is an ``algebra.SparseSum`` from powers of d/dz
+to LaxEntry coefficients, multiplying by the exact Leibniz rule
+``d/dz . f = f . d/dz + f'``.  All three share the sparse-sum arithmetic.
 
 Pole locations are restricted to rational points; residues are computed by
 exact local power-series division, never by numeric limits.
@@ -18,13 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .algebra import (
-    AlgebraSignature,
-    NCPoly,
-    SignatureMismatchError,
-    Word,
-    straighten_word,
-)
+from .algebra import AlgebraSignature, NCPoly, SparseSum, _acc
 
 
 class PoleEvaluationError(ValueError):
@@ -359,134 +354,40 @@ def residue(f: RatFun, pole, order: int = 0) -> Fraction:
     return f.residue(pole, order)
 
 
-class LaxEntry:
-    """Noncommutative polynomial with RatFun coefficients: one Lax-matrix entry."""
+class LaxEntry(NCPoly):
+    """Noncommutative polynomial with RatFun coefficients: one Lax-matrix entry.
 
-    __slots__ = ("sig", "terms")
+    The PBW product and the sparse-sum arithmetic are ``NCPoly``'s; the
+    z-operations map the coefficients.
+    """
 
-    def __init__(self, sig: AlgebraSignature, terms: dict[Word, RatFun]):
-        self.sig = sig
-        self.terms = terms
-
-    @staticmethod
-    def zero(sig: AlgebraSignature) -> "LaxEntry":
-        return LaxEntry(sig, {})
+    __slots__ = ()
+    _scalars = (int, Fraction, RatFun, Poly)
 
     @staticmethod
-    def one(sig: AlgebraSignature) -> "LaxEntry":
-        return LaxEntry(sig, {(): RatFun.const(1)})
-
-    @staticmethod
-    def scalar(sig: AlgebraSignature, f) -> "LaxEntry":
-        f = _as_ratfun(f)
-        return LaxEntry(sig, {} if f.is_zero() else {(): f})
-
-    @staticmethod
-    def from_terms(sig: AlgebraSignature, items) -> "LaxEntry":
-        terms: dict[Word, RatFun] = {}
-        for word, coeff in items:
-            _acc_rf(terms, word, _as_ratfun(coeff))
-        return LaxEntry(sig, terms)
+    def _coeff(sig: AlgebraSignature, c) -> RatFun:
+        return _as_ratfun(c)
 
     @staticmethod
     def from_ncpoly(p: NCPoly) -> "LaxEntry":
-        return LaxEntry(p.sig, {w: RatFun.const(c) for w, c in p.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "LaxEntry") -> None:
-        if self.sig != other.sig:
-            raise SignatureMismatchError(f"{self.sig} vs {other.sig}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            other = LaxEntry.scalar(self.sig, other)
-        if not isinstance(other, LaxEntry):
-            return NotImplemented
-        self._require_same(other)
-        terms = dict(self.terms)
-        for w, f in other.terms.items():
-            _acc_rf(terms, w, f)
-        return LaxEntry(self.sig, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaxEntry(self.sig, {w: -f for w, f in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            other = LaxEntry.scalar(self.sig, other)
-        if not isinstance(other, LaxEntry):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            return self.scale(other)
-        if not isinstance(other, LaxEntry):
-            return NotImplemented
-        self._require_same(other)
-        quantum = self.sig.is_quantum
-        terms: dict[Word, RatFun] = {}
-        for w1, f1 in self.terms.items():
-            for w2, f2 in other.terms.items():
-                f = f1 * f2
-                if quantum:
-                    for w, k in straighten_word(w1 + w2).items():
-                        _acc_rf(terms, w, f * k)
-                else:
-                    _acc_rf(terms, tuple(sorted(w1 + w2)), f)
-        return LaxEntry(self.sig, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, f) -> "LaxEntry":
-        f = _as_ratfun(f)
-        if f.is_zero():
-            return LaxEntry.zero(self.sig)
-        return LaxEntry(self.sig, {w: g * f for w, g in self.terms.items()})
+        return p.map(RatFun.const, LaxEntry)
 
     def derivative(self) -> "LaxEntry":
-        terms = {}
-        for w, f in self.terms.items():
-            df = f.derivative()
-            if not df.is_zero():
-                terms[w] = df
-        return LaxEntry(self.sig, terms)
+        return self.map(RatFun.derivative)
 
     def eval_z(self, point) -> NCPoly:
         """Substitute z = point in every coefficient (errors name the pole)."""
-        terms: dict[Word, Fraction] = {}
-        for w, f in self.terms.items():
-            c = f(point)
-            if c:
-                terms[w] = c
-        return NCPoly(self.sig, terms)
+        return self.map(lambda f: f(point), NCPoly)
 
     def residue(self, pole, order: int = 0) -> NCPoly:
-        terms: dict[Word, Fraction] = {}
-        for w, f in self.terms.items():
-            c = f.residue(pole, order)
-            if c:
-                terms[w] = c
-        return NCPoly(self.sig, terms)
+        return self.map(lambda f: f.residue(pole, order), NCPoly)
 
     def z_coefficient(self, power: int) -> NCPoly:
         """Coefficient of z^power; entry must be polynomial in z."""
-        terms: dict[Word, Fraction] = {}
-        for w, f in self.terms.items():
-            if not f.is_polynomial():
-                raise ValueError("entry is not polynomial in z")
-            if power <= f.num.degree:
-                c = f.num.coeffs[power]
-                if c:
-                    terms[w] = c
-        return NCPoly(self.sig, terms)
+        if not all(f.is_polynomial() for f in self.terms.values()):
+            raise ValueError("entry is not polynomial in z")
+        return self.map(lambda f: f.num.coeffs[power] if power <= f.num.degree else 0,
+                        NCPoly)
 
     def proportionality(self, other: "LaxEntry") -> Fraction | None:
         """The constant c with self == c * other, if one exists."""
@@ -508,14 +409,6 @@ class LaxEntry:
                 return None
         return ratio
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaxEntry):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -527,45 +420,23 @@ class LaxEntry:
             parts.append(body if not parts else f"+ {body}")
         return " ".join(parts)
 
-    __str__ = render
 
-    def __repr__(self) -> str:
-        return f"<LaxEntry {self.render()}>"
-
-
-def _acc_rf(terms: dict[Word, RatFun], word: Word, f: RatFun) -> None:
-    cur = terms.get(word)
-    if cur is None:
-        if not f.is_zero():
-            terms[word] = f
-        return
-    cur = cur + f
-    if cur.is_zero():
-        del terms[word]
-    else:
-        terms[word] = cur
-
-
-class DiffOpEntry:
-    """Polynomial in d/dz with LaxEntry coefficients.
+class DiffOpEntry(SparseSum):
+    """Polynomial in d/dz with LaxEntry coefficients: ``terms`` maps each power
+    of d/dz to its coefficient, written to the left of the power.
 
     Multiplication implements the exact commutation  d/dz . f = f . d/dz + f',
-    so products of differential-operator matrices expand correctly.
+    so products of differential-operator matrices expand correctly.  Constants
+    and LaxEntry values are accepted as operands at d/dz power 0.
     """
 
-    __slots__ = ("sig", "coeffs")
-
-    def __init__(self, sig: AlgebraSignature, coeffs: dict[int, LaxEntry]):
-        self.sig = sig
-        self.coeffs = coeffs
+    __slots__ = ()
+    _scalars = (int, Fraction, RatFun, Poly, LaxEntry)
+    _unit = 0
 
     @staticmethod
-    def zero(sig: AlgebraSignature) -> "DiffOpEntry":
-        return DiffOpEntry(sig, {})
-
-    @staticmethod
-    def one(sig: AlgebraSignature) -> "DiffOpEntry":
-        return DiffOpEntry(sig, {0: LaxEntry.one(sig)})
+    def _coeff(sig: AlgebraSignature, c) -> LaxEntry:
+        return LaxEntry.zero(sig) + c
 
     @staticmethod
     def partial(sig: AlgebraSignature, power: int = 1) -> "DiffOpEntry":
@@ -573,127 +444,52 @@ class DiffOpEntry:
 
     @staticmethod
     def from_entry(entry: LaxEntry) -> "DiffOpEntry":
-        return DiffOpEntry(entry.sig, {} if entry.is_zero() else {0: entry})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return DiffOpEntry.scalar(entry.sig, entry)
 
     @property
     def order(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
+        return max(self.terms) if self.terms else -1
 
     def entry(self, power: int) -> LaxEntry:
-        return self.coeffs.get(power, LaxEntry.zero(self.sig))
-
-    def _coerce(self, other):
-        if isinstance(other, DiffOpEntry):
-            if other.sig != self.sig:
-                raise SignatureMismatchError(f"{self.sig} vs {other.sig}")
-            return other
-        if isinstance(other, LaxEntry):
-            return DiffOpEntry.from_entry(other)
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            return DiffOpEntry.from_entry(LaxEntry.scalar(self.sig, other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for k, e in other.coeffs.items():
-            cur = coeffs.get(k)
-            s = e if cur is None else cur + e
-            if s.is_zero():
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
-        return DiffOpEntry(self.sig, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOpEntry(self.sig, {k: -e for k, e in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.terms.get(power, LaxEntry.zero(self.sig))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, LaxEntry] = {}
-        for m, a in self.coeffs.items():
-            for n, b in other.coeffs.items():
+        terms: dict[int, LaxEntry] = {}
+        for m, a in self.terms.items():
+            for n, b in other.terms.items():
                 db = b
                 for t in range(m + 1):
-                    contrib = (a * db).scale(comb(m, t))
-                    if not contrib.is_zero():
-                        k = m + n - t
-                        cur = out.get(k)
-                        s = contrib if cur is None else cur + contrib
-                        if s.is_zero():
-                            out.pop(k, None)
-                        else:
-                            out[k] = s
+                    _acc(terms, m + n - t, (a * db).scale(comb(m, t)))
                     if t < m:
                         db = db.derivative()
-        return DiffOpEntry(self.sig, out)
+        return DiffOpEntry(self.sig, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RatFun, Poly)):
-            return self.scale(other)
-        if isinstance(other, LaxEntry):
-            return DiffOpEntry.from_entry(other) * self
-        return NotImplemented
-
-    def scale(self, f) -> "DiffOpEntry":
-        out = {}
-        for k, e in self.coeffs.items():
-            s = e.scale(f)
-            if not s.is_zero():
-                out[k] = s
-        return DiffOpEntry(self.sig, out)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self
 
     def z_derivative(self) -> "DiffOpEntry":
         """Coefficient-wise d/dz (the commutator [d/dz, A])."""
-        out = {}
-        for k, e in self.coeffs.items():
-            de = e.derivative()
-            if not de.is_zero():
-                out[k] = de
-        return DiffOpEntry(self.sig, out)
+        return self.map(LaxEntry.derivative)
 
     def eval_z(self, point) -> list[NCPoly]:
         """Evaluated coefficients listed by d/dz power, constant term first."""
-        top = self.order
-        return [self.entry(k).eval_z(point) for k in range(top + 1)]
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        return [self.entry(k).eval_z(point) for k in range(self.order + 1)]
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.coeffs, reverse=True):
+        for k in sorted(self.terms, reverse=True):
             head = "" if k == 0 else ("d" if k == 1 else f"d^{k}")
-            body = self.coeffs[k].render()
+            body = self.terms[k].render()
             parts.append(f"({body}){head}" if head else f"({body})")
         return " + ".join(parts)
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return f"<DiffOpEntry {self.render()}>"
 
 
 def diffop_multiply(a: DiffOpEntry, b: DiffOpEntry) -> DiffOpEntry:

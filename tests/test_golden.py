@@ -1,29 +1,38 @@
 """Behaviour gate: every suite's canonical report at CLI defaults, plus the
-rank-3 glue and manin runs, must match its committed golden copy byte for byte.
+rank-3 glue and manin runs, and every ``build`` target's output must match its
+committed golden copy byte for byte.
 
-To refresh a golden file after an intended behaviour change, run
-``PYTHONPATH=src python -m gaudin.cli verify SUITE --out tests/golden``; a
-rank-3 report is written as ``verify-SUITE.json`` by ``verify SUITE --r 3``
-and kept as ``verify-SUITE-r3.json``.
+To refresh a golden file after an intended behaviour change, run the case's
+command with ``--out tests/golden`` (``PYTHONPATH=src python -m gaudin.cli
+verify SUITE --out tests/golden``); a rank-3 report is written as
+``verify-SUITE.json`` by ``verify SUITE --r 3`` and kept as
+``verify-SUITE-r3.json``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from gaudin.cli import main
+from gaudin.cli import BUILD_TARGETS, main
 from gaudin.suites import SUITES
 
 GOLDEN = Path(__file__).parent / "golden"
+PATTERN_ARGS = ("--pattern", "[1,2,[3,4,5]@3]", "--sites", "5")
 
 
-# (id, suite, extra CLI arguments); each report is kept as verify-<id>.json.
-CASES = [(suite, suite, ()) for suite in SUITES] + [
-    (f"{suite}-r3", suite, ("--r", "3")) for suite in ("glue", "manin")]
+# (id, CLI arguments, golden file name).  Build outputs render LaxEntry
+# matrices and Talalaev coefficients, which no verify report does.
+CASES = [(suite, ("verify", suite), f"verify-{suite}.json") for suite in SUITES] + [
+    (f"{suite}-r3", ("verify", suite, "--r", "3"), f"verify-{suite}-r3.json")
+    for suite in ("glue", "manin")] + [
+    (f"build-{what}",
+     ("build", "--what", what, *(PATTERN_ARGS if what == "pattern" else ())),
+     f"build-{what}.json")
+    for what in BUILD_TARGETS]
 
 
-@pytest.mark.parametrize("case, suite, args", CASES, ids=[c[0] for c in CASES])
-def test_default_report_matches_golden(case, suite, args, tmp_path):
-    assert main(["verify", suite, *args, "--out", str(tmp_path)]) == 0
-    name = f"verify-{suite}.json"
-    assert (tmp_path / name).read_bytes() == (GOLDEN / f"verify-{case}.json").read_bytes()
+@pytest.mark.parametrize("argv, golden", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_default_report_matches_golden(argv, golden, tmp_path):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    (written,) = tmp_path.iterdir()
+    assert written.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -236,7 +236,7 @@ class TestNewton:
             assert newton_check(M).passed
 
     def test_non_manin_generator_matrix_fails_at_k2(self):
-        # The adjugate-trace line holds for any matrix, so only k=2 fails.
+        # k=1 (sigma_1 = Tr M) holds for any matrix; k=2 needs the Manin property.
         rep = newton_check(single_site_generator_matrix())
         assert rep.passed is False
         assert rep.witnesses == [

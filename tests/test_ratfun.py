@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.algebra import AlgebraSignature, Mode
+from gaudin.algebra import AlgebraSignature, Mode, NCPoly, SignatureMismatchError
 from gaudin.ratfun import (
     DiffOpEntry,
     LaxEntry,
@@ -223,3 +223,82 @@ class TestLaxEntryAlgebra:
         assert (e * 3).proportionality(e) == 3
         other = LaxEntry.from_terms(sig, [(((1, 1, 1),), RatFun.z())])
         assert other.proportionality(e) is None
+
+
+def _one_of_each(sig):
+    """An NCPoly, a LaxEntry and a DiffOpEntry, each with a word term."""
+    p = sig.gen(1, 1, 2) + 1
+    e = LaxEntry.from_ncpoly(p) * RatFun.one_over_z_minus(0)
+    return p, e, DiffOpEntry.from_entry(e) + DiffOpEntry.partial(sig)
+
+
+OPS = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b]
+
+
+class TestSparseSum:
+    """The sum/scale/map core shared by NCPoly, LaxEntry and DiffOpEntry."""
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_mixed_containers_are_refused(self, q1, op):
+        p, e, d = _one_of_each(q1)
+        for a, b in [(p, e), (e, p), (p, d), (d, p)]:
+            with pytest.raises(TypeError):
+                op(a, b)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_signature_clash_raises(self, q1, q2, op):
+        for a, b in zip(_one_of_each(q1), _one_of_each(q2)):
+            with pytest.raises(SignatureMismatchError):
+                op(a, b)
+        with pytest.raises(SignatureMismatchError):
+            op(_one_of_each(q1)[2], _one_of_each(q2)[1])
+
+    def test_equality_across_signatures_is_false(self, q1, q2):
+        for a, b in zip(_one_of_each(q1), _one_of_each(q2)):
+            assert a != b
+            assert not a == b
+        assert _one_of_each(q1)[2] != _one_of_each(q2)[1]
+        assert q1.zero() != q2.zero()
+        p = _one_of_each(q1)[0]
+        assert p != LaxEntry.from_ncpoly(p)
+
+    def test_lax_entry_constants_become_ratfuns(self, q1):
+        e = _one_of_each(q1)[1]
+        for c in (1, Fraction(1, 3), Poly([1, 2]), RatFun.z()):
+            # Poly's own operators take only Poly, so it is tried on the right
+            both = [] if type(c) is Poly else [c + e, c - e, c * e]
+            for total in [e + c, e - c, e * c] + both:
+                assert all(type(f) is RatFun for f in total.terms.values())
+        assert (e + 1) - e == LaxEntry.one(q1)
+        assert LaxEntry.one(q1) == 1
+
+    def test_diffop_plus_lax_entry_lands_at_d0(self, q1):
+        e = _one_of_each(q1)[1]
+        d = DiffOpEntry.partial(q1)
+        total = d + e
+        assert total.terms == {1: LaxEntry.one(q1), 0: e}
+        assert e + d == total
+        assert e - d == -(d - e)
+        assert (d + 3).entry(0) == LaxEntry.scalar(q1, 3)
+
+    def test_right_multiplication_by_a_function_uses_leibniz(self, q1):
+        d = DiffOpEntry.partial(q1)
+        z = RatFun.z()
+        # d/dz . z = z . d/dz + 1, while the left product z . d/dz has no d^0 term
+        assert d * z == DiffOpEntry.from_entry(LaxEntry.scalar(q1, z)) * d + 1
+        assert z * d == DiffOpEntry(q1, {1: LaxEntry.scalar(q1, z)})
+
+    def test_scale_and_maps_drop_zeros(self, q1):
+        p, e, d = _one_of_each(q1)
+        assert p.scale(0).is_zero() and e.scale(0).is_zero() and d.scale(0).is_zero()
+        assert LaxEntry.from_ncpoly(p).derivative().is_zero()
+        assert d.z_derivative() == DiffOpEntry.from_entry(e.derivative())
+        assert e.eval_z(1) == p
+        assert type(e.residue(0)) is NCPoly and e.residue(0) == p
+        assert e.residue(1).is_zero()
+
+    def test_no_instance_has_a_dict(self, q1):
+        for obj in _one_of_each(q1):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.extra = 1
