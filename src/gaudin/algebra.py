@@ -258,7 +258,10 @@ class SparseSum:
         return self.terms == other.terms
 
     def scale(self, c):
-        """Every coefficient times the constant c."""
+        """Every coefficient times the constant c; ``self`` itself when c is
+        the number 1 (results are never mutated, so sharing is safe)."""
+        if isinstance(c, (int, Fraction)) and c == 1:
+            return self
         c = self._coeff(self.sig, c)
         if not c:
             return self.zero(self.sig)
@@ -318,7 +321,7 @@ class NCPoly(SparseSum):
                 c = c1 * c2
                 if quantum:
                     for w, k in straighten_word(w1 + w2).items():
-                        _acc(terms, w, c * k)
+                        _acc(terms, w, c if k == 1 else c * k)
                 else:
                     _acc(terms, tuple(sorted(w1 + w2)), c)
         return type(self)(self.sig, terms)

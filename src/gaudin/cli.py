@@ -49,8 +49,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pattern", default=None, help="gluing pattern text")
     parser.add_argument("--eval", dest="eval_points", default=None,
                         help="comma-separated evaluation points (default 5,7)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="randomized-check trial count (default 20)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for all randomized checks (default 12345)")
     parser.add_argument("--k", type=int, default=None, help="cluster index")
@@ -65,19 +63,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key=value file supplying any of the flags above")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _flag_text(value):
     """A RunConfig default as its flag would spell it; ints and bools stay
     typed so that config-file values are coerced to match."""
@@ -90,19 +75,31 @@ def _flag_text(value):
 
 _DEFAULTS = {key: _flag_text(value) for key, value in vars(RunConfig()).items()}
 _DEFAULTS.update(out="runs", fmt="json")
+# config-file spellings of the flags whose dest differs from their name
+_ALIASES = {"r": "rank", "eval": "eval_points", "format": "fmt"}
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        name, _, value = line.partition("=")
+        key = name.strip().replace("-", "_")
+        key = _ALIASES.get(key, key)
+        if key not in _DEFAULTS:
+            raise ValueError(f"{path}:{lineno}: unknown key {name.strip()!r}")
+        values[key] = value.strip()
+    return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
-        # accept the aliases used on the command line
-        if "r" in file_values:
-            file_values.setdefault("rank", file_values.pop("r"))
-        if "eval" in file_values:
-            file_values.setdefault("eval_points", file_values.pop("eval"))
-        if "format" in file_values:
-            file_values.setdefault("fmt", file_values.pop("format"))
     merged = {}
     for key, default in _DEFAULTS.items():
         cli_value = getattr(args, key, None)
@@ -133,7 +130,6 @@ def _run_config(merged: dict) -> RunConfig:
         poles=_parse_fraction_list(str(merged["poles"])),
         pattern=str(merged["pattern"]),
         eval_points=_parse_fraction_list(str(merged["eval_points"])) or RunConfig().eval_points,
-        trials=merged["trials"],
         seed=merged["seed"],
         k=merged["k"],
         z1=Fraction(str(merged["z1"])),

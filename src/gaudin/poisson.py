@@ -11,6 +11,13 @@ pairs.  Every bracket description (standard, limit, block operator, pencil)
 compiles to that letter table once per check, and the table drives the same
 Leibniz loop as the standard bracket (``algebra.poisson_bracket``).
 
+The same table makes the Poisson property a finite check: a biderivation is
+Poisson iff it is antisymmetric on every pair of coordinate letters and its
+jacobiator vanishes on every triple of distinct letters.  ``antisymmetry_check``
+and ``jacobi_check`` examine all of them, so a PASS is a certificate for all
+polynomials, not a sample; ``compatibility_check`` applies the Jacobi
+certificate to the sum and difference of two brackets.
+
 The diagonal operator with P_ii = X_i reproduces the standard product
 Lie-Poisson bracket.  The parameter-free limit bracket arising from the total
 collision has coefficients
@@ -28,7 +35,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -41,8 +49,6 @@ from .algebra import (
 from .lax import InvariantFamily
 from .manin import commutation_matrix
 from .reports import CheckReport
-from .sampling import random_ncpoly
-import random
 
 Block = dict[int, Fraction]
 
@@ -247,60 +253,95 @@ def bracket_eval(spec: BracketSpec, F: NCPoly, G: NCPoly) -> NCPoly:
     return poisson_bracket(F, G, letter_table(spec, F.sig))
 
 
-def _jacobi_sum(table: LetterTable, F: NCPoly, G: NCPoly, H: NCPoly) -> NCPoly:
-    return (poisson_bracket(F, poisson_bracket(G, H, table), table)
-            + poisson_bracket(G, poisson_bracket(H, F, table), table)
-            + poisson_bracket(H, poisson_bracket(F, G, table), table))
-
-
-def jacobi_check(spec: BracketSpec, sig: AlgebraSignature,
-                 trials: int = 20, seed: int = 0) -> CheckReport:
-    """Jacobi cyclic sum on random coordinate triples and random quadratics."""
+def _scaled_table(spec: BracketSpec, sig: AlgebraSignature) -> tuple[int, dict]:
+    """(d, table): the letter table times d, the lcm of its denominators, as
+    (g, h) -> {letter: integer numerator}."""
     if sig.is_quantum:
-        raise ModeError("jacobi_check runs in Classical mode")
+        raise ModeError("Poisson certificates run in Classical mode")
     table = letter_table(spec, sig)
-    rng = random.Random(seed)
-    letters = list(sig.letters())
+    d = 1
+    for combo in table.values():
+        for _, c in combo:
+            d = lcm(d, c.denominator)
+    return d, {pair: {g: c.numerator * (d // c.denominator) for g, c in combo}
+               for pair, combo in table.items()}
+
+
+def _render_linear(sig: AlgebraSignature, combo: dict, d: int) -> str:
+    return NCPoly(sig, {(g,): Fraction(c, d) for g, c in combo.items() if c}).render()
+
+
+def _names(sig: AlgebraSignature, letters) -> list[str]:
+    return [sig.gen(*g).render() for g in letters]
+
+
+def antisymmetry_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
+    """{x, y} + {y, x} = 0 on every pair of coordinate letters, x = y
+    included; the witness residual is {x, y} + {y, x}."""
+    d, table = _scaled_table(spec, sig)
+    n = sig.sites * sig.rank ** 2
     witnesses = []
-    for trial in range(trials):
-        if trial % 2 == 0:
-            triple = [sig.gen(*rng.choice(letters)) for _ in range(3)]
-            kind = "coordinates"
-        else:
-            triple = [random_ncpoly(rng, sig, max_degree=2, terms=3) for _ in range(3)]
-            kind = "degree<=2"
-        res = _jacobi_sum(table, *triple)
-        if not res.is_zero():
-            witnesses.append({
-                "trial": trial,
-                "kind": kind,
-                "triple": [t.render() for t in triple],
-                "jacobiator": res.render(),
-            })
+    for x, y in sorted({tuple(sorted(pair)) for pair in table}):
+        res = dict(table.get((x, y), {}))
+        for g, c in table.get((y, x), {}).items():
+            res[g] = res.get(g, 0) + c
+        if any(res.values()):
+            witnesses.append({"pair": _names(sig, (x, y)),
+                              "residual": _render_linear(sig, res, d)})
+    return CheckReport(
+        check="antisymmetry",
+        passed=not witnesses,
+        params={"spec": describe(spec)},
+        witnesses=witnesses,
+        info={"pairs": n * (n + 1) // 2, "failed": len(witnesses)},
+    )
+
+
+def jacobi_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
+    """The jacobiator {a,{b,c}} + {b,{c,a}} + {c,{a,b}} on every triple a < b < c
+    of coordinate letters.
+
+    The table is linear, so each jacobiator is a linear form, summed exactly on
+    integer numerators (Jacobi is homogeneous, so scaling the table does not
+    change the verdict).  For an antisymmetric biderivation the jacobiator is a
+    trivector field, determined by its values on triples of distinct letters:
+    a PASS here, with ``antisymmetry_check``, certifies the Jacobi identity on
+    every polynomial.
+    """
+    d, table = _scaled_table(spec, sig)
+    letters = list(sig.letters())
+    empty: dict = {}
+    witnesses = []
+    for a, b, c in combinations(letters, 3):
+        res: dict = {}
+        for x, inner in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
+            for w, k in table.get(inner, empty).items():
+                for g, m in table.get((x, w), empty).items():
+                    res[g] = res.get(g, 0) + k * m
+        if any(res.values()):
+            witnesses.append({"triple": _names(sig, (a, b, c)),
+                              "jacobiator": _render_linear(sig, res, d * d)})
     return CheckReport(
         check="jacobi",
         passed=not witnesses,
-        params={"spec": describe(spec), "seed": seed},
-        trials=trials,
+        params={"spec": describe(spec)},
         witnesses=witnesses,
+        info={"triples": comb(len(letters), 3), "failed": len(witnesses)},
     )
 
 
 def compatibility_check(first: BracketSpec, second: BracketSpec,
-                        sig: AlgebraSignature, trials: int = 20,
-                        seed: int = 0) -> CheckReport:
-    """Two brackets are compatible iff the sum and difference both satisfy
-    Jacobi (with bilinearity this covers the whole pencil)."""
-    plus = jacobi_check(PencilBracket(Fraction(1), first, Fraction(1), second),
-                        sig, trials, seed)
-    minus = jacobi_check(PencilBracket(Fraction(1), first, Fraction(-1), second),
-                         sig, trials, seed)
+                        sig: AlgebraSignature) -> CheckReport:
+    """Two Poisson brackets are compatible iff their sum and difference both
+    satisfy Jacobi (by bilinearity this covers the whole pencil)."""
+    reps = [jacobi_check(PencilBracket(Fraction(1), first, Fraction(sign), second), sig)
+            for sign in (1, -1)]
     return CheckReport(
         check="compatibility",
-        passed=bool(plus.passed and minus.passed),
-        params={"first": describe(first), "second": describe(second), "seed": seed},
-        trials=trials,
-        witnesses=plus.witnesses + minus.witnesses,
+        passed=all(rep.passed for rep in reps),
+        params={"first": describe(first), "second": describe(second)},
+        witnesses=[{"spec": rep.params["spec"], **w} for rep in reps for w in rep.witnesses],
+        info={key: sum(rep.info[key] for rep in reps) for key in ("triples", "failed")},
     )
 
 
@@ -312,50 +353,3 @@ def family_commutes_under(spec: BracketSpec, family: InvariantFamily) -> CheckRe
     rep.check = "family_commutes"
     rep.params = {"spec": describe(spec), "family": family.label, "members": len(members)}
     return rep
-
-
-def antisymmetry_check(spec: BracketSpec, sig: AlgebraSignature,
-                       trials: int = 20, seed: int = 0) -> CheckReport:
-    if sig.is_quantum:
-        raise ModeError("antisymmetry_check runs in Classical mode")
-    table = letter_table(spec, sig)
-    rng = random.Random(seed)
-    witnesses = []
-    for trial in range(trials):
-        F = random_ncpoly(rng, sig, max_degree=2, terms=3)
-        G = random_ncpoly(rng, sig, max_degree=2, terms=3)
-        res = poisson_bracket(F, G, table) + poisson_bracket(G, F, table)
-        if not res.is_zero():
-            witnesses.append({"trial": trial, "residual": res.render()})
-    return CheckReport(
-        check="antisymmetry",
-        passed=not witnesses,
-        params={"spec": describe(spec), "seed": seed},
-        trials=trials,
-        witnesses=witnesses,
-    )
-
-
-def leibniz_check(spec: BracketSpec, sig: AlgebraSignature,
-                  trials: int = 20, seed: int = 0) -> CheckReport:
-    if sig.is_quantum:
-        raise ModeError("leibniz_check runs in Classical mode")
-    table = letter_table(spec, sig)
-    rng = random.Random(seed)
-    witnesses = []
-    for trial in range(trials):
-        F = random_ncpoly(rng, sig, max_degree=2, terms=2)
-        G = random_ncpoly(rng, sig, max_degree=1, terms=2)
-        H = random_ncpoly(rng, sig, max_degree=1, terms=2)
-        res = (poisson_bracket(F, G * H, table)
-               - poisson_bracket(F, G, table) * H
-               - G * poisson_bracket(F, H, table))
-        if not res.is_zero():
-            witnesses.append({"trial": trial, "residual": res.render()})
-    return CheckReport(
-        check="leibniz",
-        passed=not witnesses,
-        params={"spec": describe(spec), "seed": seed},
-        trials=trials,
-        witnesses=witnesses,
-    )

@@ -62,6 +62,8 @@ class Poly:
         return self.coeffs[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -74,12 +76,16 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return Poly([c * q for c in self.coeffs])
+        if not isinstance(other, Poly):
+            return NotImplemented
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             if not a:

@@ -5,12 +5,17 @@ the free-word reducer normal-orders by right-to-left insertion without
 memoization, the numeric Poisson oracle differentiates by exact finite
 differences, and the block-operator oracle multiplies plain Fraction matrices
 of finite-difference gradients.  Agreement between these and the kernel is evidence, not
-circularity.
+circularity.  The sampled Jacobi test is the reference for the exhaustive
+letter-triple certificate in ``gaudin.poisson``: it runs the Leibniz bracket
+on random polynomials instead of summing table entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from gaudin.algebra import poisson_bracket
+from gaudin.sampling import random_ncpoly
 
 
 def _letter_bracket(g, h):
@@ -164,3 +169,20 @@ def numeric_block_bracket(blocks: dict, rank: int, f_terms: dict, g_terms: dict,
         prod = matmul(grad_f, comm)
         total += sum((prod[u][u] for u in idx), Fraction(0))
     return total
+
+
+def leibniz_jacobiator(table, f, g, h):
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} through the Leibniz bracket."""
+    def br(p, q):
+        return poisson_bracket(p, q, table)
+
+    return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+
+
+def sampled_jacobi(table, sig, rng, trials: int = 8) -> bool:
+    """True iff the jacobiator of the letter-table bracket vanishes on
+    ``trials`` random triples of degree <= 2 polynomials."""
+    return all(
+        leibniz_jacobiator(table, *(random_ncpoly(rng, sig, max_degree=2, terms=3)
+                                    for _ in range(3))).is_zero()
+        for _ in range(trials))

@@ -194,3 +194,32 @@ def test_verify_defaults_are_the_run_config_defaults(extra, tmp_path, capsys):
     code, out, _ = run_cli(["verify", "quadratic", *extra, "--out", str(tmp_path)], capsys)
     assert code == 0
     assert json.loads(out)["config"] == RunConfig().to_json_dict()
+
+
+@pytest.mark.parametrize("line", ["trails=50", "trials=5"])
+def test_config_file_rejects_unknown_keys(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rank=1\n{line}\n")
+    code, _, err = run_cli(["verify", "poisson", "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+    key = line.partition("=")[0]
+    assert code == 2
+    assert err == f"error: {cfg}:2: unknown key '{key}'\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_config_file_accepts_flag_spellings(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r=1\nsites=2\neval=3\nunsafe-scale=no\nformat=json\n")
+    code, out, _ = run_cli(["verify", "quadratic", "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["rank"], config["eval_points"], config["unsafe_scale"]) == (1, ["3"], False)
+
+
+def test_trials_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "poisson", "--trials", "5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from gaudin.algebra import AlgebraSignature, Mode, ModeError, evaluate, poisson_bracket
 from gaudin.gluing import iterate_pattern, left_comb_pattern
+from gaudin import poisson
 from gaudin.lax import InvariantFamily, lax_from_groups, spectral_invariants
 from gaudin.poisson import (
     LimitBracket,
@@ -15,17 +16,18 @@ from gaudin.poisson import (
     antisymmetry_check,
     bracket_eval,
     compatibility_check,
+    describe,
     family_commutes_under,
     fivesite_operator,
     jacobi_check,
-    leibniz_check,
+    letter_table,
     limit_coefficient,
     limit_rijk_operator,
     standard_operator,
 )
 from gaudin.sampling import random_ncpoly
 
-from oracles import numeric_block_bracket
+from oracles import leibniz_jacobiator, numeric_block_bracket, sampled_jacobi
 
 
 def xx2_blocks():
@@ -121,8 +123,8 @@ class TestFivesiteOperator:
         # not satisfy Jacobi, so its checks never gate acceptance
         sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
         spec = OperatorBracket(fivesite_operator([0, 1, 2, 3, 4]))
-        assert antisymmetry_check(spec, sig, trials=10, seed=4).passed
-        rep = jacobi_check(spec, sig, trials=10, seed=4)
+        assert antisymmetry_check(spec, sig).passed
+        rep = jacobi_check(spec, sig)
         assert rep.passed is False and rep.witnesses
 
 
@@ -131,16 +133,16 @@ class TestJacobi:
         for rank in (1, 2, 3):
             for sites in (2, 3):
                 sig = AlgebraSignature(rank, sites, Mode.CLASSICAL)
-                assert jacobi_check(StandardBracket(), sig, trials=8, seed=0).passed
+                assert jacobi_check(StandardBracket(), sig).passed
 
     def test_limit_passes_gl2_n4(self):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
-        assert jacobi_check(LimitBracket(), sig, trials=10, seed=1).passed
+        assert jacobi_check(LimitBracket(), sig).passed
 
     def test_corrupted_operator_fails_with_witness(self):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
         bad = limit_rijk_operator(4).with_block(2, 2, {1: Fraction(1), 2: Fraction(1)})
-        rep = jacobi_check(OperatorBracket(bad), sig, trials=10, seed=2)
+        rep = jacobi_check(OperatorBracket(bad), sig)
         assert rep.passed is False
         assert rep.witnesses[0]["triple"]
 
@@ -148,20 +150,20 @@ class TestJacobi:
 class TestCompatibility:
     def test_standard_with_limit(self):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
-        rep = compatibility_check(StandardBracket(), LimitBracket(), sig,
-                                  trials=8, seed=3)
+        rep = compatibility_check(StandardBracket(), LimitBracket(), sig)
         assert rep.passed
+        assert rep.info == {"triples": 2 * 560, "failed": 0}
 
     def test_standard_with_itself(self, c3):
-        assert compatibility_check(StandardBracket(), StandardBracket(), c3,
-                                   trials=6, seed=4).passed
+        assert compatibility_check(StandardBracket(), StandardBracket(), c3).passed
 
     def test_standard_with_corrupted_fails(self):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
         bad = limit_rijk_operator(4).with_block(3, 3, {3: Fraction(2)})
-        rep = compatibility_check(StandardBracket(), OperatorBracket(bad), sig,
-                                  trials=8, seed=5)
+        rep = compatibility_check(StandardBracket(), OperatorBracket(bad), sig)
         assert rep.passed is False
+        assert rep.info["failed"] == len(rep.witnesses) > 0
+        assert rep.witnesses[0]["spec"].startswith("pencil(")
 
 
 class TestFamilyCommutes:
@@ -193,15 +195,106 @@ class TestFamilyCommutes:
         assert rep.params == {"spec": "limit_rijk", "family": "g", "members": len(inv)}
 
 
-class TestBracketAxioms:
-    def test_antisymmetry_and_leibniz_standard(self, c3):
-        assert antisymmetry_check(StandardBracket(), c3, trials=30, seed=6).passed
-        assert leibniz_check(StandardBracket(), c3, trials=20, seed=7).passed
+def _pencil(sign):
+    return PencilBracket(Fraction(1), StandardBracket(), Fraction(sign), LimitBracket())
 
-    def test_antisymmetry_and_leibniz_limit(self):
-        sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
-        assert antisymmetry_check(LimitBracket(), sig, trials=30, seed=8).passed
-        assert leibniz_check(LimitBracket(), sig, trials=20, seed=9).passed
+
+def _corrupted(sites):
+    return OperatorBracket(limit_rijk_operator(sites).with_block(
+        2, 2, {1: Fraction(1), 2: Fraction(1)}))
+
+
+def _fivesite():
+    return OperatorBracket(fivesite_operator([0, 1, 2, 3, 4]))
+
+
+def _leibniz_jacobiator(spec, sig, triple) -> str:
+    by_name = {sig.gen(*g).render(): sig.gen(*g) for g in sig.letters()}
+    return leibniz_jacobiator(letter_table(spec, sig),
+                              *(by_name[name] for name in triple)).render()
+
+
+class TestCertificates:
+    """Exhaustive antisymmetry and Jacobi certificates on the letter table."""
+
+    @pytest.mark.parametrize("rank, sites", [(2, 3), (2, 5), (3, 4)])
+    def test_standard_limit_and_pencils_pass(self, rank, sites):
+        sig = AlgebraSignature(rank, sites, Mode.CLASSICAL)
+        n = rank * rank * sites
+        for spec in (StandardBracket(), LimitBracket(), _pencil(1), _pencil(-1)):
+            anti, jac = antisymmetry_check(spec, sig), jacobi_check(spec, sig)
+            assert anti.passed and jac.passed, describe(spec)
+            assert anti.info == {"pairs": n * (n + 1) // 2, "failed": 0}
+            assert jac.info == {"triples": n * (n - 1) * (n - 2) // 6, "failed": 0}
+            assert anti.trials is None and "seed" not in jac.params
+
+    def test_corrupted_block_fails_42_of_1140_triples(self):
+        sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
+        rep = jacobi_check(_corrupted(5), sig)
+        assert rep.passed is False
+        assert rep.info == {"triples": 1140, "failed": 42}
+        assert len(rep.witnesses) == 42
+        for w in rep.witnesses[:5]:
+            assert w["jacobiator"] == _leibniz_jacobiator(_corrupted(5), sig, w["triple"])
+
+    def test_fivesite_fails_56_of_1140_and_is_antisymmetric(self):
+        sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
+        anti = antisymmetry_check(_fivesite(), sig)
+        assert anti.passed and anti.witnesses == []
+        assert anti.info == {"pairs": 210, "failed": 0}
+        rep = jacobi_check(_fivesite(), sig)
+        assert rep.info == {"triples": 1140, "failed": 56}
+        for w in rep.witnesses[:5]:
+            assert w["jacobiator"] == _leibniz_jacobiator(_fivesite(), sig, w["triple"])
+
+    def test_witnesses_undo_the_integer_scaling(self):
+        # poles 0, 1, 5/2, 3, 7 give the table denominators 2 and 4
+        sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
+        spec = OperatorBracket(fivesite_operator([0, 1, Fraction(5, 2), 3, 7]))
+        assert any(c.denominator > 1 for combo in letter_table(spec, sig).values()
+                   for _, c in combo)
+        rep = jacobi_check(spec, sig)
+        assert rep.passed is False
+        for w in rep.witnesses[:5]:
+            assert w["jacobiator"] == _leibniz_jacobiator(spec, sig, w["triple"])
+
+    def test_missing_transposed_block_fails_antisymmetry(self):
+        sig = AlgebraSignature(2, 2, Mode.CLASSICAL)
+        spec = OperatorBracket(PoissonOperator(2, {(1, 2): {1: Fraction(1)}}))
+        table = letter_table(spec, sig)
+        rep = antisymmetry_check(spec, sig)
+        assert rep.passed is False
+        assert rep.info == {"pairs": 36, "failed": len(table)}
+        assert rep.witnesses[0] == {"pair": ["x[1,1]@1", "x[1,2]@2"],
+                                    "residual": "x[1,2]@1"}
+        by_name = {sig.gen(*g).render(): g for g in sig.letters()}
+        for w in rep.witnesses:
+            g, h = (by_name[name] for name in w["pair"])
+            assert g[0] == 1 and h[0] == 2
+            assert w["residual"] == poisson_bracket(sig.gen(*g), sig.gen(*h), table).render()
+
+    def test_self_bracket_must_vanish(self, c2, monkeypatch):
+        # no block operator gives {x, x} != 0, so the table is planted
+        x = (1, 1, 2)
+        monkeypatch.setattr(poisson, "letter_table",
+                            lambda spec, sig: {(x, x): [((1, 1, 1), Fraction(1, 3))]})
+        rep = antisymmetry_check(StandardBracket(), c2)
+        assert rep.passed is False
+        assert rep.witnesses == [{"pair": ["x[1,2]@1", "x[1,2]@1"],
+                                  "residual": "2/3 * x[1,1]@1"}]
+
+    @pytest.mark.parametrize("spec", [
+        StandardBracket(), LimitBracket(), _pencil(1), _pencil(-1), _corrupted(5), _fivesite(),
+    ], ids=["standard", "limit", "std+limit", "std-limit", "corrupted", "fivesite"])
+    def test_verdict_agrees_with_sampled_jacobi(self, spec, rng):
+        sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
+        expected = sampled_jacobi(letter_table(spec, sig), sig, rng)
+        assert jacobi_check(spec, sig).passed is expected
+
+    def test_quantum_rejected(self, q2):
+        for check in (antisymmetry_check, jacobi_check):
+            with pytest.raises(ModeError):
+                check(StandardBracket(), q2)
 
 
 class TestBlockFormulaOracle:

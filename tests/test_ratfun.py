@@ -265,12 +265,24 @@ class TestSparseSum:
     def test_lax_entry_constants_become_ratfuns(self, q1):
         e = _one_of_each(q1)[1]
         for c in (1, Fraction(1, 3), Poly([1, 2]), RatFun.z()):
-            # Poly's own operators take only Poly, so it is tried on the right
-            both = [] if type(c) is Poly else [c + e, c - e, c * e]
-            for total in [e + c, e - c, e * c] + both:
+            for total in (e + c, e - c, e * c, c + e, c - e, c * e):
                 assert all(type(f) is RatFun for f in total.terms.values())
         assert (e + 1) - e == LaxEntry.one(q1)
         assert LaxEntry.one(q1) == 1
+
+    def test_poly_operators_defer_to_foreign_operands(self, q1):
+        e = _one_of_each(q1)[1]
+        c = Poly([1, 2])
+        assert c + e == e + c
+        assert c - e == -(e - c)
+        assert c * e == e * c
+        with pytest.raises(TypeError):
+            c + "z"
+
+    def test_scale_by_one_shares_the_value(self, q1):
+        for obj in _one_of_each(q1):
+            assert obj.scale(1) is obj and obj.scale(Fraction(1)) is obj
+            assert obj * 1 == obj and obj.scale(2) is not obj
 
     def test_diffop_plus_lax_entry_lands_at_d0(self, q1):
         e = _one_of_each(q1)[1]

@@ -5,7 +5,7 @@ from gaudin.suites import RunConfig, run_suite
 
 
 def small_cfg(**kw):
-    defaults = dict(rank=1, sites=2, trials=6, seed=3)
+    defaults = dict(rank=1, sites=2, seed=3)
     defaults.update(kw)
     return RunConfig(**defaults)
 
