@@ -11,7 +11,6 @@ from .algebra import (
     classical_limit,
     commutator,
     diagonal_generators,
-    multiply,
     poisson_bracket,
 )
 from .gluing import (
@@ -50,6 +49,7 @@ from .manin import (
     newton_check,
     partial_minus,
     quantum_powers,
+    talalaev_coefficients,
     talalaev_generators,
 )
 from .poisson import (
@@ -73,10 +73,6 @@ from .ratfun import (
     PoleEvaluationError,
     Poly,
     RatFun,
-    diffop_multiply,
-    eval_z,
-    ratfun_arith,
-    residue,
 )
 
 __version__ = "0.1.0"

@@ -308,6 +308,27 @@ class NCPoly(SparseSum):
     def constant_term(self):
         return self.terms.get((), self._coeff(self.sig, 0))
 
+    @staticmethod
+    def _constant(c) -> Fraction | None:
+        """A coefficient as a rational constant, or None if it is not one."""
+        return c
+
+    def proportionality(self, other: "NCPoly") -> Fraction | None:
+        """The constant c with self == c * other, if one exists."""
+        if other.is_zero():
+            return None
+        if self.is_zero():
+            return Fraction(0)
+        if self.terms.keys() != other.terms.keys():
+            return None
+        ratio: Fraction | None = None
+        for w, f in self.terms.items():
+            c = self._constant(f / other.terms[w])
+            if c is None or (ratio is not None and c != ratio):
+                return None
+            ratio = c
+        return ratio
+
     def __mul__(self, other):
         if isinstance(other, self._scalars):
             return self.scale(other)
@@ -362,11 +383,6 @@ class NCPoly(SparseSum):
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def multiply(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Algebra product: PBW-straightened in quantum mode, plain in classical."""
-    return p * q
 
 
 def _integer_terms(p: NCPoly) -> tuple[int, dict[Word, int]]:

@@ -48,7 +48,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated rational poles (default 0,1,...)")
     parser.add_argument("--pattern", default=None, help="gluing pattern text")
     parser.add_argument("--eval", dest="eval_points", default=None,
-                        help="comma-separated evaluation points (default 5,7)")
+                        help="comma-separated evaluation points for build --what "
+                             "talalaev (default 5,7; verify only echoes them)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for all randomized checks (default 12345)")
     parser.add_argument("--k", type=int, default=None, help="cluster index")
@@ -79,8 +80,22 @@ _DEFAULTS.update(out="runs", fmt="json")
 _ALIASES = {"r": "rank", "eval": "eval_points", "format": "fmt"}
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _coerce(default, raw: str):
+    """A config-file value typed like the flag's default."""
+    if isinstance(default, bool):
+        word = raw.lower()
+        if word in ("1", "true", "yes"):
+            return True
+        if word in ("0", "false", "no"):
+            return False
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {raw!r}")
+    if isinstance(default, int):
+        return int(raw)
+    return raw
+
+
+def _read_config_file(path: str) -> dict:
+    values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -92,29 +107,21 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = _ALIASES.get(key, key)
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown key {name.strip()!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = _coerce(_DEFAULTS[key], value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {name.strip()}: {exc}") from None
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    file_values: dict[str, str] = {}
+    file_values: dict = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
     merged = {}
     for key, default in _DEFAULTS.items():
         cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in file_values:
-            raw = file_values[key]
-            if isinstance(default, bool):
-                merged[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                merged[key] = int(raw)
-            else:
-                merged[key] = raw
-        else:
-            merged[key] = default
+        merged[key] = cli_value if cli_value is not None else file_values.get(key, default)
     # a pattern determines the site count when none was given explicitly
     if merged["pattern"] and getattr(args, "sites", None) is None \
             and "sites" not in file_values:

@@ -16,6 +16,7 @@ algebras.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +24,7 @@ from typing import Sequence
 
 from .algebra import (
     AlgebraSignature,
+    Letter,
     Mode,
     ModeError,
     NCPoly,
@@ -41,10 +43,8 @@ from .lax import (
     spectral_invariants,
 )
 from .linalg import rank, solve_combination
-from .manin import talalaev_generators
+from .manin import talalaev_coefficients, talalaev_generators
 from .reports import CheckReport
-from .sampling import random_point
-import random
 
 
 class PatternError(ValueError):
@@ -317,6 +317,12 @@ def iterate_pattern(sig: AlgebraSignature, pattern: GluingPattern,
     return LimitFamily(sig, matrices, provenance={"label": "pattern"})
 
 
+def random_point(rng: random.Random, sig: AlgebraSignature,
+                 lo: int = -9, hi: int = 9) -> dict[Letter, Fraction]:
+    """A seeded integer point of the classical phase space."""
+    return {letter: Fraction(rng.randint(lo, hi)) for letter in sig.letters()}
+
+
 def rank_completeness_check(sig: AlgebraSignature, family: LimitFamily,
                             generic: InvariantFamily, trials: int = 5,
                             seed: int = 0) -> CheckReport:
@@ -426,42 +432,16 @@ def shift_embedding(p: NCPoly, target_sites: int, shift: int | None = None) -> N
     return NCPoly(tsig, terms)
 
 
-DEFAULT_EVAL_POINTS = (Fraction(5), Fraction(7), Fraction(11))
-
-
-def _talalaev_point_generators(sig: AlgebraSignature, poles: Sequence[Fraction],
-                               eval_points: Sequence[Fraction]) -> list[tuple[str, NCPoly]]:
-    """Column-determinant coefficients of the Gaudin matrix, evaluated away
-    from the poles; the d/dz-free quantum traces are included as well."""
-    matrix = gaudin_lax(sig, poles)
-    out = talalaev_generators(matrix)
-    gens: list[tuple[str, NCPoly]] = []
-    pole_set = {p for p, _ in matrix.poles}
-    for u in eval_points:
-        if u in pole_set:
-            raise ValueError(f"evaluation point {u} hits a pole")
-        for i in range(sig.rank):
-            val = out.qh[i].eval_z(u)
-            if not val.is_zero():
-                gens.append((f"QH{i}({u})", val))
-        for k in range(1, sig.rank + 1):
-            val = out.qtr[(k, k)].eval_z(u)
-            if not val.is_zero():
-                gens.append((f"QTr{k}({u})", val))
-    return gens
-
-
 def limit_gaudin_algebra(sig: AlgebraSignature, pattern: GluingPattern,
-                         poles: Sequence | None = None,
-                         eval_points: Sequence = DEFAULT_EVAL_POINTS,
-                         ) -> list[tuple[str, NCPoly]]:
+                         poles: Sequence | None = None) -> list[tuple[str, NCPoly]]:
     """Generators of the limit commutative algebra attached to a pattern.
 
     Supported patterns are tail collapses (possibly nested): each internal
     node may have one internal child, whose leaves must be the trailing
     sites.  The generator set is the union of the diagonal-embedded factor
     algebra on (fixed poles, w) and the shift-embedded algebra of the
-    collapsed group, recursively.
+    collapsed group, recursively; each factor algebra is generated by the
+    residue coefficients of its Talalaev generators (``talalaev_coefficients``).
     """
     if not sig.is_quantum:
         raise ModeError("limit Gaudin algebras are quantum objects")
@@ -471,14 +451,13 @@ def limit_gaudin_algebra(sig: AlgebraSignature, pattern: GluingPattern,
         poles = [Fraction(i) for i in range(sig.sites)]
     else:
         poles = [Fraction(p) for p in poles]
-    eval_points = [Fraction(u) for u in eval_points]
 
     def build(node: PatternNode, nsites: int, node_poles: list[Fraction],
               fresh_base: int) -> list[tuple[str, NCPoly]]:
         ssig = AlgebraSignature(sig.rank, nsites, Mode.QUANTUM)
         internal = node.internal_children()
         if not internal:
-            return _talalaev_point_generators(ssig, node_poles, eval_points)
+            return talalaev_coefficients(talalaev_generators(gaudin_lax(ssig, node_poles)))
         if len(internal) > 1:
             raise UnsupportedPatternError(
                 "only one collapsing group per node is supported "
@@ -498,8 +477,8 @@ def limit_gaudin_algebra(sig: AlgebraSignature, pattern: GluingPattern,
             while w in set(node_poles[:k]):
                 w += 1
         factor_sig = AlgebraSignature(sig.rank, k + 1, Mode.QUANTUM)
-        factor_gens = _talalaev_point_generators(
-            factor_sig, node_poles[:k] + [w], eval_points)
+        factor_gens = talalaev_coefficients(
+            talalaev_generators(gaudin_lax(factor_sig, node_poles[:k] + [w])))
         gens = [(f"D[{label}]", diagonal_embedding(g, nsites))
                 for label, g in factor_gens]
         # relabel the collapsed group to 1..nsites-k and recurse
@@ -538,11 +517,13 @@ def quantum_bending_generators(sig: AlgebraSignature, z1=0, z2=1,
         classical_matrix = bending_lax_rational(csig, k, z1, z2)
         tal = talalaev_generators(quantum_matrix)
         classical_members = spectral_invariants(classical_matrix, sig.rank)
+        parts: dict[tuple[int, str], list[NCPoly]] = {}
         for member in classical_members.members:
-            m = member.provenance["power"]
-            pole = Fraction(member.provenance["pole"])
-            order = member.provenance["order"]
-            gen = tal.qtr[(m, m)].residue(pole, order) * Fraction((-1) ** m)
+            m, pole, order = (member.provenance[key] for key in ("power", "pole", "order"))
+            if (m, pole) not in parts:
+                parts[(m, pole)] = tal.qtr[(m, m)].principal_part(Fraction(pole))
+            part = parts[(m, pole)]
+            gen = (part[order] if order < len(part) else sig.zero()) * Fraction((-1) ** m)
             out.append({
                 "k": k,
                 "provenance": dict(member.provenance),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraSignature, ModeError, NCPoly
-from .linalg import matmul
+from .linalg import matmul, power_traces
 from .ratfun import LaxEntry, RatFun
 
 
@@ -55,23 +55,8 @@ class LaxMatrix:
         return matmul(self.entries, other.entries)
 
     def power_traces(self, max_power: int) -> Iterator[LaxEntry]:
-        """Tr L, Tr L^2, ..., Tr L^max_power.
-
-        L^(m-1) is carried across the powers, and only the diagonal of the
-        last product is formed: Tr L^m = sum_{i,k} (L^(m-1))_ik L_ki.
-        """
-        if max_power < 1:
-            return
-        yield self.trace()
-        power = self.entries  # L^(m-1)
-        for m in range(2, max_power + 1):
-            out = LaxEntry.zero(self.sig)
-            for i in range(self.size):
-                for k in range(self.size):
-                    out = out + power[i][k] * self.entries[k][i]
-            yield out
-            if m < max_power:
-                power = matmul(power, self.entries)
+        """Tr L, Tr L^2, ..., Tr L^max_power (see ``linalg.power_traces``)."""
+        return power_traces(self.entries, max_power)
 
     def trace_of_power(self, m: int) -> LaxEntry:
         """Tr L^m as a rational function of z with algebra coefficients."""
@@ -220,8 +205,7 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
                 }))
         else:
             for pole, order in matrix.poles:
-                for j in range(m * order):
-                    expr = tr.residue(pole, j)
+                for j, expr in enumerate(tr.principal_part(pole)[:m * order]):
                     if expr.is_zero():
                         continue
                     members.append(InvariantMember(expr, {
@@ -268,21 +252,6 @@ def generator_matrix(sig: AlgebraSignature, site: int) -> list[list[NCPoly]]:
     """The matrix X_site with (a,b) entry e[a,b]@site."""
     return [[sig.gen(site, a, b) for b in range(1, sig.rank + 1)]
             for a in range(1, sig.rank + 1)]
-
-
-def group_matrix(sig: AlgebraSignature, sites: Iterable[int]) -> list[list[NCPoly]]:
-    """Sum of generator matrices over a group of sites."""
-    sites = list(sites)
-    out = []
-    for a in range(1, sig.rank + 1):
-        row = []
-        for b in range(1, sig.rank + 1):
-            p = sig.zero()
-            for i in sites:
-                p = p + sig.gen(i, a, b)
-            row.append(p)
-        out.append(row)
-    return out
 
 
 def lax_from_groups(sig: AlgebraSignature,

@@ -1,8 +1,8 @@
-"""Exact linear algebra: the one row reduction, matrix product and column
-determinant of the package, plus rank, span comparison and expressing a
-target vector as a combination of given sparse vectors.
+"""Exact linear algebra: the one row reduction, matrix product, power-trace
+loop and column determinant of the package, plus rank, span comparison and
+expressing a target vector as a combination of given sparse vectors.
 
-The three shared routines are generic over the entry ring: they use only
+The four shared routines are generic over the entry ring: they use only
 ``+``, ``-``, ``*`` and unary ``-`` on entries, and row reduction also uses
 ``1 / x`` and the truth value (nonzero test).  ``Fraction``, ``RatFun`` and
 the noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` (whose
@@ -13,8 +13,10 @@ are written in.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
-from typing import Hashable, Mapping, Sequence
+from operator import add
+from typing import Hashable, Iterator, Mapping, Sequence
 
 
 def row_reduce(rows: list[list], ncols: int) -> list[int]:
@@ -60,6 +62,23 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def power_traces(a: Sequence[Sequence], max_power: int) -> Iterator:
+    """Tr a, Tr a^2, ..., Tr a^max_power of a nonempty square matrix.
+
+    a^(m-1) is carried across the powers and only the diagonal of the last
+    product is formed: Tr a^m = sum_{i,k} (a^(m-1))_ik a_ki.
+    """
+    n = len(a)
+    if max_power < 1:
+        return
+    yield reduce(add, (a[i][i] for i in range(n)))
+    power = a  # a^(m-1)
+    for m in range(2, max_power + 1):
+        yield reduce(add, (power[i][k] * a[k][i] for i in range(n) for k in range(n)))
+        if m < max_power:
+            power = matmul(power, a)
 
 
 def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = None):

@@ -11,9 +11,9 @@ Hamiltonians, and traces of its powers give the quantum trace family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, permutations
 from math import factorial
 from operator import add
@@ -360,7 +360,7 @@ def newton_check(M: DiffOpMatrix) -> CheckReport:
     n = M.size
     sig = M.sig
     sigma = _principal_minor_sums(M)       # det_col(t + M) = sum sigma_k t^(n-k)
-    tau = [None] + [M.power(i).trace() for i in range(1, n + 1)]
+    tau = [None, *linalg.power_traces(M.entries, n)]
     witnesses = []
     for k in range(1, n + 1):
         lhs = sigma[k].scale(Fraction((-1) ** (k + 1) * k))
@@ -394,11 +394,28 @@ class TalalaevOutput:
     lax: LaxMatrix
     qh: list[LaxEntry]                       # index = power of d/dz, 0..r
     qtr: dict[tuple[int, int], LaxEntry]     # (k, j) from Tr (d/dz - L)^k
-    recursion_constants: dict = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
         return self.lax.size
+
+    @cached_property
+    def recursion_constants(self) -> dict[tuple, Fraction | None]:
+        """Observed relations between repeated trace coefficients, computed on
+        first read: Tr powers of different order reproduce each other's
+        coefficients up to binomial factors, so only the d/dz-free
+        coefficients are independent; and each d/dz-free one is a multiple of
+        the trace of the matching iterated quantum power."""
+        r = self.rank
+        constants: dict[tuple, Fraction | None] = {}
+        for k in range(1, r + 1):
+            for j in range(1, k):
+                constants[("qtr", k, j)] = self.qtr[(k, j)].proportionality(self.qtr[(j, j)])
+        powers = quantum_powers(self.lax, r)
+        for k in range(1, r + 1):
+            trk = powers[k].trace().entry(0)
+            constants[("faadibruno", k, k)] = self.qtr[(k, k)].proportionality(trk)
+        return constants
 
     def qh_eval(self, point) -> list[NCPoly]:
         return [e.eval_z(point) for e in self.qh]
@@ -435,24 +452,45 @@ def talalaev_generators(L: LaxMatrix) -> TalalaevOutput:
     r = L.size
     qh = [det.entry(i) for i in range(r + 1)]
     qtr: dict[tuple[int, int], LaxEntry] = {}
-    for k in range(1, r + 1):
-        tr = M.power(k).trace()
+    for k, tr in enumerate(linalg.power_traces(M.entries, r), start=1):
         for j in range(k + 1):
             qtr[(k, j)] = tr.entry(k - j)
+    return TalalaevOutput(lax=L, qh=qh, qtr=qtr)
 
-    constants: dict[tuple, Fraction | None] = {}
-    # Observed relation between repeated trace coefficients: Tr powers of
-    # different order reproduce each other's coefficients up to binomial
-    # factors, so only the d/dz-free coefficients are independent.
-    for k in range(1, r + 1):
-        for j in range(1, k):
-            ratio = qtr[(k, j)].proportionality(qtr[(j, j)])
-            constants[("qtr", k, j)] = ratio
-    powers = quantum_powers(L, r)
-    for k in range(1, r + 1):
-        trk = powers[k].trace().entry(0)
-        constants[("faadibruno", k, k)] = qtr[(k, k)].proportionality(trk)
-    return TalalaevOutput(lax=L, qh=qh, qtr=qtr, recursion_constants=constants)
+
+def talalaev_coefficients(out: TalalaevOutput) -> list[tuple[str, NCPoly]]:
+    """Residue coefficients of QH_0..QH_(r-1) and of the d/dz-free QTr_k.
+
+    Each generator G has poles only at the poles z_p of L and no polynomial
+    part, so G(u) = sum_{p,j} C_pj (u - z_p)^-(j+1).  These functions of u are
+    linearly independent, hence [G(u), G'(v)] = 0 for all u and v exactly
+    when every coefficient C_pj of G commutes with every C'_qk of G'.  The
+    coefficients are labelled like ``QH0[z=1,order 1]``; zero ones and
+    scalar multiples of one already listed are dropped.  Raises ValueError
+    when a generator is not the sum of its principal parts at those poles.
+    """
+    L, r = out.lax, out.rank
+    named = [(f"QH{i}", out.qh[i]) for i in range(r)]
+    named += [(f"QTr{k}", out.qtr[(k, k)]) for k in range(1, r + 1)]
+    coeffs: list[tuple[str, NCPoly]] = []
+    for name, gen in named:
+        parts = [(pole, gen.principal_part(pole)) for pole, _ in L.poles]
+        for word, f in gen.terms.items():
+            if f.num.degree >= f.den.degree:
+                raise ValueError(f"{name} has a polynomial part in z")
+            # the top coefficient at a pole of a reduced fraction is nonzero,
+            # so the multiplicities read off the parts add up to the degree
+            # of the denominator exactly when no other pole exists
+            found = sum(max((j + 1 for j, c in enumerate(part) if word in c.terms),
+                            default=0) for _, part in parts)
+            if found != f.den.degree:
+                raise ValueError(f"{name} has a pole outside "
+                                 f"{[str(p) for p, _ in L.poles]}")
+        for pole, part in parts:
+            for j, c in enumerate(part):
+                if c and all(c.proportionality(d) is None for _, d in coeffs):
+                    coeffs.append((f"{name}[z={pole},order {j}]", c))
+    return coeffs
 
 
 def commutation_matrix(gens: list[NCPoly], labels: list | None = None,

@@ -289,29 +289,32 @@ class RatFun:
             raise PoleEvaluationError(point)
         return self.num(point) / dval
 
+    def principal_part(self, pole) -> list[Fraction]:
+        """[c_0, ..., c_(m-1)]: c_j is the coefficient of (z-pole)^-(j+1), m the
+        multiplicity of the pole (empty when ``pole`` is not a pole).
+
+        One Taylor shift of numerator and denominator, then one local series
+        division up to the pole's multiplicity.
+        """
+        pole = Fraction(pole)
+        den = self.den.shift(pole).coeffs
+        mult = next(i for i, c in enumerate(den) if c)
+        num = self.num.shift(pole).coeffs
+        den = den[mult:]
+        series: list[Fraction] = []  # coefficients of (z-pole)^(k - mult)
+        for k in range(mult):
+            acc = num[k] if k < len(num) else Fraction(0)
+            for j in range(max(0, k - len(den) + 1), k):
+                acc -= series[j] * den[k - j]
+            series.append(acc / den[0])
+        return series[::-1]
+
     def residue(self, pole, order: int = 0) -> Fraction:
         """Coefficient of (z-pole)^(-1) in (z-pole)^order * self."""
         if order < 0:
             raise ValueError("residue order must be non-negative")
-        pole = Fraction(pole)
-        num = self.num.shift(pole)
-        den = self.den.shift(pole)
-        mult = 0
-        while not den.is_zero() and not den.coeffs[0]:
-            den = Poly(den.coeffs[1:])
-            mult += 1
-        want = mult - order - 1  # series coefficient of num/den at that index
-        if want < 0:
-            return Fraction(0)
-        series = [Fraction(0)] * (want + 1)
-        d0 = den.coeffs[0]
-        for k in range(want + 1):
-            acc = num.coeffs[k] if k < len(num.coeffs) else Fraction(0)
-            for j in range(k):
-                dj = den.coeffs[k - j] if k - j < len(den.coeffs) else Fraction(0)
-                acc -= series[j] * dj
-            series[k] = acc / d0
-        return series[want]
+        part = self.principal_part(pole)
+        return part[order] if order < len(part) else Fraction(0)
 
     def __eq__(self, other) -> bool:
         other = _as_ratfun(other)
@@ -343,23 +346,6 @@ def _as_ratfun(value) -> RatFun | None:
     return None
 
 
-def ratfun_arith(f: RatFun, g: RatFun, op: str) -> RatFun:
-    """Dispatch helper mirroring the four-function contract."""
-    if op == "+":
-        return f + g
-    if op == "-":
-        return f - g
-    if op == "*":
-        return f * g
-    if op == "/":
-        return f / g
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def residue(f: RatFun, pole, order: int = 0) -> Fraction:
-    return f.residue(pole, order)
-
-
 class LaxEntry(NCPoly):
     """Noncommutative polynomial with RatFun coefficients: one Lax-matrix entry.
 
@@ -385,8 +371,21 @@ class LaxEntry(NCPoly):
         """Substitute z = point in every coefficient (errors name the pole)."""
         return self.map(lambda f: f(point), NCPoly)
 
+    def principal_part(self, pole) -> list[NCPoly]:
+        """[C_0, C_1, ...]: C_j is the coefficient of (z-pole)^-(j+1), up to the
+        pole's multiplicity in the entry (one series per coefficient)."""
+        parts = [(word, f.principal_part(pole)) for word, f in self.terms.items()]
+        mult = max((len(part) for _, part in parts), default=0)
+        return [NCPoly.from_terms(self.sig, [(word, part[j]) for word, part in parts
+                                             if j < len(part)])
+                for j in range(mult)]
+
     def residue(self, pole, order: int = 0) -> NCPoly:
-        return self.map(lambda f: f.residue(pole, order), NCPoly)
+        """Coefficient of (z-pole)^(-1) in (z-pole)^order * self."""
+        if order < 0:
+            raise ValueError("residue order must be non-negative")
+        part = self.principal_part(pole)
+        return part[order] if order < len(part) else NCPoly.zero(self.sig)
 
     def z_coefficient(self, power: int) -> NCPoly:
         """Coefficient of z^power; entry must be polynomial in z."""
@@ -395,25 +394,9 @@ class LaxEntry(NCPoly):
         return self.map(lambda f: f.num.coeffs[power] if power <= f.num.degree else 0,
                         NCPoly)
 
-    def proportionality(self, other: "LaxEntry") -> Fraction | None:
-        """The constant c with self == c * other, if one exists."""
-        if other.is_zero():
-            return None
-        if self.is_zero():
-            return Fraction(0)
-        if set(self.terms) != set(other.terms):
-            return None
-        ratio: Fraction | None = None
-        for w, f in self.terms.items():
-            q = f / other.terms[w]
-            if not q.is_constant():
-                return None
-            c = q.as_constant()
-            if ratio is None:
-                ratio = c
-            elif ratio != c:
-                return None
-        return ratio
+    @staticmethod
+    def _constant(f: RatFun) -> Fraction | None:
+        return f.as_constant() if f.is_constant() else None
 
     def render(self) -> str:
         if not self.terms:
@@ -497,11 +480,3 @@ class DiffOpEntry(SparseSum):
             parts.append(f"({body}){head}" if head else f"({body})")
         return " + ".join(parts)
 
-
-def diffop_multiply(a: DiffOpEntry, b: DiffOpEntry) -> DiffOpEntry:
-    return a * b
-
-
-def eval_z(obj, point):
-    """Evaluate the z-dependence of a LaxEntry or DiffOpEntry."""
-    return obj.eval_z(point)

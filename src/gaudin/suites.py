@@ -14,7 +14,6 @@ from fractions import Fraction
 from .algebra import (
     AlgebraSignature,
     Mode,
-    NCPoly,
     bracket,
     diagonal_generators,
 )
@@ -44,6 +43,7 @@ from .manin import (
     manin_property_suite,
     newton_check,
     partial_minus,
+    talalaev_coefficients,
     talalaev_generators,
 )
 from .poisson import (
@@ -168,8 +168,7 @@ def suite_glue(cfg: RunConfig) -> list[CheckReport]:
         qsig = cfg.signature("quantum")
         if qsig.sites <= 3 or cfg.unsafe_scale:
             try:
-                gens = limit_gaudin_algebra(qsig, pattern, poles,
-                                            eval_points=cfg.eval_points)
+                gens = limit_gaudin_algebra(qsig, pattern, poles)
             except UnsupportedPatternError as exc:
                 reports.append(CheckReport(
                     check="quantum_limit_algebra", passed=None,
@@ -226,21 +225,9 @@ def suite_talalaev(cfg: RunConfig) -> list[CheckReport]:
     if sig.rank <= 3:
         reports.append(column_order_invariance(M))
     out = talalaev_generators(matrix)
-    gens: list[NCPoly] = []
-    labels: list[str] = []
-    for u in cfg.eval_points:
-        for i in range(sig.rank):
-            gens.append(out.qh[i].eval_z(u))
-            labels.append(f"QH{i}({u})")
-        for k in range(1, sig.rank + 1):
-            gens.append(out.qtr[(k, k)].eval_z(u))
-            labels.append(f"QTr{k}({u})")
-    rep = commutation_matrix(gens, labels)
+    coeffs = talalaev_coefficients(out)
+    rep = commutation_matrix([c for _, c in coeffs], [label for label, _ in coeffs])
     rep.check = "talalaev_commutation"
-    rep.params["eval_points"] = [str(u) for u in cfg.eval_points]
-    # rational coefficients of bounded degree vanish identically once they
-    # vanish at rank*sites+1 points; record the bound with the evidence
-    rep.info["identity_point_bound"] = sig.rank * sig.sites + 1
     reports.append(rep)
     reports.append(CheckReport(
         check="talalaev_leading_coefficient",

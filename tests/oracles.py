@@ -7,15 +7,38 @@ differences, and the block-operator oracle multiplies plain Fraction matrices
 of finite-difference gradients.  Agreement between these and the kernel is evidence, not
 circularity.  The sampled Jacobi test is the reference for the exhaustive
 letter-triple certificate in ``gaudin.poisson``: it runs the Leibniz bracket
-on random polynomials instead of summing table entries.
+on random polynomials instead of summing table entries.  The seeded random
+letters, words and polynomials the tests draw are generated here as well.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from gaudin.algebra import poisson_bracket
-from gaudin.sampling import random_ncpoly
+from gaudin.algebra import AlgebraSignature, Letter, NCPoly, poisson_bracket
+
+
+def random_letter(rng: random.Random, sig: AlgebraSignature) -> Letter:
+    return (rng.randint(1, sig.sites), rng.randint(1, sig.rank), rng.randint(1, sig.rank))
+
+
+def random_word(rng: random.Random, sig: AlgebraSignature, degree: int):
+    return tuple(sorted(random_letter(rng, sig) for _ in range(degree)))
+
+
+def random_ncpoly(rng: random.Random, sig: AlgebraSignature,
+                  max_degree: int = 2, terms: int = 3,
+                  coeff_lo: int = -4, coeff_hi: int = 4) -> NCPoly:
+    """A seeded random element with nonzero integer coefficients."""
+    items = []
+    for _ in range(terms):
+        deg = rng.randint(1, max_degree)
+        coeff = 0
+        while coeff == 0:
+            coeff = rng.randint(coeff_lo, coeff_hi)
+        items.append((random_word(rng, sig, deg), Fraction(coeff)))
+    return NCPoly.from_terms(sig, items)
 
 
 def _letter_bracket(g, h):

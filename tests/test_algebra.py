@@ -13,10 +13,10 @@ from gaudin.algebra import (
     commutator,
     diagonal_generators,
     evaluate,
-    multiply,
     partial,
     poisson_bracket,
 )
+from gaudin.gluing import random_point
 from gaudin.lax import physical_hamiltonian, quadratic_hamiltonians
 from gaudin.poisson import (
     LimitBracket,
@@ -26,9 +26,8 @@ from gaudin.poisson import (
     StandardBracket,
     letter_table,
 )
-from gaudin.sampling import random_ncpoly, random_point
 
-from oracles import naive_commutator, numeric_block_bracket, numeric_poisson
+from oracles import naive_commutator, numeric_block_bracket, numeric_poisson, random_ncpoly
 
 
 def test_multiply_straightens_single_site(q1):
@@ -52,7 +51,7 @@ def test_multiply_distinct_sites_commute(q2):
 
 def test_multiply_rejects_signature_mismatch(q2, q3):
     with pytest.raises(SignatureMismatchError):
-        multiply(q2.gen(1, 1, 1), q3.gen(1, 1, 1))
+        q2.gen(1, 1, 1) * q3.gen(1, 1, 1)
 
 
 def test_classical_multiply_commutative(c3, rng):

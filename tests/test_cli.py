@@ -97,13 +97,27 @@ def test_verify_glue_with_pattern(tmp_path, capsys):
 
 
 def test_verify_exit_code_contract(tmp_path, capsys):
-    # evaluation points colliding with poles is a configuration error
+    # a collapse point on a remaining pole is a configuration error
     code, _, err = run_cli([
-        "verify", "glue", "--pattern", "[1,[2,3]@5]", "--sites", "3",
+        "verify", "glue", "--pattern", "[1,[2,3]@0]", "--sites", "3",
         "--eval", "5,7", "--out", str(tmp_path),
     ], capsys)
     assert code == 2
-    assert "pole" in err
+    assert "coincident child locations" in err
+
+
+def test_verify_glue_collapse_at_an_eval_point(tmp_path, capsys):
+    # the quantum limit algebra is certified from residue coefficients, so a
+    # collapse point equal to an --eval point is no pole hit
+    code, out, _ = run_cli([
+        "verify", "glue", "--pattern", "[1,[2,3]@5]", "--sites", "3",
+        "--eval", "5,7", "--out", str(tmp_path),
+    ], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    rep = next(c for c in doc["checks"] if c["check"] == "quantum_limit_algebra")
+    assert rep["pass"] is True and rep["spec"]["count"] == 16
+    assert doc["config"]["eval_points"] == ["5", "7"]
 
 
 def test_unknown_suite_is_usage_error(tmp_path, capsys):
@@ -223,3 +237,37 @@ def test_trials_flag_is_gone(tmp_path, capsys):
         main(["verify", "poisson", "--trials", "5", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+])
+def test_config_file_booleans(value, expected, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r=1\nsites=2\nunsafe-scale={value}\n")
+    code, out, _ = run_cli(["verify", "quadratic", "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["unsafe_scale"] is expected
+
+
+@pytest.mark.parametrize("value", ["on", "off"])
+def test_config_file_rejects_other_booleans(value, tmp_path, capsys):
+    # "on" used to be read as false, silently keeping the desk-scale guard
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r=1\nsites=6\nunsafe-scale={value}\n")
+    code, _, err = run_cli(["verify", "quadratic", "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == (f"error: {cfg}:3: unsafe-scale: expected 1/true/yes or "
+                   f"0/false/no, got '{value}'\n")
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_config_file_bad_integer_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=12x\n")
+    code, _, err = run_cli(["verify", "quadratic", "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {cfg}:1: seed: ")

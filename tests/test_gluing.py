@@ -17,7 +17,6 @@ from gaudin.gluing import (
     quantum_bending_generators,
     rank_completeness_check,
     shift_embedding,
-    _talalaev_point_generators,
 )
 from gaudin.lax import (
     bending_lax_rational,
@@ -26,8 +25,9 @@ from gaudin.lax import (
     spectral_invariants,
 )
 from gaudin.linalg import spans_equal
-from gaudin.manin import commutation_matrix
-from gaudin.sampling import random_ncpoly
+from gaudin.manin import commutation_matrix, talalaev_coefficients, talalaev_generators
+
+from oracles import random_ncpoly
 
 
 class TestParsePattern:
@@ -238,24 +238,32 @@ class TestEmbeddings:
 class TestLimitGaudinAlgebra:
     def test_elementary_glue_cross_commutators(self, q3):
         pattern = parse_pattern("[1,[2,3]@3]", 3)
-        gens = limit_gaudin_algebra(q3, pattern, poles=[0, 1, 2], eval_points=[5, 7])
+        gens = limit_gaudin_algebra(q3, pattern, poles=[0, 1, 2])
         rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
         assert rep.passed
+        assert rep.params["count"] == 16
+
+    @pytest.mark.parametrize("text", ["[1,[2,3]@5]", "[1,[2,3]@1/2]"])
+    def test_collapse_point_may_be_any_rational(self, q3, text):
+        # the generators carry no evaluation point, so no collapse location
+        # can hit one
+        gens = limit_gaudin_algebra(q3, parse_pattern(text, 3), poles=[0, 1, 2])
+        assert commutation_matrix([g for _, g in gens]).passed
 
     def test_rank_one_everything_central(self):
         sig = AlgebraSignature(1, 3, Mode.QUANTUM)
         pattern = parse_pattern("[1,[2,3]@3]", 3)
-        gens = limit_gaudin_algebra(sig, pattern, poles=[0, 1, 2], eval_points=[5])
+        gens = limit_gaudin_algebra(sig, pattern, poles=[0, 1, 2])
         assert commutation_matrix([g for _, g in gens]).passed
 
     def test_two_site_algebra_pole_independent(self):
         sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        pts = [Fraction(u) for u in (5, 7, 11, 13, 17, 19, 23)]
-        span_a = [g.terms for _, g in
-                  _talalaev_point_generators(sig, [Fraction(0), Fraction(1)], pts)]
-        span_b = [g.terms for _, g in
-                  _talalaev_point_generators(sig, [Fraction(2), Fraction(-3)], pts)]
-        assert spans_equal(span_a, span_b)
+
+        def span(poles):
+            out = talalaev_generators(gaudin_lax(sig, poles))
+            return [c.terms for _, c in talalaev_coefficients(out)]
+
+        assert spans_equal(span([0, 1]), span([2, -3]))
 
     def test_non_tail_collapse_rejected(self, q3):
         pattern = parse_pattern("[[1,2]@5,3]", 3)

@@ -6,6 +6,7 @@ from gaudin.algebra import AlgebraSignature, Mode
 from gaudin.linalg import (
     col_det,
     matmul,
+    power_traces,
     rank,
     row_reduce,
     solve_combination,
@@ -83,6 +84,16 @@ def test_matmul_keeps_factor_order():
     assert d * z != z * d
     assert matmul([[d, z]], [[z], [d]]) == [[d * z + z * d]]
     assert matmul([[d]], [[z]]) == [[d * z]]
+
+
+def test_power_traces_keep_factor_order():
+    sig = weyl_sig()
+    d = DiffOpEntry.partial(sig)
+    z = DiffOpEntry.from_entry(LaxEntry.scalar(sig, RatFun.z()))
+    M = [[d, z], [DiffOpEntry.one(sig), d]]
+    powers = [M, matmul(M, M), matmul(matmul(M, M), M)]
+    assert list(power_traces(M, 3)) == [p[0][0] + p[1][1] for p in powers]
+    assert list(power_traces(M, 0)) == []
 
 
 def test_col_det_takes_factors_column_by_column():

@@ -17,9 +17,11 @@ from gaudin.manin import (
     newton_check,
     partial_minus,
     quantum_powers,
+    talalaev_coefficients,
     talalaev_generators,
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, Poly, RatFun
+from gaudin.suites import RunConfig, run_suite
 
 
 def scalar_sig():
@@ -322,6 +324,68 @@ class TestTalalaev:
                         [(Fraction(0), 2)], label="double-pole")
         with pytest.raises(ValueError):
             talalaev_generators(bad)
+
+
+class TestTalalaevCoefficients:
+    def test_labels_and_count(self):
+        sig = AlgebraSignature(2, 3, Mode.QUANTUM)
+        coeffs = talalaev_coefficients(talalaev_generators(gaudin_lax(sig, [0, 1, 2])))
+        labels = [label for label, _ in coeffs]
+        assert len(labels) == 15
+        assert labels[:2] == ["QH0[z=0,order 0]", "QH0[z=0,order 1]"]
+        assert "QTr1[z=0,order 0]" not in labels  # QTr1 repeats QH1
+
+    def test_generators_are_sums_of_their_principal_parts(self):
+        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+        L = gaudin_lax(sig, [0, 1])
+        out = talalaev_generators(L)
+        for gen in out.qh[:2] + [out.qtr[(k, k)] for k in (1, 2)]:
+            rebuilt = LaxEntry.zero(sig)
+            for pole, _ in L.poles:
+                power = RatFun.one_over_z_minus(pole)  # (z - pole)^-(j+1)
+                for c in gen.principal_part(pole):
+                    rebuilt = rebuilt + LaxEntry.from_ncpoly(c) * power
+                    power = power * RatFun.one_over_z_minus(pole)
+            assert rebuilt == gen
+
+    def test_corrupted_coefficient_is_named_by_every_witness(self):
+        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+        coeffs = talalaev_coefficients(talalaev_generators(gaudin_lax(sig, [0, 1])))
+        assert commutation_matrix([c for _, c in coeffs]).passed
+        label, c = coeffs[3]
+        coeffs[3] = (label, c + sig.gen(1, 1, 2))
+        rep = commutation_matrix([c for _, c in coeffs], [l for l, _ in coeffs])
+        assert rep.passed is False and rep.witnesses
+        assert all(label in w["pair"] for w in rep.witnesses)
+
+    def test_polynomial_part_rejected(self):
+        # a constant added to L keeps its residues, so the matrix still
+        # counts as Gaudin type, but the generators gain a polynomial part
+        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+        L = gaudin_lax(sig, [0, 1])
+        L.entries[0][0] = L.entries[0][0] + LaxEntry.from_ncpoly(sig.gen(1, 1, 1))
+        with pytest.raises(ValueError, match="polynomial part"):
+            talalaev_coefficients(talalaev_generators(L))
+
+    def test_undeclared_pole_rejected(self):
+        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+        L = gaudin_lax(sig, [0, 1])
+        L.poles = L.poles[:1]
+        with pytest.raises(ValueError, match="pole outside"):
+            talalaev_coefficients(talalaev_generators(L))
+
+    def test_verify_never_computes_recursion_constants(self, monkeypatch):
+        import gaudin.manin
+
+        def refuse(*args):
+            raise AssertionError("quantum_powers reached")
+
+        monkeypatch.setattr(gaudin.manin, "quantum_powers", refuse)
+        cfg = RunConfig(rank=2, sites=2)
+        assert all(r.passed is not False for r in run_suite("talalaev", cfg))
+        out = talalaev_generators(gaudin_lax(cfg.signature("quantum"), [0, 1]))
+        with pytest.raises(AssertionError, match="quantum_powers reached"):
+            out.recursion_constants
 
 
 class TestCommutationMatrix:

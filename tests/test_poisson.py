@@ -25,9 +25,8 @@ from gaudin.poisson import (
     limit_rijk_operator,
     standard_operator,
 )
-from gaudin.sampling import random_ncpoly
 
-from oracles import leibniz_jacobiator, numeric_block_bracket, sampled_jacobi
+from oracles import leibniz_jacobiator, numeric_block_bracket, random_ncpoly, sampled_jacobi
 
 
 def xx2_blocks():

@@ -12,10 +12,6 @@ from gaudin.ratfun import (
     PoleEvaluationError,
     Poly,
     RatFun,
-    diffop_multiply,
-    eval_z,
-    ratfun_arith,
-    residue,
 )
 
 
@@ -42,12 +38,12 @@ class TestPoly:
 
 class TestRatFunArith:
     def test_partial_fraction_sum(self):
-        f = ratfun_arith(RatFun.one_over_z_minus(1), RatFun.one_over_z_minus(-1), "+")
+        f = RatFun.one_over_z_minus(1) + RatFun.one_over_z_minus(-1)
         assert f == rf([0, 2], [-1, 0, 1])  # 2z/(z^2-1)
 
     def test_multiply_by_zero(self):
         f = rf([1, 2], [3, 1])
-        assert ratfun_arith(f, RatFun.const(0), "*").is_zero()
+        assert (f * RatFun.const(0)).is_zero()
 
     def test_gcd_reduction(self):
         f = rf([-1, 0, 1], [-1, 1])  # (z^2-1)/(z-1)
@@ -55,7 +51,7 @@ class TestRatFunArith:
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            ratfun_arith(rf([1]), RatFun.const(0), "/")
+            rf([1]) / RatFun.const(0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
@@ -91,29 +87,101 @@ class TestRatFunArith:
 
 class TestResidue:
     def test_simple_pole(self):
-        assert residue(RatFun.one_over_z_minus(2), 2, 0) == 1
+        assert RatFun.one_over_z_minus(2).residue(2, 0) == 1
 
     def test_double_pole_first_order(self):
         f = rf([1], [4, -4, 1])  # 1/(z-2)^2
-        assert residue(f, 2, 1) == 1
-        assert residue(f, 2, 0) == 0
+        assert f.residue(2, 1) == 1
+        assert f.residue(2, 0) == 0
 
     def test_no_simple_pole_part(self):
         f = rf([1], [0, 0, 1])  # 1/z^2
-        assert residue(f, 0, 0) == 0
-        assert residue(f, 0, 1) == 1
+        assert f.residue(0, 0) == 0
+        assert f.residue(0, 1) == 1
 
     def test_regular_point(self):
-        assert residue(rf([1, 1]), 3, 0) == 0
+        assert rf([1, 1]).residue(3, 0) == 0
 
     def test_matches_partial_fractions(self):
         # f = 3/(z-1) + 5/(z-1)^2 + 7/(z+2)
         f = (RatFun.one_over_z_minus(1) * 3
              + rf([5], [1, -2, 1])
              + RatFun.one_over_z_minus(-2) * 7)
-        assert residue(f, 1, 0) == 3
-        assert residue(f, 1, 1) == 5
-        assert residue(f, -2, 0) == 7
+        assert f.residue(1, 0) == 3
+        assert f.residue(1, 1) == 5
+        assert f.residue(-2, 0) == 7
+
+
+def _random_ratfun(rng):
+    """Poles of order up to 3 at some of -2, 0, 1/2, 3, sometimes a factor
+    z^2 + 1 without rational roots, and a numerator of degree up to 6."""
+    den = Poly([1])
+    for p in rng.sample([Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)], 2):
+        for _ in range(rng.randint(0, 3)):
+            den = den * Poly([-p, 1])
+    if rng.random() < 0.3:
+        den = den * Poly([1, 0, 1])
+    num = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 7))])
+    return RatFun(num, den)
+
+
+class TestPrincipalPart:
+    POLES = (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3), Fraction(7))
+
+    def test_matches_residues_and_rebuilds_the_proper_part(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            f = _random_ratfun(rng)
+            rest = f
+            for pole in self.POLES:
+                part = f.principal_part(pole)
+                assert not part or part[-1] != 0
+                assert part == [f.residue(pole, j) for j in range(len(part))]
+                assert f.residue(pole, len(part)) == 0
+                power = RatFun.one_over_z_minus(pole)
+                for c in part:
+                    rest = rest - power * c
+                    power = power * RatFun.one_over_z_minus(pole)
+            # what is left has no pole at any of the listed points
+            assert all(not rest.principal_part(pole) for pole in self.POLES)
+
+    def test_matches_sympy_taylor_coefficients(self):
+        # with m the multiplicity sympy finds for the pole, c_j is the
+        # (m-1-j)-th Taylor coefficient of (z - pole)^m f at the pole
+        sympy = pytest.importorskip("sympy")
+        z = sympy.symbols("z")
+
+        def expr(poly):
+            return sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+                       for k, c in enumerate(poly.coeffs))
+
+        rng = random.Random(5)
+        for _ in range(20):
+            f = _random_ratfun(rng)
+            g = sympy.cancel(expr(f.num) / expr(f.den))
+            roots = sympy.roots(sympy.Poly(sympy.denom(g), z))
+            for pole in self.POLES:
+                p = sympy.Rational(pole.numerator, pole.denominator)
+                m = roots.get(p, 0)
+                h = sympy.cancel(g * (z - p) ** m)
+                want = [sympy.diff(h, z, m - 1 - j).subs(z, p) / sympy.factorial(m - 1 - j)
+                        for j in range(m)]
+                got = f.principal_part(pole)
+                assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
+
+    def test_lax_entry_reads_one_series_per_coefficient(self):
+        sig = AlgebraSignature(2, 1, Mode.QUANTUM)
+        e = LaxEntry.from_terms(sig, [
+            (((1, 1, 1),), rf([1], [0, 0, 1])),               # 1/z^2
+            (((1, 1, 2),), rf([3, 1], [0, 1])),               # (z + 3)/z
+            (((1, 2, 1),), RatFun.one_over_z_minus(2)),
+        ])
+        part = e.principal_part(0)
+        assert part == [sig.gen(1, 1, 2) * 3, sig.gen(1, 1, 1)]
+        assert part == [e.residue(0, j) for j in range(2)]
+        assert e.residue(0, 2).is_zero()
+        assert e.principal_part(2) == [sig.gen(1, 2, 1)]
+        assert e.principal_part(5) == []
 
 
 @pytest.fixture
@@ -125,7 +193,7 @@ class TestDiffOp:
     def test_leibniz_on_one_over_z(self, scalar_sig):
         d = DiffOpEntry.partial(scalar_sig)
         f = DiffOpEntry.from_entry(LaxEntry.scalar(scalar_sig, RatFun.one_over_z_minus(0)))
-        prod = diffop_multiply(d, f)
+        prod = d * f
         # (1/z) d - 1/z^2
         assert prod.entry(1) == LaxEntry.scalar(scalar_sig, RatFun.one_over_z_minus(0))
         assert prod.entry(0) == LaxEntry.scalar(scalar_sig, rf([-1], [0, 0, 1]))
@@ -181,21 +249,21 @@ class TestEvalZ:
     def test_eval_lax_entry(self):
         sig = AlgebraSignature(2, 1, Mode.QUANTUM)
         e = LaxEntry.from_terms(sig, [(((1, 1, 1),), RatFun.one_over_z_minus(1))])
-        val = eval_z(e, 3)
+        val = e.eval_z(3)
         assert val == sig.gen(1, 1, 1) * Fraction(1, 2)
 
     def test_eval_at_pole_reports_the_pole(self):
         sig = AlgebraSignature(2, 1, Mode.QUANTUM)
         e = LaxEntry.from_terms(sig, [(((1, 1, 1),), RatFun.one_over_z_minus(1))])
         with pytest.raises(PoleEvaluationError) as err:
-            eval_z(e, 1)
+            e.eval_z(1)
         assert err.value.point == 1
 
     def test_eval_diffop_coefficient_list(self, scalar_sig):
         d = DiffOpEntry.partial(scalar_sig)
         f = DiffOpEntry.from_entry(LaxEntry.scalar(scalar_sig, RatFun.one_over_z_minus(0)))
         sq = (d - f) * (d - f)
-        values = eval_z(sq, 1)
+        values = sq.eval_z(1)
         consts = [v.constant_term() for v in values]
         assert consts == [2, -2, 1]
 
@@ -223,6 +291,15 @@ class TestLaxEntryAlgebra:
         assert (e * 3).proportionality(e) == 3
         other = LaxEntry.from_terms(sig, [(((1, 1, 1),), RatFun.z())])
         assert other.proportionality(e) is None
+
+    def test_ncpoly_proportionality_needs_one_ratio(self):
+        sig = AlgebraSignature(2, 1, Mode.QUANTUM)
+        p = sig.gen(1, 1, 1) + sig.gen(1, 1, 2) * 2
+        assert (p * Fraction(-3, 2)).proportionality(p) == Fraction(-3, 2)
+        assert (sig.gen(1, 1, 1) + sig.gen(1, 1, 2)).proportionality(p) is None
+        assert sig.gen(1, 1, 1).proportionality(p) is None
+        assert sig.zero().proportionality(p) == 0
+        assert p.proportionality(sig.zero()) is None
 
 
 def _one_of_each(sig):
