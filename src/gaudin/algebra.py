@@ -12,9 +12,10 @@ products never need correction terms).
 ``SparseSum`` is the one sparse container of the package: a zero-free map from
 keys to coefficients with addition, negation, equality, scaling and
 coefficient maps written once.  ``NCPoly`` adds the PBW product over
-``Fraction`` coefficients; ``ratfun.LaxEntry`` is the same product over
-rational functions of z, and ``ratfun.DiffOpEntry`` keys LaxEntry
-coefficients by powers of d/dz.
+``Fraction`` coefficients; ``ratfun.RatFun`` keys Fractions by the
+partial-fraction basis in z, ``ratfun.LaxEntry`` is the PBW product over
+RatFun coefficients, and ``ratfun.DiffOpEntry`` keys LaxEntry coefficients by
+powers of d/dz.
 
 Coefficients are exact ``fractions.Fraction`` values at the API.  The two
 bracket engines (``commutator`` and ``poisson_bracket``) scale each operand
@@ -161,8 +162,9 @@ def _acc(terms: dict, key, val) -> None:
 
 
 class SparseSum:
-    """Zero-free sparse sum over an algebra signature: ``terms`` maps each key
-    to a nonzero coefficient.
+    """Zero-free sparse sum over an algebra signature (None where no algebra
+    is involved, as for ``ratfun.RatFun``): ``terms`` maps each key to a
+    nonzero coefficient.
 
     The additive structure, scaling and coefficient maps live here once.  A
     subclass fixes its coefficient ring with ``_coeff(sig, c)``, which turns
@@ -250,9 +252,10 @@ class SparseSum:
         return other + (-self)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SparseSum) and other.sig != self.sig:
+        try:
+            other = self._coerce(other)
+        except SignatureMismatchError:
             return False
-        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.terms == other.terms
@@ -308,26 +311,22 @@ class NCPoly(SparseSum):
     def constant_term(self):
         return self.terms.get((), self._coeff(self.sig, 0))
 
-    @staticmethod
-    def _constant(c) -> Fraction | None:
-        """A coefficient as a rational constant, or None if it is not one."""
-        return c
-
     def proportionality(self, other: "NCPoly") -> Fraction | None:
-        """The constant c with self == c * other, if one exists."""
+        """The constant c with self == c * other, if one exists.
+
+        c is read off one rational coefficient of ``other`` (descending
+        through sparse-sum coefficients such as ``RatFun``) and then checked.
+        """
         if other.is_zero():
             return None
-        if self.is_zero():
-            return Fraction(0)
-        if self.terms.keys() != other.terms.keys():
-            return None
-        ratio: Fraction | None = None
-        for w, f in self.terms.items():
-            c = self._constant(f / other.terms[w])
-            if c is None or (ratio is not None and c != ratio):
-                return None
-            ratio = c
-        return ratio
+        a, b = self, other
+        while isinstance(b, SparseSum):
+            key = next(iter(b.terms))
+            a, b = a.terms.get(key, 0), b.terms[key]
+            if not a:
+                return None if self else Fraction(0)
+        ratio = a / b
+        return ratio if self == other.scale(ratio) else None
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):

@@ -195,7 +195,8 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
     members: list[InvariantMember] = []
     for m, tr in enumerate(matrix.power_traces(max_power), start=1):
         if matrix.is_polynomial():
-            top = max((f.num.degree for f in tr.terms.values()), default=-1)
+            top = max((k for f in tr.terms.values() for k in f.terms if type(k) is int),
+                      default=-1)
             for a in range(top + 1):
                 expr = tr.z_coefficient(a)
                 if expr.is_zero():
@@ -275,14 +276,17 @@ def lax_from_groups(sig: AlgebraSignature,
 
 def pole_site_groups(matrix: LaxMatrix) -> dict[Fraction, list[int]] | None:
     """Site groups read off the residues, or None if the matrix is not of
-    Gaudin type (simple poles whose residues are disjoint site-group blocks)."""
-    if matrix.is_polynomial():
+    Gaudin type: simple poles at the declared points and nothing else, whose
+    residues are disjoint site-group blocks."""
+    if matrix.is_polynomial() or any(order != 1 for _, order in matrix.poles):
+        return None
+    simple = {(pole, 1) for pole, _ in matrix.poles}
+    if any(key not in simple for row in matrix.entries for e in row
+           for f in e.terms.values() for key in f.terms):
         return None
     groups: dict[Fraction, list[int]] = {}
     seen: set[int] = set()
-    for pole, order in matrix.poles:
-        if order != 1:
-            return None
+    for pole, _ in matrix.poles:
         res = matrix.residue_matrix(pole)
         sites: set[int] = set()
         for a in range(1, matrix.size + 1):

@@ -2,12 +2,12 @@
 loop and column determinant of the package, plus rank, span comparison and
 expressing a target vector as a combination of given sparse vectors.
 
-The four shared routines are generic over the entry ring: they use only
-``+``, ``-``, ``*`` and unary ``-`` on entries, and row reduction also uses
-``1 / x`` and the truth value (nonzero test).  ``Fraction``, ``RatFun`` and
-the noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` (whose
-truth value is "has a term") all qualify; products keep the factor order they
-are written in.
+The matrix product, power traces and column determinant use only ``+``,
+``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
+noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` all
+qualify; products keep the factor order they are written in.  Row reduction
+also uses ``1 / x`` and the truth value (nonzero test), so it runs over a
+field: the package hands it ``Fraction`` entries only.
 """
 
 from __future__ import annotations

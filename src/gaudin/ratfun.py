@@ -1,21 +1,27 @@
 """Exact arithmetic in the spectral parameter z, and the coefficient objects
 layered on it.
 
-``Poly`` and ``RatFun`` are univariate polynomials / rational functions over
-the rationals in canonical form (monic denominator, gcd removed).  ``LaxEntry``
-is ``algebra.NCPoly`` over rational-function coefficients: one matrix entry of
-a Lax matrix, whose z-operations (derivative, evaluation, residues) map the
+Every z-dependent object of the package has poles only at given rational
+points, so ``RatFun`` stores a rational function in partial-fraction form: a
+``SparseSum`` whose key ``k`` (an int >= 0) stands for z^k and whose key
+``(p, k)`` (k >= 1) stands for (z-p)^-k.  That form is canonical, so sums,
+equality and scaling are the sparse-sum ones; a product expands through a
+cached table of basis products, and derivatives, values and principal parts
+act term by term.  No arithmetic path divides or shifts a polynomial or takes
+a gcd.  ``Poly`` is the dense polynomial that ``render`` multiplies out at the
+edge; ``poly_gcd`` is kept as a callable for code outside the arithmetic path.
+
+``LaxEntry`` is ``algebra.NCPoly`` over RatFun coefficients: one matrix entry
+of a Lax matrix, whose z-operations (derivative, evaluation, residues) map the
 coefficients.  ``DiffOpEntry`` is an ``algebra.SparseSum`` from powers of d/dz
 to LaxEntry coefficients, multiplying by the exact Leibniz rule
-``d/dz . f = f . d/dz + f'``.  All three share the sparse-sum arithmetic.
-
-Pole locations are restricted to rational points; residues are computed by
-exact local power-series division, never by numeric limits.
+``d/dz . f = f . d/dz + f'``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable
 
@@ -41,14 +47,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly([Fraction(c)])
-
-    @staticmethod
-    def z() -> "Poly":
-        return Poly([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -72,14 +70,6 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -93,8 +83,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -118,35 +106,8 @@ class Poly:
         inv = 1 / self.lead()
         return Poly([c * inv for c in self.coeffs])
 
-    def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, point) -> Fraction:
-        point = Fraction(point)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * point + c
-        return total
-
-    def shift(self, c) -> "Poly":
-        """The polynomial w -> p(w + c)."""
-        c = Fraction(c)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for j, pj in enumerate(self.coeffs):
-            if not pj:
-                continue
-            power = Fraction(1)
-            for k in range(j, -1, -1):
-                out[k] += pj * comb(j, k) * power
-                power *= c
-        return Poly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def render(self) -> str:
         if not self.coeffs:
@@ -175,175 +136,159 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm.  No arithmetic path of the package
+    takes one: ``RatFun`` is canonical without it."""
     while not b.is_zero():
         _, r = a.divmod(b)
         a, b = b, r.monic() if not r.is_zero() else r
     return a.monic() if not a.is_zero() else a
 
 
-class RatFun:
-    """Rational function of z in canonical form: monic denominator, gcd 1."""
+@cache
+def _basis_product(s, t) -> tuple[tuple[object, Fraction], ...]:
+    """The product of the basis functions keyed s and t, as (key, coefficient)
+    pairs of the partial-fraction basis."""
+    if type(s) is tuple and type(t) is int:
+        s, t = t, s
+    if type(t) is int:                                  # z^s z^t
+        return ((s + t, Fraction(1)),)
+    b, n = t
+    if type(s) is int:                                  # z^s (z-b)^-n
+        # z^s = sum_i C(s,i) b^(s-i) (z-b)^i; powers i >= n leave the
+        # polynomial (z-b)^(i-n) = sum_l C(i-n,l) (-b)^(i-n-l) z^l
+        terms: dict = {}
+        for i in range(s + 1):
+            c = comb(s, i) * b ** (s - i)
+            if i < n:
+                _acc(terms, (b, n - i), c)
+            else:
+                for l in range(i - n + 1):
+                    _acc(terms, l, c * comb(i - n, l) * (-b) ** (i - n - l))
+        return tuple(terms.items())
+    a, m = s
+    if a == b:                                          # (z-a)^-m (z-a)^-n
+        return (((a, m + n), Fraction(1)),)
+    # (z-a)^-m (z-b)^-n: the coefficient of (z-p)^-k, p one pole of order
+    # mp and q the other of order mq, is
+    # (-1)^(mp-k) C(mp+mq-k-1, mp-k) (p-q)^-(mp+mq-k); there is no polynomial part
+    out = []
+    for p, mp, q, mq in ((a, m, b, n), (b, n, a, m)):
+        for k in range(1, mp + 1):
+            c = (-1) ** (mp - k) * comb(mp + mq - k - 1, mp - k)
+            out.append(((p, k), c / (p - q) ** (mp + mq - k)))
+    return tuple(out)
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly([1])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly([1])
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        inv = 1 / den.lead()
-        self.num = num * inv
-        self.den = den * inv
+class RatFun(SparseSum):
+    """Rational function of z with rational poles, in partial-fraction form:
+    ``terms`` maps k to the coefficient of z^k and (p, k) to that of
+    (z-p)^-k.  Sums, negation, equality, ``scale`` and ``map`` are the
+    ``SparseSum`` ones over no signature (``sig`` is None)."""
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _unit = 0
+
+    @staticmethod
+    def _coeff(sig: None, c) -> Fraction:
+        return Fraction(c)
 
     @staticmethod
     def const(c) -> "RatFun":
-        return RatFun(Poly.const(c))
+        return RatFun.scalar(None, c)
 
     @staticmethod
     def z() -> "RatFun":
-        return RatFun(Poly.z())
+        return RatFun(None, {1: Fraction(1)})
 
     @staticmethod
     def one_over_z_minus(point) -> "RatFun":
-        return RatFun(Poly([1]), Poly([-Fraction(point), 1]))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return RatFun(None, {(Fraction(point), 1): Fraction(1)})
 
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def is_constant(self) -> bool:
-        return self.den.degree == 0 and self.num.degree <= 0
-
-    def as_constant(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num(0)
-
-    def __add__(self, other):
-        other = _as_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return all(type(key) is int for key in self.terms)
 
     def __mul__(self, other):
-        other = _as_ratfun(other)
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
+        terms: dict = {}
+        for s, a in self.terms.items():
+            for t, b in other.terms.items():
+                ab = a * b
+                for key, c in _basis_product(s, t):
+                    _acc(terms, key, ab * c)
+        return RatFun(None, terms)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_ratfun(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def derivative(self) -> "RatFun":
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        terms = {}
+        for key, c in self.terms.items():
+            if type(key) is int:
+                if key:
+                    terms[key - 1] = c * key
+            else:
+                p, k = key
+                terms[(p, k + 1)] = -k * c
+        return RatFun(None, terms)
 
     def __call__(self, point) -> Fraction:
-        point = Fraction(point)
-        dval = self.den(point)
-        if not dval:
-            raise PoleEvaluationError(point)
-        return self.num(point) / dval
+        x = Fraction(point)
+        total = Fraction(0)
+        for key, c in self.terms.items():
+            if type(key) is int:
+                total += c * x ** key
+            elif x == key[0]:
+                raise PoleEvaluationError(x)
+            else:
+                total += c / (x - key[0]) ** key[1]
+        return total
 
     def principal_part(self, pole) -> list[Fraction]:
         """[c_0, ..., c_(m-1)]: c_j is the coefficient of (z-pole)^-(j+1), m the
-        multiplicity of the pole (empty when ``pole`` is not a pole).
-
-        One Taylor shift of numerator and denominator, then one local series
-        division up to the pole's multiplicity.
-        """
+        multiplicity of the pole (empty when ``pole`` is not a pole)."""
         pole = Fraction(pole)
-        den = self.den.shift(pole).coeffs
-        mult = next(i for i, c in enumerate(den) if c)
-        num = self.num.shift(pole).coeffs
-        den = den[mult:]
-        series: list[Fraction] = []  # coefficients of (z-pole)^(k - mult)
-        for k in range(mult):
-            acc = num[k] if k < len(num) else Fraction(0)
-            for j in range(max(0, k - len(den) + 1), k):
-                acc -= series[j] * den[k - j]
-            series.append(acc / den[0])
-        return series[::-1]
+        mult = max((key[1] for key in self.terms
+                    if type(key) is tuple and key[0] == pole), default=0)
+        return [self.terms.get((pole, j), Fraction(0)) for j in range(1, mult + 1)]
 
     def residue(self, pole, order: int = 0) -> Fraction:
         """Coefficient of (z-pole)^(-1) in (z-pole)^order * self."""
         if order < 0:
             raise ValueError("residue order must be non-negative")
-        part = self.principal_part(pole)
-        return part[order] if order < len(part) else Fraction(0)
+        return self.terms.get((Fraction(pole), order + 1), Fraction(0))
 
-    def __eq__(self, other) -> bool:
-        other = _as_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+    def num_den(self) -> tuple[Poly, Poly]:
+        """(num, den) with self = num/den and den = prod (z-p)^m_p monic.  The
+        top coefficient at each pole is nonzero, so the two are coprime."""
+        orders: dict = {}
+        for key in self.terms:
+            if type(key) is tuple:
+                orders[key[0]] = max(orders.get(key[0], 0), key[1])
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        def den_without(p=None, k=0) -> Poly:
+            out = Poly([1])
+            for q, m in orders.items():
+                for _ in range(m - k if q == p else m):
+                    out = out * Poly([-q, 1])
+            return out
+
+        den = den_without()
+        top = max((key for key in self.terms if type(key) is int), default=-1)
+        num = Poly([self.terms.get(k, 0) for k in range(top + 1)]) * den
+        for key, c in self.terms.items():
+            if type(key) is tuple:
+                num = num + den_without(*key) * c
+        return num, den
 
     def render(self) -> str:
-        if self.den.degree == 0:
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return f"<RatFun {self.render()}>"
-
-
-def _as_ratfun(value) -> RatFun | None:
-    if isinstance(value, RatFun):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RatFun.const(value)
-    if isinstance(value, Poly):
-        return RatFun(value)
-    return None
+        num, den = self.num_den()
+        if den.degree == 0:
+            return num.render()
+        return f"({num.render()})/({den.render()})"
 
 
 class LaxEntry(NCPoly):
@@ -354,11 +299,11 @@ class LaxEntry(NCPoly):
     """
 
     __slots__ = ()
-    _scalars = (int, Fraction, RatFun, Poly)
+    _scalars = (int, Fraction, RatFun)
 
     @staticmethod
     def _coeff(sig: AlgebraSignature, c) -> RatFun:
-        return _as_ratfun(c)
+        return c if isinstance(c, RatFun) else RatFun.const(c)
 
     @staticmethod
     def from_ncpoly(p: NCPoly) -> "LaxEntry":
@@ -373,7 +318,7 @@ class LaxEntry(NCPoly):
 
     def principal_part(self, pole) -> list[NCPoly]:
         """[C_0, C_1, ...]: C_j is the coefficient of (z-pole)^-(j+1), up to the
-        pole's multiplicity in the entry (one series per coefficient)."""
+        pole's multiplicity in the entry."""
         parts = [(word, f.principal_part(pole)) for word, f in self.terms.items()]
         mult = max((len(part) for _, part in parts), default=0)
         return [NCPoly.from_terms(self.sig, [(word, part[j]) for word, part in parts
@@ -382,21 +327,13 @@ class LaxEntry(NCPoly):
 
     def residue(self, pole, order: int = 0) -> NCPoly:
         """Coefficient of (z-pole)^(-1) in (z-pole)^order * self."""
-        if order < 0:
-            raise ValueError("residue order must be non-negative")
-        part = self.principal_part(pole)
-        return part[order] if order < len(part) else NCPoly.zero(self.sig)
+        return self.map(lambda f: f.residue(pole, order), NCPoly)
 
     def z_coefficient(self, power: int) -> NCPoly:
         """Coefficient of z^power; entry must be polynomial in z."""
         if not all(f.is_polynomial() for f in self.terms.values()):
             raise ValueError("entry is not polynomial in z")
-        return self.map(lambda f: f.num.coeffs[power] if power <= f.num.degree else 0,
-                        NCPoly)
-
-    @staticmethod
-    def _constant(f: RatFun) -> Fraction | None:
-        return f.as_constant() if f.is_constant() else None
+        return self.map(lambda f: f.terms.get(power, 0), NCPoly)
 
     def render(self) -> str:
         if not self.terms:
@@ -420,7 +357,7 @@ class DiffOpEntry(SparseSum):
     """
 
     __slots__ = ()
-    _scalars = (int, Fraction, RatFun, Poly, LaxEntry)
+    _scalars = (int, Fraction, RatFun, LaxEntry)
     _unit = 0
 
     @staticmethod

@@ -340,10 +340,13 @@ def suite_poisson(cfg: RunConfig) -> list[CheckReport]:
         rep.check = name
         reports.append(rep)
 
-    # control: a sign flip in one diagonal block must break Jacobi
-    bad = limit_rijk_operator(sig.sites).with_block(
+    # control: a sign flip in one diagonal block must break Jacobi; at rank 1
+    # or on two sites the flipped operator still satisfies it, so the control
+    # runs on at least rank 2 and three sites
+    csig = AlgebraSignature(max(sig.rank, 2), max(sig.sites, 3), Mode.CLASSICAL)
+    bad = limit_rijk_operator(csig.sites).with_block(
         2, 2, {1: Fraction(1), 2: Fraction(1)})
-    control = jacobi_check(OperatorBracket(bad), sig)
+    control = jacobi_check(OperatorBracket(bad), csig)
     reports.append(CheckReport(
         check="corrupted_operator_rejected", passed=control.passed is False,
         params={"flipped_block": "2,2"}, witnesses=control.witnesses[:1],

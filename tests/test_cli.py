@@ -271,3 +271,14 @@ def test_config_file_bad_integer_names_the_line(tmp_path, capsys):
                             "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith(f"error: {cfg}:1: seed: ")
+
+
+@pytest.mark.parametrize("args", [("--sites", "2"), ("--rank", "1")])
+def test_verify_poisson_small_signatures_pass(args, tmp_path, capsys):
+    # the corrupted-operator control runs on at least rank 2 and three sites,
+    # where the flipped block does break Jacobi
+    code, out, _ = run_cli(["verify", "poisson", *args, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    control = next(c for c in json.loads(out)["checks"]
+                   if c["check"] == "corrupted_operator_rejected")
+    assert control["pass"] is True and control["spec"] == {"flipped_block": "2,2"}

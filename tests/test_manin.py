@@ -5,7 +5,7 @@ import pytest
 
 from gaudin.algebra import AlgebraSignature, Mode, ModeError, classical_limit, commutator
 from gaudin.gluing import elementary_glue
-from gaudin.lax import LaxMatrix, bending_lax_rational, gaudin_lax
+from gaudin.lax import LaxMatrix, bending_lax_rational, gaudin_lax, pole_site_groups
 from gaudin.manin import (
     DiffOpMatrix,
     adjugate,
@@ -20,7 +20,7 @@ from gaudin.manin import (
     talalaev_coefficients,
     talalaev_generators,
 )
-from gaudin.ratfun import DiffOpEntry, LaxEntry, Poly, RatFun
+from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 from gaudin.suites import RunConfig, run_suite
 
 
@@ -253,7 +253,7 @@ class TestQuantumPowers:
                       [(Fraction(0), 1)], label="scalar")
         powers = quantum_powers(L, 2)
         assert powers[2].entries[0][0] == DiffOpEntry.from_entry(
-            LaxEntry.scalar(sig, RatFun(Poly([2]), Poly([0, 0, 1]))))
+            LaxEntry.scalar(sig, RatFun.one_over_z_minus(0) * RatFun.one_over_z_minus(0) * 2))
 
     def test_first_power_is_the_matrix(self):
         sig = AlgebraSignature(2, 2, Mode.QUANTUM)
@@ -318,7 +318,7 @@ class TestTalalaev:
 
     def test_non_gaudin_type_rejected(self):
         sig = AlgebraSignature(2, 1, Mode.QUANTUM)
-        entry = LaxEntry.scalar(sig, RatFun(Poly([1]), Poly([0, 0, 1])))
+        entry = LaxEntry.scalar(sig, RatFun.one_over_z_minus(0) * RatFun.one_over_z_minus(0))
         bad = LaxMatrix(sig, [[entry, LaxEntry.zero(sig)],
                               [LaxEntry.zero(sig), entry]],
                         [(Fraction(0), 2)], label="double-pole")
@@ -359,20 +359,20 @@ class TestTalalaevCoefficients:
         assert all(label in w["pair"] for w in rep.witnesses)
 
     def test_polynomial_part_rejected(self):
-        # a constant added to L keeps its residues, so the matrix still
-        # counts as Gaudin type, but the generators gain a polynomial part
+        # talalaev_generators refuses such a matrix (see TestGaudinTypeGate),
+        # so the constant goes into a generator after the fact
         sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        L = gaudin_lax(sig, [0, 1])
-        L.entries[0][0] = L.entries[0][0] + LaxEntry.from_ncpoly(sig.gen(1, 1, 1))
-        with pytest.raises(ValueError, match="polynomial part"):
-            talalaev_coefficients(talalaev_generators(L))
+        out = talalaev_generators(gaudin_lax(sig, [0, 1]))
+        out.qh[0] = out.qh[0] + LaxEntry.from_ncpoly(sig.gen(1, 1, 1))
+        with pytest.raises(ValueError, match="QH0 has a polynomial part"):
+            talalaev_coefficients(out)
 
     def test_undeclared_pole_rejected(self):
         sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        L = gaudin_lax(sig, [0, 1])
-        L.poles = L.poles[:1]
+        out = talalaev_generators(gaudin_lax(sig, [0, 1]))
+        out.lax.poles = out.lax.poles[:1]
         with pytest.raises(ValueError, match="pole outside"):
-            talalaev_coefficients(talalaev_generators(L))
+            talalaev_coefficients(out)
 
     def test_verify_never_computes_recursion_constants(self, monkeypatch):
         import gaudin.manin
@@ -386,6 +386,27 @@ class TestTalalaevCoefficients:
         out = talalaev_generators(gaudin_lax(cfg.signature("quantum"), [0, 1]))
         with pytest.raises(AssertionError, match="quantum_powers reached"):
             out.recursion_constants
+
+
+class TestGaudinTypeGate:
+    """pole_site_groups reads every coefficient, not only the residues at the
+    declared poles."""
+
+    def test_constant_term_rejected(self):
+        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+        L = gaudin_lax(sig, [0, 1])
+        L.entries[0][0] = L.entries[0][0] + LaxEntry.from_ncpoly(sig.gen(1, 1, 1))
+        assert pole_site_groups(L) is None
+        with pytest.raises(ValueError, match="not of Gaudin type"):
+            talalaev_generators(L)
+
+    def test_undeclared_pole_rejected(self):
+        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+        L = gaudin_lax(sig, [0, 1])
+        L.poles = L.poles[:1]
+        assert pole_site_groups(L) is None
+        with pytest.raises(ValueError, match="not of Gaudin type"):
+            talalaev_generators(L)
 
 
 class TestCommutationMatrix:

@@ -12,11 +12,27 @@ from gaudin.ratfun import (
     PoleEvaluationError,
     Poly,
     RatFun,
+    poly_gcd,
 )
 
 
-def rf(num, den=(1,)):
-    return RatFun(Poly(num), Poly(den))
+Z = RatFun.z()
+
+
+def pole(p, k=1):
+    """(z - p)^-k as a product of simple poles."""
+    f = RatFun.const(1)
+    for _ in range(k):
+        f = f * RatFun.one_over_z_minus(p)
+    return f
+
+
+def zpoly(*coeffs):
+    """sum_k coeffs[k] z^k."""
+    f, power = RatFun.const(0), RatFun.const(1)
+    for c in coeffs:
+        f, power = f + power * c, power * Z
+    return f
 
 
 class TestPoly:
@@ -26,63 +42,58 @@ class TestPoly:
         q, r = a.divmod(b)
         assert q * b + r == a
 
-    def test_shift(self):
-        p = Poly([0, 0, 1])  # z^2
-        assert p.shift(1) == Poly([1, 2, 1])  # (w+1)^2
-
     def test_derivative_and_eval(self):
-        p = Poly([1, 2, 3])
-        assert p.derivative() == Poly([2, 6])
+        # polynomials in z differentiate and evaluate term by term
+        p = zpoly(1, 2, 3)
+        assert p.derivative() == zpoly(2, 6)
         assert p(2) == Fraction(17)
 
 
 class TestRatFunArith:
     def test_partial_fraction_sum(self):
         f = RatFun.one_over_z_minus(1) + RatFun.one_over_z_minus(-1)
-        assert f == rf([0, 2], [-1, 0, 1])  # 2z/(z^2-1)
+        assert str(f) == "(2*z)/(z^2 - 1)"
+        assert f == pole(1) + pole(-1)
 
     def test_multiply_by_zero(self):
-        f = rf([1, 2], [3, 1])
+        f = Z + pole(-3) * 5
         assert (f * RatFun.const(0)).is_zero()
+        assert (f * 0).is_zero() and (0 * f).is_zero()
 
     def test_gcd_reduction(self):
-        f = rf([-1, 0, 1], [-1, 1])  # (z^2-1)/(z-1)
-        assert f == rf([1, 1])  # z+1
-
-    def test_division_by_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            rf([1]) / RatFun.const(0)
+        # common factors cancel in the product, with no gcd taken
+        assert zpoly(-1, 0, 1) * pole(1) == zpoly(1, 1)         # (z^2-1)/(z-1)
+        assert (Z - 1) * pole(1, 2) == pole(1)
+        assert (Z - 2) * (Z - 3) * pole(2) * pole(3) == RatFun.const(1)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-           st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-    def test_field_laws(self, n1, n2, d1, d2):
-        if not any(d1) or not any(d2):
-            return
-        f = rf(n1, d1)
-        g = rf(n2, d2)
+    @given(*[st.lists(st.integers(-5, 5), min_size=1, max_size=4) for _ in range(3)],
+           st.lists(st.sampled_from([0, 1, -2, Fraction(1, 2)]), min_size=3, max_size=3))
+    def test_field_laws(self, n1, n2, n3, poles):
+        # the laws that need no division: partial fractions form a ring
+        f, g, h = (zpoly(*n[:2]) + sum((pole(p, k + 1) * c for k, c in enumerate(n[:3])),
+                                       RatFun.const(0))
+                   for n, p in zip((n1, n2, n3), poles))
         assert f + g == g + f
         assert f * g == g * f
         assert (f - f).is_zero()
-        if not f.is_zero():
-            assert f / f == RatFun.const(1)
-            assert (Fraction(1) / f) * f == RatFun.const(1)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
     def test_canonical_form_random(self):
         rng = random.Random(5)
         for _ in range(100):
-            num = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
-            den = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
-            if den.is_zero():
-                continue
-            f = RatFun(num, den)
+            f = _random_ratfun(rng)
             assert (f - f).is_zero()
+            assert all(c for c in f.terms.values())
+            num, den = f.num_den()
+            assert den.lead() == 1
             if not f.is_zero():
-                inv = RatFun(f.den, f.num)
-                assert f * inv == RatFun.const(1)
-            assert f.den.is_zero() or f.den.lead() == 1
+                assert poly_gcd(num, den) == Poly([1])
+            # multiplying by a pole's linear factor and back is the identity
+            for p in (0, Fraction(1, 2), 3):
+                assert f * (Z - p) * pole(p) == f
 
 
 class TestResidue:
@@ -90,90 +101,106 @@ class TestResidue:
         assert RatFun.one_over_z_minus(2).residue(2, 0) == 1
 
     def test_double_pole_first_order(self):
-        f = rf([1], [4, -4, 1])  # 1/(z-2)^2
+        f = pole(2, 2)
         assert f.residue(2, 1) == 1
         assert f.residue(2, 0) == 0
 
     def test_no_simple_pole_part(self):
-        f = rf([1], [0, 0, 1])  # 1/z^2
+        f = pole(0, 2)
         assert f.residue(0, 0) == 0
         assert f.residue(0, 1) == 1
 
     def test_regular_point(self):
-        assert rf([1, 1]).residue(3, 0) == 0
+        assert zpoly(1, 1).residue(3, 0) == 0
 
     def test_matches_partial_fractions(self):
-        # f = 3/(z-1) + 5/(z-1)^2 + 7/(z+2)
-        f = (RatFun.one_over_z_minus(1) * 3
-             + rf([5], [1, -2, 1])
-             + RatFun.one_over_z_minus(-2) * 7)
+        # f = 3/(z-1) + 5/(z-1)^2 + 7/(z+2), written over one denominator
+        f = zpoly(11, -6, 10) * pole(1, 2) * pole(-2)
+        assert f == pole(1) * 3 + pole(1, 2) * 5 + pole(-2) * 7
         assert f.residue(1, 0) == 3
         assert f.residue(1, 1) == 5
         assert f.residue(-2, 0) == 7
 
 
+RANDOM_POLES = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2))
+
+
+def _random_terms(rng, poles=None, degree=None):
+    """(key, coefficient) pairs, a key k standing for z^k and (p, k) for
+    (z-p)^-k: poles of order up to 3 at ``poles`` (default: some of 0, 1,
+    -2, 1/2) and a polynomial part of degree ``degree`` (default: up to 2)."""
+    if poles is None:
+        poles = rng.sample(RANDOM_POLES, rng.randint(0, 3))
+    if degree is None:
+        degree = rng.randint(-1, 2)
+    terms = [(k, rng.randint(-4, 4)) for k in range(degree + 1)]
+    for p in poles:
+        terms += [((p, k), rng.randint(-4, 4)) for k in range(1, rng.randint(1, 3) + 1)]
+    return terms
+
+
 def _random_ratfun(rng):
-    """Poles of order up to 3 at some of -2, 0, 1/2, 3, sometimes a factor
-    z^2 + 1 without rational roots, and a numerator of degree up to 6."""
-    den = Poly([1])
-    for p in rng.sample([Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)], 2):
-        for _ in range(rng.randint(0, 3)):
-            den = den * Poly([-p, 1])
-    if rng.random() < 0.3:
-        den = den * Poly([1, 0, 1])
-    num = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 7))])
-    return RatFun(num, den)
+    """A random function built from the constructors (see ``_random_terms``)."""
+    return sum((zpoly(*[0] * key, c) if type(key) is int else pole(*key) * c
+                for key, c in _random_terms(rng)), RatFun.const(0))
+
+
+def _random_pair(rng, z, **shape):
+    """The same random function as a RatFun and as a sympy expression."""
+    import sympy
+    f, expr = RatFun.const(0), sympy.Integer(0)
+    for key, c in _random_terms(rng, **shape):
+        if type(key) is int:
+            f, expr = f + zpoly(*[0] * key, c), expr + c * z ** key
+        else:
+            p, k = key
+            sp = sympy.Rational(p.numerator, p.denominator)
+            f, expr = f + pole(p, k) * c, expr + c / (z - sp) ** k
+    return f, expr
 
 
 class TestPrincipalPart:
-    POLES = (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3), Fraction(7))
+    POLES = (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7))
 
     def test_matches_residues_and_rebuilds_the_proper_part(self):
         rng = random.Random(31)
         for _ in range(60):
-            f = _random_ratfun(rng)
+            f = _random_ratfun(rng) * _random_ratfun(rng)
             rest = f
-            for pole in self.POLES:
-                part = f.principal_part(pole)
+            for p in self.POLES:
+                part = f.principal_part(p)
                 assert not part or part[-1] != 0
-                assert part == [f.residue(pole, j) for j in range(len(part))]
-                assert f.residue(pole, len(part)) == 0
-                power = RatFun.one_over_z_minus(pole)
-                for c in part:
-                    rest = rest - power * c
-                    power = power * RatFun.one_over_z_minus(pole)
+                assert part == [f.residue(p, j) for j in range(len(part))]
+                assert f.residue(p, len(part)) == 0
+                for j, c in enumerate(part):
+                    rest = rest - pole(p, j + 1) * c
             # what is left has no pole at any of the listed points
-            assert all(not rest.principal_part(pole) for pole in self.POLES)
+            assert rest.is_polynomial()
 
     def test_matches_sympy_taylor_coefficients(self):
         # with m the multiplicity sympy finds for the pole, c_j is the
         # (m-1-j)-th Taylor coefficient of (z - pole)^m f at the pole
         sympy = pytest.importorskip("sympy")
         z = sympy.symbols("z")
-
-        def expr(poly):
-            return sum(sympy.Rational(c.numerator, c.denominator) * z ** k
-                       for k, c in enumerate(poly.coeffs))
-
         rng = random.Random(5)
         for _ in range(20):
-            f = _random_ratfun(rng)
-            g = sympy.cancel(expr(f.num) / expr(f.den))
+            f, expr = _random_pair(rng, z)
+            g = sympy.cancel(expr)
             roots = sympy.roots(sympy.Poly(sympy.denom(g), z))
-            for pole in self.POLES:
-                p = sympy.Rational(pole.numerator, pole.denominator)
-                m = roots.get(p, 0)
-                h = sympy.cancel(g * (z - p) ** m)
-                want = [sympy.diff(h, z, m - 1 - j).subs(z, p) / sympy.factorial(m - 1 - j)
+            for p in self.POLES:
+                sp = sympy.Rational(p.numerator, p.denominator)
+                m = roots.get(sp, 0)
+                h = sympy.cancel(g * (z - sp) ** m)
+                want = [sympy.diff(h, z, m - 1 - j).subs(z, sp) / sympy.factorial(m - 1 - j)
                         for j in range(m)]
-                got = f.principal_part(pole)
+                got = f.principal_part(p)
                 assert [sympy.Rational(c.numerator, c.denominator) for c in got] == want
 
     def test_lax_entry_reads_one_series_per_coefficient(self):
         sig = AlgebraSignature(2, 1, Mode.QUANTUM)
         e = LaxEntry.from_terms(sig, [
-            (((1, 1, 1),), rf([1], [0, 0, 1])),               # 1/z^2
-            (((1, 1, 2),), rf([3, 1], [0, 1])),               # (z + 3)/z
+            (((1, 1, 1),), pole(0, 2)),                       # 1/z^2
+            (((1, 1, 2),), (Z + 3) * pole(0)),                # (z + 3)/z
             (((1, 2, 1),), RatFun.one_over_z_minus(2)),
         ])
         part = e.principal_part(0)
@@ -182,6 +209,77 @@ class TestPrincipalPart:
         assert e.residue(0, 2).is_zero()
         assert e.principal_part(2) == [sig.gen(1, 2, 1)]
         assert e.principal_part(5) == []
+
+
+class TestSympyOracle:
+    """Products, derivatives, values and the rendered num/den against sympy's
+    ``apart`` and ``cancel``, on random inputs built independently on both
+    sides (principal parts: ``TestPrincipalPart``)."""
+
+    @pytest.fixture
+    def z(self):
+        return pytest.importorskip("sympy").symbols("z")
+
+    @staticmethod
+    def _expr(f, z):
+        import sympy
+        out = sympy.Integer(0)
+        for key, c in f.terms.items():
+            c = sympy.Rational(c.numerator, c.denominator)
+            if type(key) is int:
+                out += c * z ** key
+            else:
+                assert key[1] >= 1
+                out += c / (z - sympy.Rational(key[0].numerator, key[0].denominator)) ** key[1]
+        return out
+
+    @pytest.mark.parametrize("shape", ["same pole", "two poles", "polynomial by pole",
+                                       "general"])
+    def test_products(self, z, shape):
+        import sympy
+        rng = random.Random(shape)
+        for _ in range(15):
+            p, q = rng.sample(RANDOM_POLES, 2)
+            left, right = {
+                "same pole": ({"poles": [p], "degree": -1}, {"poles": [p], "degree": -1}),
+                "two poles": ({"poles": [p], "degree": -1}, {"poles": [q], "degree": -1}),
+                "polynomial by pole": ({"poles": [], "degree": 2}, {"poles": [p], "degree": -1}),
+                "general": ({}, {}),
+            }[shape]
+            f, F = _random_pair(rng, z, **left)
+            g, G = _random_pair(rng, z, **right)
+            assert sympy.cancel(self._expr(f * g, z) - sympy.apart(F * G, z)) == 0
+
+    def test_derivatives_and_values(self, z):
+        import sympy
+        rng = random.Random(11)
+        for _ in range(30):
+            f, F = _random_pair(rng, z)
+            assert sympy.cancel(self._expr(f.derivative(), z) - sympy.diff(F, z)) == 0
+            den = sympy.denom(sympy.cancel(F))
+            for x in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(5, 3)):
+                sx = sympy.Rational(x.numerator, x.denominator)
+                if den.subs(z, sx) == 0:
+                    with pytest.raises(PoleEvaluationError):
+                        f(x)
+                else:
+                    assert f(x) == F.subs(z, sx)
+
+    def test_rendered_num_den(self, z):
+        import sympy
+        rng = random.Random(13)
+        for _ in range(30):
+            f, F = _random_pair(rng, z)
+            num, den = sympy.fraction(sympy.cancel(sympy.together(F)))
+            lead = sympy.Poly(den, z).LC()
+            text = str(f)
+            if text.startswith("(") and ")/(" in text:
+                got_num, got_den = text[1:-1].split(")/(")
+            else:
+                got_num, got_den = text, "1"
+            for got, want in ((got_num, num / lead), (got_den, den / lead)):
+                got = sympy.sympify(got.replace("^", "**"), locals={"z": z})
+                assert sympy.Poly(got, z) == sympy.Poly(want, z)
 
 
 @pytest.fixture
@@ -196,15 +294,15 @@ class TestDiffOp:
         prod = d * f
         # (1/z) d - 1/z^2
         assert prod.entry(1) == LaxEntry.scalar(scalar_sig, RatFun.one_over_z_minus(0))
-        assert prod.entry(0) == LaxEntry.scalar(scalar_sig, rf([-1], [0, 0, 1]))
+        assert prod.entry(0) == LaxEntry.scalar(scalar_sig, pole(0, 2) * -1)
 
     def test_square_of_partial_minus_one_over_z(self, scalar_sig):
         d = DiffOpEntry.partial(scalar_sig)
         f = DiffOpEntry.from_entry(LaxEntry.scalar(scalar_sig, RatFun.one_over_z_minus(0)))
         sq = (d - f) * (d - f)
         assert sq.entry(2) == LaxEntry.one(scalar_sig)
-        assert sq.entry(1) == LaxEntry.scalar(scalar_sig, rf([-2], [0, 1]))
-        assert sq.entry(0) == LaxEntry.scalar(scalar_sig, rf([2], [0, 0, 1]))
+        assert sq.entry(1) == LaxEntry.scalar(scalar_sig, pole(0) * -2)
+        assert sq.entry(0) == LaxEntry.scalar(scalar_sig, pole(0, 2) * 2)
 
     def test_multiply_by_one(self, scalar_sig, rng):
         one = DiffOpEntry.one(scalar_sig)
@@ -223,11 +321,7 @@ class TestDiffOp:
         rng = random.Random(17)
         d = DiffOpEntry.partial(scalar_sig)
         for _ in range(50):
-            num = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
-            den = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
-            if den.is_zero():
-                continue
-            fr = RatFun(num, den)
+            fr = _random_ratfun(rng)
             f = DiffOpEntry.from_entry(LaxEntry.scalar(scalar_sig, fr))
             comm = d * f - f * d
             assert comm == DiffOpEntry.from_entry(
@@ -237,9 +331,8 @@ class TestDiffOp:
 def _random_diffop(rng, sig):
     coeffs = {}
     for power in range(rng.randint(1, 3)):
-        den_choice = rng.choice([(1,), (0, 1), (0, 0, 1), (-1, 1)])
-        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-        f = RatFun(Poly(num), Poly(den_choice))
+        den_choice = rng.choice([RatFun.const(1), pole(0), pole(0, 2), pole(1)])
+        f = zpoly(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) * den_choice
         if not f.is_zero():
             coeffs[power] = LaxEntry.scalar(sig, f)
     return DiffOpEntry(sig, coeffs)
@@ -341,20 +434,30 @@ class TestSparseSum:
 
     def test_lax_entry_constants_become_ratfuns(self, q1):
         e = _one_of_each(q1)[1]
-        for c in (1, Fraction(1, 3), Poly([1, 2]), RatFun.z()):
+        for c in (1, Fraction(1, 3), pole(1, 2), RatFun.z()):
             for total in (e + c, e - c, e * c, c + e, c - e, c * e):
                 assert all(type(f) is RatFun for f in total.terms.values())
         assert (e + 1) - e == LaxEntry.one(q1)
         assert LaxEntry.one(q1) == 1
+        assert RatFun.const(1) == LaxEntry.one(q1) == RatFun.const(1)
 
     def test_poly_operators_defer_to_foreign_operands(self, q1):
+        # Poly is the dense render-time type: it defers to a LaxEntry, which
+        # refuses it, while RatFun operands reach the LaxEntry operators
         e = _one_of_each(q1)[1]
         c = Poly([1, 2])
-        assert c + e == e + c
-        assert c - e == -(e - c)
-        assert c * e == e * c
+        assert c.__add__(e) is NotImplemented and c.__mul__(e) is NotImplemented
+        for op in OPS:
+            with pytest.raises(TypeError):
+                op(c, e)
         with pytest.raises(TypeError):
             c + "z"
+        f = zpoly(1, 2)
+        assert f + e == e + f
+        assert f - e == -(e - f)
+        assert f * e == e * f
+        with pytest.raises(TypeError):
+            f + "z"
 
     def test_scale_by_one_shares_the_value(self, q1):
         for obj in _one_of_each(q1):

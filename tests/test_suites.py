@@ -1,7 +1,7 @@
 import pytest
 
 from gaudin.reports import CheckReport, all_passed
-from gaudin.suites import RunConfig, run_suite
+from gaudin.suites import SUITES, RunConfig, run_suite
 
 
 def small_cfg(**kw):
@@ -53,3 +53,17 @@ def test_talalaev_suite_certifies_residue_coefficients():
     # simple-pole residues of QH0 at the two poles are proportional
     assert rep.params == {"count": 8, "mode": "quantum"}
     assert rep.info == {}
+
+
+def test_no_suite_takes_a_polynomial_gcd(monkeypatch):
+    # RatFun is canonical in partial-fraction form, so no arithmetic path
+    # reaches ratfun.poly_gcd
+    import gaudin.ratfun
+
+    calls = []
+    real = gaudin.ratfun.poly_gcd
+    monkeypatch.setattr(gaudin.ratfun, "poly_gcd", lambda *a: calls.append(a) or real(*a))
+    for name in SUITES:
+        run_suite(name, RunConfig())
+    run_suite("manin", RunConfig(rank=3))
+    assert calls == []
