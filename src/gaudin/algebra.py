@@ -9,6 +9,18 @@ non-decreasing in the lexicographic order on these triples, which is the PBW
 straightening order (different-site letters sort by site, so cross-site
 products never need correction terms).
 
+Quantum products and commutators are therefore computed site by site: a word
+splits into per-site blocks, each site's letters multiply on their own, and a
+commutator of two words telescopes over the sites where both hold letters
+(term pairs sharing no site are skipped, since they commute).  Only
+single-site words are ever rewritten, so the one straightening cache,
+``_STRAIGHTEN``, holds single-site words only, and its size is set by the
+rank and degree, not by the number of sites.  A product whose words are
+already in order is concatenated without consulting it.  The commutator also
+memoizes, per pair of single-site words, the two local products and their
+difference (``_LOCAL_PAIRS``), since commutation tables revisit few pairs
+many times.
+
 ``SparseSum`` is the one sparse container of the package: a zero-free map from
 keys to coefficients with addition, negation, equality, scaling and
 coefficient maps written once.  ``NCPoly`` adds the PBW product over
@@ -111,41 +123,137 @@ def _letter_bracket(g: Letter, h: Letter) -> list[tuple[Letter, int]]:
     return out
 
 
-# Straightened two-letter products recur constantly while normal-ordering, so
-# results are memoized per word.  Structure constants are integers, so cached
-# coefficients stay int.
+# Letters at different sites commute, so products and commutators of PBW
+# words factor site by site and only single-site words are ever rewritten.
+# The straightening cache holds their expansions, keyed by the out-of-order
+# single-site word; in-order words are not stored.  Structure constants are
+# integers, so cached coefficients stay int.
 _STRAIGHTEN: dict[Word, dict[Word, int]] = {}
 
 
 def straighten_word(word: Word) -> Mapping[Word, int]:
-    """Normal-order a word of generators by adjacent-transposition rewriting.
+    """Normal-order a word of generators on one site by adjacent-transposition
+    rewriting.
 
     Returns the expansion of the product in the PBW basis as a map from
-    non-decreasing words to integer coefficients.
+    non-decreasing words to integer coefficients.  Every word the rewriting
+    visits lies on the same site, so the cache stays site-local.
     """
     cached = _STRAIGHTEN.get(word)
     if cached is not None:
         return cached
-    pos = -1
-    for p in range(len(word) - 1):
-        if word[p] > word[p + 1]:
-            pos = p
+    for pos in range(len(word) - 1):
+        if word[pos] > word[pos + 1]:
             break
-    if pos < 0:
-        result = {word: 1}
     else:
-        g, h = word[pos], word[pos + 1]
-        head, tail = word[:pos], word[pos + 2:]
-        result = dict(straighten_word(head + (h, g) + tail))
-        for letter, sign in _letter_bracket(g, h):
-            for w, c in straighten_word(head + (letter,) + tail).items():
-                acc = result.get(w, 0) + sign * c
-                if acc:
-                    result[w] = acc
-                else:
-                    result.pop(w, None)
+        return {word: 1}
+    g, h = word[pos], word[pos + 1]
+    head, tail = word[:pos], word[pos + 2:]
+    result = dict(straighten_word(head + (h, g) + tail))
+    for letter, sign in _letter_bracket(g, h):
+        for w, c in straighten_word(head + (letter,) + tail).items():
+            acc = result.get(w, 0) + sign * c
+            if acc:
+                result[w] = acc
+            else:
+                result.pop(w, None)
     _STRAIGHTEN[word] = result
     return result
+
+
+def _site_blocks(word: Word, sites: int) -> tuple[list[Word], int]:
+    """(the word's letters at each site 1..sites, bitmask of the sites that
+    hold letters).  A PBW word is sorted by site, so each block is a slice."""
+    blocks = [()] * sites
+    mask = 0
+    start = 0
+    for p in range(1, len(word) + 1):
+        if p == len(word) or word[p][0] != word[start][0]:
+            s = word[start][0] - 1
+            blocks[s] = word[start:p]
+            mask |= 1 << s
+            start = p
+    return blocks, mask
+
+
+def _local_product(a: Word, b: Word):
+    """a·b for nonempty PBW words on one site: the word a + b when it is
+    already in order, else its expansion."""
+    if a[-1] <= b[0]:
+        return a + b
+    return straighten_word(a + b)
+
+
+def _expand(factors) -> list[tuple[Word, int]]:
+    """The product of per-site factors in site order, each a fixed word or an
+    expansion {word: int}.  Distinct choices of local words concatenate to
+    distinct words, so nothing needs accumulating."""
+    out = [((), 1)]
+    fixed = ()
+    for f in factors:
+        if type(f) is tuple:
+            fixed += f
+        else:
+            out = [(w + fixed + v, c * k) for w, c in out for v, k in f.items()]
+            fixed = ()
+    if fixed:
+        out = [(w + fixed, c) for w, c in out]
+    return out
+
+
+def _word_product(w1: Word, w2: Word, sites: int) -> list[tuple[Word, int]]:
+    """PBW expansion of w1·w2: each site's letters multiply on their own."""
+    return _expand([_local_product(a, b) if a and b else a + b
+                    for a, b in zip(_site_blocks(w1, sites)[0],
+                                    _site_blocks(w2, sites)[0])])
+
+
+# The table pairs recur the same few single-site words, so each local pair's
+# data is memoized as well: (a, b) -> (a·b, b·a, [a, b]), the products as
+# left by ``_local_product`` and the commutator as an expansion.
+_LOCAL_PAIRS: dict[tuple[Word, Word], tuple] = {}
+
+
+def _local_pair(a: Word, b: Word) -> tuple:
+    """(a·b, b·a, [a, b]) for nonempty PBW words on one site."""
+    got = _LOCAL_PAIRS.get((a, b))
+    if got is None:
+        p, q = _local_product(a, b), _local_product(b, a)
+        c = dict(p) if type(p) is dict else {p: 1}
+        for w, k in (q.items() if type(q) is dict else ((q, 1),)):
+            acc = c.get(w, 0) - k
+            if acc:
+                c[w] = acc
+            else:
+                del c[w]
+        got = _LOCAL_PAIRS[(a, b)] = (p, q, c)
+    return got
+
+
+def _word_commutator(b1: list[Word], b2: list[Word]) -> list[tuple[Word, int]]:
+    """PBW expansion of [w1, w2] from the words' site blocks.
+
+    With P_s = a_s b_s and Q_s = b_s a_s the local products at site s,
+    prod P - prod Q telescopes to sum_k Q_<k [a_k, b_k] P_>k (the mirrored
+    sum_k P_<k [a_k, b_k] Q_>k is the same difference).  Only sites where
+    both words hold letters contribute a term or differ between P and Q;
+    every other site contributes its one block.
+    """
+    ab, ba, comm = [], [], []
+    for a, b in zip(b1, b2):
+        if a and b:
+            p, q, c = _local_pair(a, b)
+            if c:
+                comm.append((len(ab), c))
+            ab.append(p)
+            ba.append(q)
+        else:
+            ab.append(a + b)
+            ba.append(a + b)
+    out = []
+    for i, c in comm:
+        out += _expand(ba[:i] + [c] + ab[i + 1:])
+    return out
 
 
 def _acc(terms: dict, key, val) -> None:
@@ -339,11 +447,13 @@ class NCPoly(SparseSum):
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c = c1 * c2
-                if quantum:
-                    for w, k in straighten_word(w1 + w2).items():
-                        _acc(terms, w, c if k == 1 else c * k)
-                else:
+                if not quantum:
                     _acc(terms, tuple(sorted(w1 + w2)), c)
+                elif not w1 or not w2 or w1[-1] <= w2[0]:  # already in order
+                    _acc(terms, w1 + w2, c)
+                else:
+                    for w, k in _word_product(w1, w2, self.sig.sites):
+                        _acc(terms, w, c if k == 1 else c * k)
         return type(self)(self.sig, terms)
 
     def __rmul__(self, other):
@@ -397,7 +507,12 @@ def _from_integer_terms(sig: AlgebraSignature, terms: dict[Word, int], d: int) -
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
-    """pq - qp in normal form.  Quantum mode only."""
+    """pq - qp in normal form.  Quantum mode only.
+
+    Each operand term is split into site blocks once.  Term pairs that share
+    no site commute and are skipped; a pair sharing one site contributes its
+    local commutator there, and one sharing more telescopes over them.
+    """
     if not p.sig.is_quantum:
         raise ModeError("commutator requires Quantum mode; use poisson_bracket")
     if p.sig != q.sig:
@@ -405,15 +520,34 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
             f"operands over different signatures: {p.sig} vs {q.sig}")
     dp, ip = _integer_terms(p)
     dq, iq = _integer_terms(q)
+    n = p.sig.sites
+    split_q = [(*_site_blocks(w, n), c) for w, c in iq.items()]
     terms: dict[Word, int] = {}
     get = terms.get
+    pair_get = _LOCAL_PAIRS.get  # read inline: this loop runs per term pair
     for w1, c1 in ip.items():
-        for w2, c2 in iq.items():
+        b1, m1 = _site_blocks(w1, n)
+        for b2, m2, c2 in split_q:
+            shared = m1 & m2
+            if not shared:
+                continue
             c = c1 * c2
-            for w, k in straighten_word(w1 + w2).items():
+            if shared & (shared - 1):
+                for w, k in _word_commutator(b1, b2):
+                    terms[w] = get(w, 0) + c * k
+                continue
+            # one shared site s, the bulk of the pairs: the local commutator
+            # between the letters of the sites before and after it
+            s = shared.bit_length() - 1
+            pre = suf = ()
+            for t in range(s):
+                pre += b1[t] + b2[t]
+            for t in range(s + 1, n):
+                suf += b1[t] + b2[t]
+            a, b = b1[s], b2[s]
+            for v, k in (pair_get((a, b)) or _local_pair(a, b))[2].items():
+                w = pre + v + suf
                 terms[w] = get(w, 0) + c * k
-            for w, k in straighten_word(w2 + w1).items():
-                terms[w] = get(w, 0) - c * k
     return _from_integer_terms(p.sig, terms, dp * dq)
 
 

@@ -30,11 +30,20 @@ BUILD_TARGETS = ("gaudin", "quadratic", "physical", "bending",
                  "bending-rational", "invariants", "pattern", "talalaev")
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
+def _rational(flag: str, text: str) -> Fraction:
+    """One rational flag value; a malformed one names the flag and the value."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: bad rational {text!r}") from None
+
+
+def _parse_fraction_list(flag: str, text: str) -> list[Fraction]:
     text = text.strip()
     if not text:
         return []
-    return [Fraction(part.strip()) for part in text.split(",")]
+    return [_rational(flag, part) for part in text.split(",")]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -134,13 +143,14 @@ def _run_config(merged: dict) -> RunConfig:
         rank=merged["rank"],
         sites=merged["sites"],
         mode=merged["mode"],
-        poles=_parse_fraction_list(str(merged["poles"])),
+        poles=_parse_fraction_list("--poles", str(merged["poles"])),
         pattern=str(merged["pattern"]),
-        eval_points=_parse_fraction_list(str(merged["eval_points"])) or RunConfig().eval_points,
+        eval_points=(_parse_fraction_list("--eval", str(merged["eval_points"]))
+                     or RunConfig().eval_points),
         seed=merged["seed"],
         k=merged["k"],
-        z1=Fraction(str(merged["z1"])),
-        z2=Fraction(str(merged["z2"])),
+        z1=_rational("--z1", str(merged["z1"])),
+        z2=_rational("--z2", str(merged["z2"])),
         unsafe_scale=bool(merged["unsafe_scale"]),
     )
 
@@ -156,7 +166,7 @@ def _matrix_json(matrix) -> dict:
 
 def cmd_build(merged: dict, what: str) -> dict:
     cfg = _run_config(merged)
-    cfg.check_scale()
+    cfg.check_scale("quantum" if what == "talalaev" else None)
     sig = cfg.signature()
     poles = cfg.pole_list()
     artifact: dict = {"command": "build", "what": what, "config": cfg.to_json_dict()}

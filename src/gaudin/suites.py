@@ -86,15 +86,17 @@ class RunConfig:
             return list(self.poles)
         return [Fraction(i) for i in range(self.sites)]
 
-    def check_scale(self) -> None:
-        """Desk-scale guard; lift with unsafe_scale."""
+    def check_scale(self, mode: str | None = None) -> None:
+        """Desk-scale guard; lift with unsafe_scale.  ``mode`` names the
+        algebra a caller builds whatever the configured mode says."""
         if self.unsafe_scale:
             return
-        limit_sites = 3 if self.mode == "quantum" else 5
+        mode = mode or self.mode
+        limit_sites = 3 if mode == "quantum" else 5
         if self.rank > 3 or self.sites > limit_sites:
             raise ValueError(
                 f"rank {self.rank} / sites {self.sites} exceeds the desk-scale "
-                f"limits (rank <= 3, sites <= {limit_sites} in {self.mode} mode); "
+                f"limits (rank <= 3, sites <= {limit_sites} in {mode} mode); "
                 "pass --unsafe-scale to override"
             )
 
@@ -216,7 +218,7 @@ def suite_bending(cfg: RunConfig) -> list[CheckReport]:
 
 
 def suite_talalaev(cfg: RunConfig) -> list[CheckReport]:
-    cfg.check_scale()
+    cfg.check_scale("quantum")
     sig = cfg.signature("quantum")
     poles = cfg.pole_list()
     matrix = gaudin_lax(sig, poles)
@@ -269,7 +271,7 @@ def _random_commutative_matrix(rng: random.Random, n: int) -> DiffOpMatrix:
 
 
 def suite_manin(cfg: RunConfig) -> list[CheckReport]:
-    cfg.check_scale()
+    cfg.check_scale("quantum")
     rng = random.Random(cfg.seed)
     reports = []
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import gaudin.algebra as algebra
 from gaudin.algebra import (
     AlgebraSignature,
     Mode,
@@ -17,7 +18,8 @@ from gaudin.algebra import (
     poisson_bracket,
 )
 from gaudin.gluing import random_point
-from gaudin.lax import physical_hamiltonian, quadratic_hamiltonians
+from gaudin.lax import gaudin_lax, physical_hamiltonian, quadratic_hamiltonians
+from gaudin.manin import commutation_matrix, talalaev_coefficients, talalaev_generators
 from gaudin.poisson import (
     LimitBracket,
     OperatorBracket,
@@ -26,8 +28,16 @@ from gaudin.poisson import (
     StandardBracket,
     letter_table,
 )
+from gaudin.ratfun import LaxEntry, RatFun
 
-from oracles import naive_commutator, numeric_block_bracket, numeric_poisson, random_ncpoly
+from oracles import (
+    naive_commutator,
+    naive_mul,
+    naive_normal_form,
+    numeric_block_bracket,
+    numeric_poisson,
+    random_ncpoly,
+)
 
 
 def test_multiply_straightens_single_site(q1):
@@ -305,3 +315,70 @@ def test_integer_kernel_rejects_mixed_signatures(c2, c3, q2, q3):
         commutator(c2.gen(1, 1, 2), q2.gen(1, 2, 1))
     with pytest.raises(ModeError):
         poisson_bracket(q2.gen(1, 1, 2), c2.gen(1, 2, 1))
+
+
+# Site-factored kernel: products and commutators split words into per-site
+# blocks and telescope over the sites two words share.  The operands below
+# draw each term's sites at random, so term pairs share 0, 1, 2 or 3 sites.
+def _site_spread_ncpoly(rng, sig, terms=5):
+    items = []
+    for _ in range(terms):
+        sites = [s for s in range(1, sig.sites + 1) if rng.random() < 0.6]
+        word = tuple(sorted((s, rng.randint(1, sig.rank), rng.randint(1, sig.rank))
+                            for s in sites for _ in range(rng.randint(1, 2))))
+        items.append((word, Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((2, 3, 7)))))
+    return NCPoly.from_terms(sig, items)
+
+
+def _shared_sites(w1, w2):
+    return len({g[0] for g in w1} & {g[0] for g in w2})
+
+
+def test_site_factored_kernel_matches_naive_reducer(q3):
+    rng = random.Random(20261018)
+    shared = set()
+    for _ in range(25):
+        p, q = _site_spread_ncpoly(rng, q3), _site_spread_ncpoly(rng, q3)
+        shared |= {_shared_sites(w1, w2) for w1 in p.terms for w2 in q.terms}
+        assert (p * q).terms == naive_mul(p.terms, q.terms)
+        assert commutator(p, q).terms == naive_commutator(p.terms, q.terms)
+    assert shared == {0, 1, 2, 3}
+
+
+def test_three_site_telescope_against_naive_reducer(q3):
+    # every site holds noncommuting letters of both words, so each site's
+    # local commutator and both its local products enter the telescope
+    p = NCPoly(q3, {((1, 1, 2), (2, 2, 1), (3, 1, 2)): Fraction(1, 2)})
+    q = NCPoly(q3, {((1, 2, 1), (2, 1, 2), (3, 2, 1)): Fraction(2, 7)})
+    res = commutator(p, q)
+    assert res.terms == naive_commutator(p.terms, q.terms)
+    assert len(res.terms) > 3
+
+
+def test_lax_entry_product_matches_term_expansion(q3):
+    rng = random.Random(7)
+    coeffs = [RatFun.const(Fraction(2, 3)), RatFun.z(), RatFun.one_over_z_minus(1),
+              RatFun.one_over_z_minus(Fraction(1, 2)) * 3]
+    a = LaxEntry(q3, {w: rng.choice(coeffs) for w in _site_spread_ncpoly(rng, q3).terms})
+    b = LaxEntry(q3, {w: rng.choice(coeffs) for w in _site_spread_ncpoly(rng, q3).terms})
+    expected = LaxEntry.zero(q3)
+    for w1, f in a.terms.items():
+        for w2, g in b.terms.items():
+            for w, k in naive_normal_form(w1 + w2).items():
+                expected = expected + LaxEntry(q3, {w: f * g * k})
+    assert a * b == expected
+    assert not expected.is_zero()
+
+
+def test_straightening_cache_stays_site_local():
+    algebra._STRAIGHTEN.clear()
+    algebra._LOCAL_PAIRS.clear()
+    sig = AlgebraSignature(2, 3, Mode.QUANTUM)
+    coeffs = talalaev_coefficients(talalaev_generators(gaudin_lax(sig, [0, 1, 2])))
+    assert commutation_matrix([c for _, c in coeffs], [label for label, _ in coeffs]).passed
+    assert algebra._STRAIGHTEN
+    assert all(len({g[0] for g in w}) == 1 for w in algebra._STRAIGHTEN)
+    assert all(len({g[0] for g in a + b}) == 1 for a, b in algebra._LOCAL_PAIRS)
+    # a cache of whole cross-site words held 2275 words after this table
+    assert len(algebra._STRAIGHTEN) < 2275 // 10
+    assert len(algebra._STRAIGHTEN) + len(algebra._LOCAL_PAIRS) < 2275 // 4

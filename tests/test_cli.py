@@ -282,3 +282,41 @@ def test_verify_poisson_small_signatures_pass(args, tmp_path, capsys):
     control = next(c for c in json.loads(out)["checks"]
                    if c["check"] == "corrupted_operator_rejected")
     assert control["pass"] is True and control["spec"] == {"flipped_block": "2,2"}
+
+
+@pytest.mark.parametrize("rank, argv", [
+    (3, ("verify", "talalaev", "--r", "3", "--sites", "4")),
+    (3, ("verify", "manin", "--r", "3", "--sites", "4")),
+    (2, ("verify", "talalaev", "--sites", "4", "--mode", "classical")),
+    (2, ("build", "--what", "talalaev", "--sites", "4")),
+])
+def test_quantum_builds_keep_the_quantum_scale_limit(rank, argv, tmp_path, capsys):
+    # these always build the quantum algebra, whatever --mode says
+    code, _, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == (f"error: rank {rank} / sites 4 exceeds the desk-scale limits "
+                   "(rank <= 3, sites <= 3 in quantum mode); pass --unsafe-scale "
+                   "to override\n")
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_quantum_scale_limit_leaves_the_config_block_alone(tmp_path, capsys):
+    code, out, _ = run_cli(["verify", "talalaev", "--r", "1", "--sites", "3",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["mode"], config["sites"], config["unsafe_scale"]) == ("classical", 3, False)
+
+
+@pytest.mark.parametrize("flag, value, bad", [
+    ("--poles", "1/0,2", "1/0"),
+    ("--poles", "0, 1/x", "1/x"),
+    ("--poles", "0,,1", ""),
+    ("--eval", "3,1/0", "1/0"),
+    ("--z1", "1/0", "1/0"),
+    ("--z2", "half", "half"),
+])
+def test_bad_rationals_name_the_flag(flag, value, bad, tmp_path, capsys):
+    code, _, err = run_cli(["verify", "manin", flag, value, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == f"error: {flag}: bad rational {bad!r}\n"

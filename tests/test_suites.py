@@ -67,3 +67,14 @@ def test_no_suite_takes_a_polynomial_gcd(monkeypatch):
         run_suite(name, RunConfig())
     run_suite("manin", RunConfig(rank=3))
     assert calls == []
+
+
+@pytest.mark.parametrize("suite", ["talalaev", "manin"])
+def test_quantum_suites_apply_the_quantum_limit(suite):
+    # both build the quantum algebra, so the classical default mode must not
+    # lift the three-site limit
+    with pytest.raises(ValueError, match="sites <= 3 in quantum mode"):
+        run_suite(suite, small_cfg(sites=4))
+    with pytest.raises(ValueError, match="sites <= 3 in quantum mode"):
+        run_suite(suite, small_cfg(sites=4, mode="classical"))
+    small_cfg(sites=4).check_scale()  # a classical build may use four sites
