@@ -34,6 +34,15 @@ once to integer numerators over one common denominator, run their loops on
 Python ints and divide by the product of the denominators at the end, so a
 bracket builds one ``Fraction`` per output term.  An exact zero is the only
 accepted "commutes" verdict anywhere downstream.
+
+Inside ``poisson_bracket`` a classical word is a packed monomial: one int
+holding its exponent vector, with a field of (deg p + deg q - 1).bit_length()
+bits per letter in ``sig.letters()`` order.  No exponent in the computation
+exceeds deg p + deg q - 1, so multiplying monomials is adding ints and never
+carries between fields.  The gradient of each operand maps a letter g to
+{packed dp/dg term: coefficient}; for each letter h of q the engine forms
+X_h = sum_g {g, h} dp/dg once, drops its zeros and multiplies it by dq/dh.
+Only the nonzero output terms are decoded back to sorted words.
 """
 
 from __future__ import annotations
@@ -528,15 +537,20 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return _from_integer_terms(p.sig, terms, dp * dq)
 
 
-def _gradient(terms: dict[Word, int]) -> dict[Letter, list[tuple[Word, int]]]:
-    """letter -> [(word with one copy of letter removed, coeff * multiplicity)]."""
-    grad: dict[Letter, list[tuple[Word, int]]] = {}
+def _packed_gradient(p: NCPoly, unit: dict[Letter, int]
+                     ) -> tuple[int, dict[Letter, dict[int, int]]]:
+    """(d, letter -> {packed word with one copy of letter removed:
+    numerator * multiplicity}), the numerators taken over p's common
+    denominator d."""
+    d, terms = _integer_terms(p)
+    grad: dict[Letter, dict[int, int]] = {}
     for w, c in terms.items():
+        m = sum(unit[g] for g in w)
         for s, g in enumerate(w):
             if s and w[s - 1] == g:
                 continue
-            grad.setdefault(g, []).append((w[:s] + w[s + 1:], c * w.count(g)))
-    return grad
+            grad.setdefault(g, {})[m - unit[g]] = c * w.count(g)
+    return d, grad
 
 
 def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
@@ -546,38 +560,61 @@ def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> N
     each letter pair (g, h) to the (letter, coefficient) expansion of {g, h},
     absent pairs bracketing to zero.  Classical mode only.
 
-    The sum over (term of p, letter) x (term of q, letter) runs letter pair by
-    letter pair, so the letter rule is consulted once per pair and terms are
-    multiplied only where it is nonzero.
+    {p, q} = sum_h X_h * dq/dh with X_h = sum_g {g, h} * dp/dg, each X_h
+    formed once over packed monomials (see the module docstring).
     """
     if p.sig.is_quantum:
         raise ModeError("poisson_bracket requires Classical mode; use commutator")
     if p.sig != q.sig:
         raise SignatureMismatchError(f"{p.sig} vs {q.sig}")
-    dp, ip = _integer_terms(p)
-    dq, iq = _integer_terms(q)
-    grad_q = _gradient(iq)
-    pairs = []
+    if p.degree < 1 or q.degree < 1:
+        return p.sig.zero()
+    letters = list(p.sig.letters())
+    bits = (p.degree + q.degree - 1).bit_length()
+    unit = {g: 1 << (bits * i) for i, g in enumerate(letters)}
+    dp, grad_p = _packed_gradient(p, unit)
+    dq, grad_q = _packed_gradient(q, unit)
+    rules = []
     dt = 1
-    for g, left in _gradient(ip).items():
-        for h, right in grad_q.items():
+    for h, right in grad_q.items():
+        rule = []
+        for g, left in grad_p.items():
             br = _letter_bracket(g, h) if table is None else table.get((g, h))
             if br:
-                pairs.append((left, right, br))
+                rule.append((left, br))
                 for _, k in br:
                     dt = lcm(dt, k.denominator)
-    terms: dict[Word, int] = {}
+        if rule:
+            rules.append((right, rule))
+    terms: dict[int, int] = {}
     get = terms.get
-    for left, right, br in pairs:
-        br = [(letter, k.numerator * (dt // k.denominator)) for letter, k in br]
-        for r1, c1 in left:
-            for r2, c2 in right:
-                rest = r1 + r2
-                c = c1 * c2
-                for letter, k in br:
-                    w = tuple(sorted(rest + (letter,)))
-                    terms[w] = get(w, 0) + c * k
-    return _from_integer_terms(p.sig, terms, dp * dq * dt)
+    for right, rule in rules:
+        x: dict[int, int] = {}
+        xget = x.get
+        for left, br in rule:
+            for letter, k in br:
+                u, k = unit[letter], k.numerator * (dt // k.denominator)
+                for r, c in left.items():
+                    key = r + u
+                    x[key] = xget(key, 0) + c * k
+        x = [(r, c) for r, c in x.items() if c]
+        for r2, c2 in right.items():
+            for r1, c1 in x:
+                key = r1 + r2
+                terms[key] = get(key, 0) + c1 * c2
+    mask = (1 << bits) - 1
+    d = dp * dq * dt
+    out: dict[Word, Fraction] = {}
+    for m, c in terms.items():
+        if c:
+            w = []
+            for g in letters:
+                if not m:
+                    break
+                w += [g] * (m & mask)
+                m >>= bits
+            out[tuple(w)] = Fraction(c, d)
+    return NCPoly(p.sig, out)
 
 
 def classical_limit(p: NCPoly) -> NCPoly:
@@ -633,14 +670,18 @@ def partial(p: NCPoly, letter: Letter) -> NCPoly:
     return NCPoly(p.sig, terms)
 
 
-def evaluate(p: NCPoly, point: Mapping[Letter, Fraction]) -> Fraction:
-    """Value of a classical polynomial at an assignment of the coordinates."""
+def evaluate(p: NCPoly, point: Mapping[Letter, int | Fraction]) -> Fraction:
+    """Value of a classical polynomial at an assignment of the coordinates.
+
+    The sum runs over p's integer numerators, so an integer point builds a
+    single ``Fraction``, the result.
+    """
     if p.sig.is_quantum:
         raise ModeError("evaluation is defined in Classical mode only")
-    total = Fraction(0)
-    for w, c in p.terms.items():
-        val = c
+    d, terms = _integer_terms(p)
+    total = 0
+    for w, c in terms.items():
         for g in w:
-            val *= point[g]
-        total += val
-    return total
+            c *= point[g]
+        total += c
+    return Fraction(total, d)

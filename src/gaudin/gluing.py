@@ -150,8 +150,13 @@ class _Parser:
         m = _RATIONAL.match(self.text[self.pos:])
         if not m:
             raise self.error("malformed location (expected integer or p/q)")
-        self.pos += len(m.group(0))
-        return Fraction(m.group(0))
+        text = m.group(0)
+        try:
+            location = Fraction(text)
+        except ZeroDivisionError:
+            raise self.error(f"bad location {text!r}: zero denominator") from None
+        self.pos += len(text)
+        return location
 
 
 def infer_sites(text: str) -> int:
@@ -282,6 +287,8 @@ def iterate_pattern(sig: AlgebraSignature, pattern: GluingPattern,
         poles = [Fraction(i) for i in range(sig.sites)]
     else:
         poles = [Fraction(p) for p in poles]
+    if len(poles) != sig.sites:
+        raise ValueError(f"need {sig.sites} poles, got {len(poles)}")
     matrices: list[LaxMatrix] = []
     counter = [0]
 
@@ -318,9 +325,9 @@ def iterate_pattern(sig: AlgebraSignature, pattern: GluingPattern,
 
 
 def random_point(rng: random.Random, sig: AlgebraSignature,
-                 lo: int = -9, hi: int = 9) -> dict[Letter, Fraction]:
+                 lo: int = -9, hi: int = 9) -> dict[Letter, int]:
     """A seeded integer point of the classical phase space."""
-    return {letter: Fraction(rng.randint(lo, hi)) for letter in sig.letters()}
+    return {letter: rng.randint(lo, hi) for letter in sig.letters()}
 
 
 def rank_completeness_check(sig: AlgebraSignature, family: LimitFamily,

@@ -5,9 +5,17 @@ expressing a target vector as a combination of given sparse vectors.
 The matrix product, power traces and column determinant use only ``+``,
 ``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
 noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` all
-qualify; products keep the factor order they are written in.  Row reduction
-also uses ``1 / x`` and the truth value (nonzero test), so it runs over a
-field: the package hands it ``Fraction`` entries only.
+qualify; products keep the factor order they are written in.
+
+Row reduction takes rational entries only.  It scales each row to integers
+by the lcm of its denominators, which changes neither the row space nor the
+pivots, and eliminates fraction-free: a row is replaced by a*row - b*pivot
+row, with a and b the two entries in the pivot column over their gcd, and
+then divided by the gcd of its entries.  Each integer row stays a nonzero
+multiple of the row that elimination over ``Fraction`` would hold, so the
+pivots are the same, and scaling each pivot row to a unit pivot at the end
+gives the same reduced rows; the loop itself runs on Python ints and builds
+no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
+from math import gcd, lcm
 from operator import add
 from typing import Hashable, Iterator, Mapping, Sequence
 
@@ -27,7 +36,17 @@ def row_reduce(rows: list[list], ncols: int) -> list[int]:
     in every other row.  Row operations act on whole rows, so columns past
     ``ncols`` (an augmented block) are carried along.  Returns the pivot
     columns; the i-th pivot sits in row i.
+
+    Entries are rationals (``int`` or ``Fraction``) and come back as
+    ``Fraction``; the elimination is fraction-free (see the module
+    docstring).  Rows past the last pivot are zero on the first ``ncols``
+    columns; their augmented entries are fixed only up to a nonzero factor.
     """
+    for i, row in enumerate(rows):
+        d = 1
+        for v in row:
+            d = lcm(d, v.denominator)
+        rows[i] = _primitive([v.numerator * (d // v.denominator) for v in row])
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
@@ -37,14 +56,27 @@ def row_reduce(rows: list[list], ncols: int) -> list[int]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        a = prow[col]
+        for i, row in enumerate(rows):
+            b = row[col]
+            if i != r and b:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                rows[i] = _primitive([ag * x - bg * y for x, y in zip(row, prow)])
         pivots.append(col)
+    for r, col in enumerate(pivots):
+        a = rows[r][col]
+        rows[r] = [Fraction(v, a) for v in rows[r]]
+    for i in range(len(pivots), len(rows)):
+        rows[i] = [Fraction(v) for v in rows[i]]
     return pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -107,8 +139,8 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Row rank by fraction-exact Gaussian elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
+    """Row rank by exact Gaussian elimination."""
+    mat = [list(row) for row in rows]
     if not mat:
         return 0
     return len(row_reduce(mat, len(mat[0])))

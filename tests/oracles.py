@@ -54,6 +54,24 @@ def _letter_bracket(g, h):
     return out
 
 
+def leibniz_terms(f_terms: dict, g_terms: dict, table=None) -> dict:
+    """{F,G} expanded term by term and position by position: each letter copy
+    of each F word against each letter copy of each G word, the bracket of
+    the two letters (``table`` or the Lie-Poisson rule) times the remaining
+    letters, every product sorted into a word."""
+    out: dict = {}
+    for w1, c1 in f_terms.items():
+        for w2, c2 in g_terms.items():
+            for s, g in enumerate(w1):
+                for t, h in enumerate(w2):
+                    rule = _letter_bracket(g, h) if table is None else table.get((g, h), ())
+                    for letter, k in rule:
+                        word = tuple(sorted(w1[:s] + w1[s + 1:] + w2[:t] + w2[t + 1:]
+                                            + (letter,)))
+                        out[word] = out.get(word, Fraction(0)) + c1 * c2 * k
+    return {w: c for w, c in out.items() if c}
+
+
 def naive_normal_form(word) -> dict:
     """Reduce a free word to the PBW basis by scanning from the right."""
     if len(word) <= 1:

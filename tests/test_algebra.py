@@ -31,6 +31,7 @@ from gaudin.poisson import (
 from gaudin.ratfun import LaxEntry, RatFun
 
 from oracles import (
+    leibniz_terms,
     naive_commutator,
     naive_mul,
     naive_normal_form,
@@ -382,3 +383,82 @@ def test_straightening_cache_stays_site_local():
     # a cache of whole cross-site words held 2275 words after this table
     assert len(algebra._STRAIGHTEN) < 2275 // 10
     assert len(algebra._STRAIGHTEN) + len(algebra._LOCAL_PAIRS) < 2275 // 4
+
+
+# Packed classical kernel: poisson_bracket packs each word's exponent vector
+# into one int with a field of (deg p + deg q - 1).bit_length() bits per
+# letter.  The cases below fill the top of a field, so packing with one bit
+# fewer would carry into the next letter and change the result.
+def _power(sig, letter, k):
+    return NCPoly(sig, {(letter,) * k: Fraction(1)})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_packed_bracket_fills_the_top_of_a_field(c2, k):
+    # {x11^k x12, x11^k x21} holds x11^(2k+1): for k = 3 and 7 every bit of
+    # the field is set
+    x11, x12, x21 = (1, 1, 1), (1, 1, 2), (1, 2, 1)
+    for site in (1, 2):
+        g = (site, 1, 1)
+        p = _power(c2, g, k) * c2.gen(site, 1, 2)
+        q = _power(c2, g, k) * c2.gen(site, 2, 1)
+        br = poisson_bracket(p, q)
+        assert br.terms == leibniz_terms(p.terms, q.terms)
+        assert br.terms[(g,) * (2 * k + 1)] == 1
+    # the last letter in the packing order, against a lower one
+    last = (2, 2, 2)
+    p = _power(c2, last, k) * c2.gen(2, 2, 1)
+    q = _power(c2, last, k) * c2.gen(2, 1, 2) * c2.gen(*x11) * c2.gen(*x12)
+    assert poisson_bracket(p, q).terms == leibniz_terms(p.terms, q.terms)
+    assert poisson_bracket(_power(c2, x21, k), _power(c2, x12, k)).terms == \
+        leibniz_terms(_power(c2, x21, k).terms, _power(c2, x12, k).terms)
+
+
+def test_packed_bracket_matches_leibniz_and_numeric_oracles(c3):
+    rng = random.Random(4101)
+    for _ in range(12):
+        f = _fractional_ncpoly(rng, c3, max_degree=4, terms=4)
+        g = _fractional_ncpoly(rng, c3, max_degree=3, terms=4)
+        br = poisson_bracket(f, g)
+        assert br.terms == leibniz_terms(f.terms, g.terms)
+        point = _rational_point(rng, c3)
+        assert evaluate(br, point) == numeric_poisson(f.terms, g.terms, point, 4)
+
+
+def test_packed_bracket_zero_and_constant_operands(c3, rng):
+    p = random_ncpoly(rng, c3, max_degree=3, terms=4)
+    zero, half = c3.zero(), c3.one() * Fraction(1, 2)
+    for a, b in ((zero, p), (p, zero), (zero, zero), (half, p), (p, half), (half, half)):
+        assert poisson_bracket(a, b) == c3.zero()
+        assert poisson_bracket(a, b, letter_table(LimitBracket(), c3)).is_zero()
+    # a constant term inside a nonconstant operand drops out of the bracket
+    x = c3.gen(1, 1, 2)
+    assert poisson_bracket(x + 5, p) == poisson_bracket(x, p)
+
+
+def test_packed_bracket_rank_one_single_site():
+    sig = AlgebraSignature(1, 1, Mode.CLASSICAL)
+    x = (1, 1, 1)
+    # the Lie-Poisson bracket of gl(1) vanishes
+    assert poisson_bracket(_power(sig, x, 3), _power(sig, x, 4)).is_zero()
+    # a table with {x, x} = c x: {x^a, x^b} = a b c x^(a+b-1)
+    c = Fraction(-3, 5)
+    table = {(x, x): [(x, c)]}
+    for a, b in ((1, 1), (1, 2), (2, 3), (4, 4), (8, 1)):
+        br = poisson_bracket(_power(sig, x, a), _power(sig, x, b), table)
+        assert br.terms == {(x,) * (a + b - 1): a * b * c}
+        assert br.terms == leibniz_terms(_power(sig, x, a).terms, _power(sig, x, b).terms,
+                                         table)
+
+
+def test_packed_bracket_fractional_limit_tables(c3):
+    rng = random.Random(4102)
+    spec = PencilBracket(Fraction(1, 2), StandardBracket(), Fraction(-2, 3), LimitBracket())
+    table = letter_table(spec, c3)
+    assert any(k.denominator > 1 for rule in table.values() for _, k in rule)
+    for _ in range(8):
+        f = _fractional_ncpoly(rng, c3, max_degree=3, terms=4)
+        g = _fractional_ncpoly(rng, c3, max_degree=3, terms=4)
+        br = poisson_bracket(f, g, table)
+        assert br.terms == leibniz_terms(f.terms, g.terms, table)
+        assert not br.is_zero()

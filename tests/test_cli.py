@@ -96,6 +96,26 @@ def test_verify_glue_with_pattern(tmp_path, capsys):
     assert "rank_completeness" in names and "hg_membership" in names
 
 
+def test_verify_glue_checks_the_pole_count(tmp_path, capsys):
+    code, _, err = run_cli(["verify", "glue", "--poles", "0,1", "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2
+    assert err == "error: need 3 poles, got 2\n"
+
+
+@pytest.mark.parametrize("pattern, bad, position", [
+    ("[1,[2,3]@1/0]", "1/0", 9),
+    ("[1,[2,3]@ -3/00]", "-3/00", 10),
+    ("[[1,2]@2/0,3]", "2/0", 7),
+])
+def test_verify_glue_names_a_zero_denominator_location(pattern, bad, position,
+                                                       tmp_path, capsys):
+    code, _, err = run_cli(["verify", "glue", "--pattern", pattern, "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2
+    assert err == f"error: bad location {bad!r}: zero denominator (at position {position})\n"
+
+
 def test_verify_exit_code_contract(tmp_path, capsys):
     # a collapse point on a remaining pole is a configuration error
     code, _, err = run_cli([

@@ -19,6 +19,7 @@ from gaudin.gluing import (
     shift_embedding,
 )
 from gaudin.lax import (
+    InvariantFamily,
     bending_lax_rational,
     gaudin_lax,
     lax_from_groups,
@@ -174,6 +175,25 @@ class TestRankCompleteness:
         generic = spectral_invariants(gaudin_lax(c2, [0, 1]))
         rep = rank_completeness_check(c2, fam, generic, trials=5, seed=3)
         assert rep.passed
+
+
+    def test_dropped_member_reports_a_rank_mismatch(self, c3, monkeypatch):
+        # Tr X_1 (the degree-1 member of L2 at pole 0) is the only member
+        # carrying the site-1 trace, so without it the Jacobian loses a rank
+        fam = iterate_pattern(c3, parse_pattern("[1,[2,3]@3]", 3))
+        full = fam.invariant_family()
+        dropped = [m for m in full.members
+                   if (m.provenance["matrix"], m.provenance["power"], m.provenance["pole"])
+                   == ("L2", 1, "0")]
+        assert len(dropped) == 1
+        kept = InvariantFamily([m for m in full.members if m is not dropped[0]], full.label)
+        monkeypatch.setattr(fam, "invariant_family", lambda max_power=None: kept)
+        generic = spectral_invariants(gaudin_lax(c3, [0, 1, 2]))
+        rep = rank_completeness_check(c3, fam, generic, trials=4, seed=7)
+        assert rep.passed is False
+        assert rep.params["limit_members"] == len(full) - 1
+        assert len(rep.witnesses) == 4
+        assert all(w["limit"] == w["generic"] - 1 for w in rep.witnesses)
 
 
 class TestHgMembership:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,107 @@ def test_row_reduce_inverts_fraction_matrix():
 def test_row_reduce_singular_block_has_fewer_pivots():
     A = [[F(2), F(4), F(1)], [F(1), F(2), F(5)]]        # the second column repeats the first
     assert row_reduce(A, 2) == [0]
+
+
+# Fraction-free elimination against sympy's reduced row echelon form.  The
+# matrices have zero rows, duplicate rows and scaled copies of rows, so
+# their rank is below the row count and the elimination clears whole rows.
+def _random_rational_matrix(rng, nrows, ncols):
+    base = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+            for _ in range(max(1, nrows - 3))]
+    rows = base + [[Fraction(0)] * ncols, list(rng.choice(base)),
+                   [v * Fraction(-5, 3) for v in rng.choice(base)]]
+    rng.shuffle(rows)
+    return rows[:nrows]
+
+
+def _sympy_rref(rows):
+    sympy = pytest.importorskip("sympy")
+    reduced, pivots = sympy.Matrix(rows).rref()
+    return ([[Fraction(int(v.p), int(v.q)) for v in reduced.row(i)]
+             for i in range(reduced.rows)], list(pivots))
+
+
+def test_row_reduce_matches_sympy_rref():
+    rng = random.Random(1410)
+    for _ in range(40):
+        rows = _random_rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        expected, expected_pivots = _sympy_rref(rows)
+        mat = [list(row) for row in rows]
+        assert row_reduce(mat, len(rows[0])) == expected_pivots
+        assert mat == expected
+        assert all(type(v) is Fraction for row in mat for v in row)
+        assert rank(rows) == len(expected_pivots)
+
+
+def test_row_reduce_augmented_block_matches_sympy_rref():
+    # [A | A X]: the block is in A's column span, so the reduced form of the
+    # whole matrix has its pivots in A and equals the partial reduction
+    rng = random.Random(1411)
+    for _ in range(30):
+        a = _random_rational_matrix(rng, rng.randint(2, 6), rng.randint(1, 5))
+        x = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)]
+             for _ in range(len(a[0]))]
+        aug = [row + extra for row, extra in zip(a, matmul(a, x))]
+        expected, expected_pivots = _sympy_rref(aug)
+        assert row_reduce(aug, len(a[0])) == expected_pivots
+        assert aug == expected
+
+
+def test_row_reduce_inconsistent_block_keeps_the_left_reduction():
+    rng = random.Random(1412)
+    for _ in range(30):
+        a = _random_rational_matrix(rng, rng.randint(2, 6), rng.randint(1, 5))
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in a]
+        aug = [row + [v] for row, v in zip(a, b)]
+        ncols = len(a[0])
+        left, pivots = _sympy_rref(a)
+        _, aug_pivots = _sympy_rref(aug)
+        assert row_reduce(aug, ncols) == pivots
+        assert [row[:ncols] for row in aug] == left
+        consistent = ncols not in aug_pivots
+        assert consistent == (not any(row[ncols] for row in aug[len(pivots):]))
+
+
+def test_solve_combination_matches_sympy():
+    rng = random.Random(1413)
+    solved = 0
+    for _ in range(30):
+        dim, count = rng.randint(2, 6), rng.randint(1, 5)
+        cols = _random_rational_matrix(rng, count, dim)
+        vectors = [{k: v for k, v in enumerate(col) if v} for col in cols]
+        if rng.random() < 0.7:
+            weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in cols]
+            target = {k: sum((w * col[k] for w, col in zip(weights, cols)), Fraction(0))
+                      for k in range(dim)}
+        else:
+            target = {k: Fraction(rng.randint(-3, 3)) for k in range(dim)}
+        target = {k: v for k, v in target.items() if v}
+        keys = sorted({k for vec in vectors for k in vec} | set(target))
+        aug = [[vec.get(k, Fraction(0)) for vec in vectors] + [target.get(k, Fraction(0))]
+               for k in keys] if keys else []
+        coeffs = solve_combination(vectors, target)
+        if not keys:
+            assert coeffs == [Fraction(0)] * count
+            continue
+        reduced, pivots = _sympy_rref(aug)
+        if count in pivots:
+            assert coeffs is None
+            continue
+        expected = [Fraction(0)] * count
+        for row, col in enumerate(pivots):
+            expected[col] = reduced[row][count]
+        assert coeffs == expected
+        combo = {k: sum((c * vec.get(k, Fraction(0)) for c, vec in zip(coeffs, vectors)),
+                        Fraction(0)) for k in keys}
+        assert {k: v for k, v in combo.items() if v} == target
+        solved += 1
+    assert solved >= 10
+
+
+def test_rank_accepts_integer_entries():
+    assert rank([[1, 2, 3], [2, 4, 6], [0, 1, Fraction(1, 2)]]) == 2
 
 
 def weyl_sig():
