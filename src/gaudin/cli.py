@@ -9,6 +9,7 @@ reproduces byte-identical files.  No environment variable is honored.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -224,36 +225,33 @@ def cmd_verify(merged: dict, suite: str) -> dict:
     }
 
 
+def _render(doc: dict, fmt: str) -> str:
+    if fmt == "text":
+        return render_text(doc)
+    if fmt == "latex":
+        return render_latex(doc)
+    return dumps_json(doc)
+
+
 def _write_artifact(doc: dict, out_dir: str, name: str, fmt: str) -> Path:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{name}.json"
     path.write_text(dumps_json(doc))
-    if fmt == "text":
-        sys.stdout.write(render_text(doc))
-    elif fmt == "latex":
-        sys.stdout.write(render_latex(doc))
-    else:
-        sys.stdout.write(dumps_json(doc))
+    sys.stdout.write(_render(doc, fmt))
     return path
 
 
 def cmd_export(merged: dict, run_dir: str | None, out_file: str | None) -> int:
+    """Re-render the newest artifact in the run directory (latest
+    modification time; the name breaks ties)."""
     directory = Path(run_dir or merged["out"])
-    candidates = sorted(directory.glob("*.json")) if directory.exists() else []
+    candidates = list(directory.glob("*.json")) if directory.exists() else []
     if not candidates:
         sys.stderr.write(f"error: no artifacts found in {directory}\n")
         return 2
-    import json
-
-    doc = json.loads(candidates[-1].read_text())
-    fmt = merged["fmt"]
-    if fmt == "latex":
-        rendered = render_latex(doc)
-    elif fmt == "text":
-        rendered = render_text(doc)
-    else:
-        rendered = dumps_json(doc)
+    newest = max(candidates, key=lambda path: (path.stat().st_mtime_ns, path.name))
+    rendered = _render(json.loads(newest.read_text()), merged["fmt"])
     if out_file:
         Path(out_file).write_text(rendered)
     else:

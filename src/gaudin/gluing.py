@@ -7,11 +7,12 @@ children, and the residue at each location is the sum of the site variables
 under that child.  Limits are realized constructively from these data, never
 by symbolic limit-taking.
 
-The quantum counterparts are built from two embeddings of enveloping
-algebras: ``diagonal_embedding`` spreads the last tensor factor diagonally
-over the trailing sites, and ``shift_embedding`` moves all site indices up.
-Images of commuting families under these maps generate the limit commutative
-algebras.
+The quantum limit algebra is read from the same limit matrices: it is
+generated by the Talalaev residue coefficients of each node's matrix
+(``limit_gaudin_algebra``).  The paper's construction through two embeddings
+of enveloping algebras, ``diagonal_embedding`` (spread the last tensor factor
+diagonally over the trailing sites) and ``shift_embedding`` (move all site
+indices up), is kept as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .lax import (
     InvariantMember,
     LaxMatrix,
     bending_lax_rational,
-    gaudin_lax,
     lax_from_groups,
     physical_hamiltonian,
     spectral_invariants,
@@ -51,10 +51,6 @@ class PatternError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at position {position})")
-
-
-class UnsupportedPatternError(ValueError):
-    """Pattern shape outside what the quantum construction supports."""
 
 
 @dataclass
@@ -82,18 +78,6 @@ class PatternNode:
 class GluingPattern:
     root: PatternNode
     n_leaves: int
-
-    def internal_nodes(self) -> list[PatternNode]:
-        """All internal nodes in post order (children first, root last)."""
-        out: list[PatternNode] = []
-
-        def walk(node: PatternNode) -> None:
-            for child in node.internal_children():
-                walk(child)
-            out.append(node)
-
-        walk(self.root)
-        return out
 
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?")
@@ -159,25 +143,26 @@ class _Parser:
         return location
 
 
-def infer_sites(text: str) -> int:
-    """Leaf count of a pattern, for configurations that omit the site count."""
+def _parse_root(text: str) -> PatternNode:
+    """The whole of ``text`` as one pattern node; trailing input is an error."""
     parser = _Parser(text)
     root = parser.parse_node()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input after pattern")
-    return len(root.leaves())
+    return root
+
+
+def infer_sites(text: str) -> int:
+    """Leaf count of a pattern, for configurations that omit the site count."""
+    return len(_parse_root(text).leaves())
 
 
 def parse_pattern(text: str, n: int) -> GluingPattern:
     """Parse the bracket grammar  pattern := "[" item ("," item)* "]" ("@" rational)?
     where an item is a leaf index or a nested pattern.  Leaves must be exactly
     1..n, each used once."""
-    parser = _Parser(text)
-    root = parser.parse_node()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input after pattern")
+    root = _parse_root(text)
     leaves = root.leaves()
     seen: set[int] = set()
     for leaf in leaves:
@@ -443,67 +428,35 @@ def limit_gaudin_algebra(sig: AlgebraSignature, pattern: GluingPattern,
                          poles: Sequence | None = None) -> list[tuple[str, NCPoly]]:
     """Generators of the limit commutative algebra attached to a pattern.
 
-    Supported patterns are tail collapses (possibly nested): each internal
-    node may have one internal child, whose leaves must be the trailing
-    sites.  The generator set is the union of the diagonal-embedded factor
-    algebra on (fixed poles, w) and the shift-embedded algebra of the
-    collapsed group, recursively; each factor algebra is generated by the
-    residue coefficients of its Talalaev generators (``talalaev_coefficients``).
+    These are the Talalaev residue coefficients (``talalaev_coefficients``)
+    of every matrix that ``iterate_pattern(sig, pattern, poles)`` builds,
+    labelled ``f"{matrix.label}:{coefficient label}"``, e.g.
+    ``L2:QH0[z=0,order 0]``.  Any pattern is accepted.
+
+    Why this is the limit algebra: a node's matrix is
+    sum_p Y_p/(z - p) with Y_p = sum_{i in G_p} X_i over disjoint site
+    groups G_p.  The map e[a,b]@p -> sum_{i in G_p} e[a,b]@i is an algebra
+    homomorphism that sends the Gaudin matrix of the node's children to this
+    matrix, so the matrix's Talalaev generators are the image of the
+    children's Gaudin algebra under it.  For a tail collapse this image is
+    what ``diagonal_embedding`` and ``shift_embedding`` compute; the
+    grouping map covers every tree.
+
+    Generators of different nodes commute.  A node's algebra lies in the
+    algebra generated by the entries of its blocks Y_p, and it is invariant
+    under the diagonal gl_r action over the node's own sites (that action
+    conjugates L by constant matrices, which leaves det_col(d/dz - L) and
+    Tr (d/dz - L)^k unchanged).  Two nodes
+    either have disjoint sites, so their algebras commute trivially, or one
+    node D lies below the other.  Then each block of the upper node either
+    avoids D's sites or is the diagonal action over D's sites plus letters
+    outside them, and both commute with D's algebra.
     """
     if not sig.is_quantum:
         raise ModeError("limit Gaudin algebras are quantum objects")
-    if pattern.n_leaves != sig.sites:
-        raise ValueError(f"pattern has {pattern.n_leaves} leaves, signature {sig.sites}")
-    if poles is None:
-        poles = [Fraction(i) for i in range(sig.sites)]
-    else:
-        poles = [Fraction(p) for p in poles]
-
-    def build(node: PatternNode, nsites: int, node_poles: list[Fraction],
-              fresh_base: int) -> list[tuple[str, NCPoly]]:
-        ssig = AlgebraSignature(sig.rank, nsites, Mode.QUANTUM)
-        internal = node.internal_children()
-        if not internal:
-            return talalaev_coefficients(talalaev_generators(gaudin_lax(ssig, node_poles)))
-        if len(internal) > 1:
-            raise UnsupportedPatternError(
-                "only one collapsing group per node is supported "
-                "for the quantum construction")
-        child = internal[0]
-        child_leaves = sorted(child.leaves())
-        leaf_children = sorted(c for c in node.children if not isinstance(c, PatternNode))
-        k = len(leaf_children)
-        if leaf_children != list(range(1, k + 1)) or \
-                child_leaves != list(range(k + 1, nsites + 1)):
-            raise UnsupportedPatternError(
-                "quantum construction expects the collapsing group "
-                "to be the trailing sites")
-        w = child.location
-        if w is None:
-            w = Fraction(fresh_base)
-            while w in set(node_poles[:k]):
-                w += 1
-        factor_sig = AlgebraSignature(sig.rank, k + 1, Mode.QUANTUM)
-        factor_gens = talalaev_coefficients(
-            talalaev_generators(gaudin_lax(factor_sig, node_poles[:k] + [w])))
-        gens = [(f"D[{label}]", diagonal_embedding(g, nsites))
-                for label, g in factor_gens]
-        # relabel the collapsed group to 1..nsites-k and recurse
-        sub = _relabel(child, k)
-        sub_poles = node_poles[k:]
-        for label, g in build(sub, nsites - k, sub_poles, fresh_base):
-            gens.append((f"I[{label}]", shift_embedding(g, nsites, shift=k)))
-        return gens
-
-    return build(pattern.root, sig.sites, poles, fresh_base=sig.sites)
-
-
-def _relabel(node: PatternNode, k: int) -> PatternNode:
-    return PatternNode(
-        [c - k if not isinstance(c, PatternNode) else _relabel(c, k)
-         for c in node.children],
-        location=node.location,
-    )
+    return [(f"{matrix.label}:{label}", coeff)
+            for matrix in iterate_pattern(sig, pattern, poles).matrices
+            for label, coeff in talalaev_coefficients(talalaev_generators(matrix))]
 
 
 def quantum_bending_generators(sig: AlgebraSignature, z1=0, z2=1,

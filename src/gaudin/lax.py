@@ -58,13 +58,6 @@ class LaxMatrix:
         """Tr L, Tr L^2, ..., Tr L^max_power (see ``linalg.power_traces``)."""
         return power_traces(self.entries, max_power)
 
-    def trace_of_power(self, m: int) -> LaxEntry:
-        """Tr L^m as a rational function of z with algebra coefficients."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        *_, last = self.power_traces(m)
-        return last
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaxMatrix):
             return NotImplemented
@@ -103,9 +96,6 @@ class InvariantFamily:
     def of_degree(self, degree: int) -> list[InvariantMember]:
         return [m for m in self.members if m.expr.degree == degree]
 
-    def extend(self, other: "InvariantFamily") -> "InvariantFamily":
-        return InvariantFamily(self.members + other.members, self.label or other.label)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -123,23 +113,33 @@ def _check_distinct(points: Iterable[Fraction], what: str) -> list[Fraction]:
     return pts
 
 
+def lax_from_groups(sig: AlgebraSignature,
+                    groups: Sequence[tuple[Sequence[int], Fraction]],
+                    label: str = "L") -> LaxMatrix:
+    """Gaudin-type matrix  sum over (site group, pole) of (group block)/(z-pole)."""
+    locs = _check_distinct([loc for _, loc in groups], "pole locations")
+    entries = []
+    for a in range(1, sig.rank + 1):
+        row = []
+        for b in range(1, sig.rank + 1):
+            items = []
+            for (sites, _), loc in zip(groups, locs):
+                f = RatFun.one_over_z_minus(loc)
+                for i in sites:
+                    items.append((((i, a, b),), f))
+            row.append(LaxEntry.from_terms(sig, items))
+        entries.append(row)
+    return LaxMatrix(sig, entries, [(loc, 1) for loc in locs], label=label)
+
+
 def gaudin_lax(sig: AlgebraSignature, poles: Sequence) -> LaxMatrix:
     """The N-site Lax matrix with simple poles: entry (a,b) is
     sum_i e[a,b]@i / (z - z_i)."""
     pts = _check_distinct(poles, "poles")
     if len(pts) != sig.sites:
         raise ValueError(f"need {sig.sites} poles, got {len(pts)}")
-    entries = []
-    for a in range(1, sig.rank + 1):
-        row = []
-        for b in range(1, sig.rank + 1):
-            row.append(LaxEntry.from_terms(
-                sig,
-                [(((i, a, b),), RatFun.one_over_z_minus(p))
-                 for i, p in enumerate(pts, start=1)],
-            ))
-        entries.append(row)
-    return LaxMatrix(sig, entries, [(p, 1) for p in pts], label="gaudin")
+    return lax_from_groups(sig, [([i], p) for i, p in enumerate(pts, start=1)],
+                           label="gaudin")
 
 
 def bending_lax(sig: AlgebraSignature, k: int) -> LaxMatrix:
@@ -165,17 +165,8 @@ def bending_lax_rational(sig: AlgebraSignature, k: int, z1=0, z2=1) -> LaxMatrix
     z1, z2 = Fraction(z1), Fraction(z2)
     if z1 == z2:
         raise ValueError("the two pole locations must differ")
-    f1 = RatFun.one_over_z_minus(z1)
-    f2 = RatFun.one_over_z_minus(z2)
-    entries = []
-    for a in range(1, sig.rank + 1):
-        row = []
-        for b in range(1, sig.rank + 1):
-            items = [(((k + 1, a, b),), f2)]
-            items += [(((i, a, b),), f1) for i in range(1, k + 1)]
-            row.append(LaxEntry.from_terms(sig, items))
-        entries.append(row)
-    return LaxMatrix(sig, entries, [(z1, 1), (z2, 1)], label=f"bending_rational(k={k})")
+    return lax_from_groups(sig, [(range(1, k + 1), z1), ([k + 1], z2)],
+                           label=f"bending_rational(k={k})")
 
 
 def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> InvariantFamily:
@@ -247,31 +238,6 @@ def physical_hamiltonian(sig: AlgebraSignature) -> NCPoly:
                 for b in range(1, sig.rank + 1):
                     items.append((((i, a, b), (j, b, a)), Fraction(2)))
     return NCPoly.from_terms(sig, items)
-
-
-def generator_matrix(sig: AlgebraSignature, site: int) -> list[list[NCPoly]]:
-    """The matrix X_site with (a,b) entry e[a,b]@site."""
-    return [[sig.gen(site, a, b) for b in range(1, sig.rank + 1)]
-            for a in range(1, sig.rank + 1)]
-
-
-def lax_from_groups(sig: AlgebraSignature,
-                    groups: Sequence[tuple[Sequence[int], Fraction]],
-                    label: str = "L") -> LaxMatrix:
-    """Gaudin-type matrix  sum over (site group, pole) of (group block)/(z-pole)."""
-    locs = _check_distinct([loc for _, loc in groups], "pole locations")
-    entries = []
-    for a in range(1, sig.rank + 1):
-        row = []
-        for b in range(1, sig.rank + 1):
-            items = []
-            for (sites, _), loc in zip(groups, locs):
-                f = RatFun.one_over_z_minus(loc)
-                for i in sites:
-                    items.append((((i, a, b),), f))
-            row.append(LaxEntry.from_terms(sig, items))
-        entries.append(row)
-    return LaxMatrix(sig, entries, [(loc, 1) for loc in locs], label=label)
 
 
 def pole_site_groups(matrix: LaxMatrix) -> dict[Fraction, list[int]] | None:

@@ -70,17 +70,6 @@ class DiffOpMatrix:
             for ra, rb in zip(self.entries, other.entries)
         ])
 
-    def scale(self, c) -> "DiffOpMatrix":
-        return DiffOpMatrix(self.sig, [[e.scale(c) for e in row] for row in self.entries])
-
-    def power(self, m: int) -> "DiffOpMatrix":
-        if m == 0:
-            return DiffOpMatrix.identity(self.sig, self.size)
-        out = self
-        for _ in range(m - 1):
-            out = out * self
-        return out
-
     def trace(self) -> DiffOpEntry:
         acc = DiffOpEntry.zero(self.sig)
         for i in range(self.size):
@@ -260,11 +249,13 @@ def manin_property_suite(M: DiffOpMatrix,
     if M.is_diff_free():
         sigma = _principal_minor_sums(M)
         acc = DiffOpMatrix(sig, [[DiffOpEntry.zero(sig)] * n for _ in range(n)])
+        power = DiffOpMatrix.identity(sig, n)
         for k in range(n + 1):
+            if k:
+                power = M if k == 1 else power * M
             coeff = -sigma[n - k] if (n - k) % 2 else sigma[n - k]
-            term = M.power(k)
             acc = acc + DiffOpMatrix(sig, [
-                [coeff * e for e in row] for row in term.entries
+                [coeff * e for e in row] for row in power.entries
             ])
         witnesses = [
             {"position": [i + 1, j + 1], "residual": acc.entries[i][j].render()}

@@ -18,7 +18,6 @@ from .algebra import (
     diagonal_generators,
 )
 from .gluing import (
-    UnsupportedPatternError,
     classical_limits_match,
     hg_membership_check,
     iterate_pattern,
@@ -169,18 +168,11 @@ def suite_glue(cfg: RunConfig) -> list[CheckReport]:
     if cfg.mode == "quantum" or cfg.rank <= 2:
         qsig = cfg.signature("quantum")
         if qsig.sites <= 3 or cfg.unsafe_scale:
-            try:
-                gens = limit_gaudin_algebra(qsig, pattern, poles)
-            except UnsupportedPatternError as exc:
-                reports.append(CheckReport(
-                    check="quantum_limit_algebra", passed=None,
-                    params={"pattern": text}, info={"skipped": str(exc)},
-                ))
-            else:
-                rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
-                rep.check = "quantum_limit_algebra"
-                rep.params["pattern"] = text
-                reports.append(rep)
+            gens = limit_gaudin_algebra(qsig, pattern, poles)
+            rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
+            rep.check = "quantum_limit_algebra"
+            rep.params["pattern"] = text
+            reports.append(rep)
     return reports
 
 

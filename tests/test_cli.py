@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -96,6 +97,17 @@ def test_verify_glue_with_pattern(tmp_path, capsys):
     assert "rank_completeness" in names and "hg_membership" in names
 
 
+def test_verify_glue_gates_the_quantum_algebra_of_a_left_comb(tmp_path, capsys):
+    code, out, _ = run_cli([
+        "verify", "glue", "--pattern", "[[1,2]@0,3]", "--out", str(tmp_path),
+    ], capsys)
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    quantum = checks["quantum_limit_algebra"]
+    assert quantum["pass"] is True
+    assert quantum["spec"]["count"] == 16
+
+
 def test_verify_glue_checks_the_pole_count(tmp_path, capsys):
     code, _, err = run_cli(["verify", "glue", "--poles", "0,1", "--out", str(tmp_path)],
                            capsys)
@@ -186,6 +198,24 @@ def test_export_latex(tmp_path, capsys):
     ], capsys)
     assert code == 0
     assert r"\begin{tabular}" in out
+
+
+def test_export_picks_the_newest_artifact(tmp_path, capsys):
+    run_cli(["verify", "quadratic", "--r", "1", "--sites", "2",
+             "--out", str(tmp_path)], capsys)
+    run_cli(["build", "--what", "physical", "--r", "1", "--sites", "2",
+             "--out", str(tmp_path)], capsys)
+    older, newer = tmp_path / "verify-quadratic.json", tmp_path / "build-physical.json"
+    os.utime(older, ns=(10**18, 10**18))
+    os.utime(newer, ns=(2 * 10**18, 2 * 10**18))
+    code, out, _ = run_cli(["export", "--run", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["what"] == "physical"
+    # equal times: the name that sorts last wins
+    os.utime(newer, ns=(10**18, 10**18))
+    code, out, _ = run_cli(["export", "--run", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["suite"] == "quadratic"
 
 
 def test_export_missing_artifacts(tmp_path, capsys):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.algebra import AlgebraSignature, Mode, commutator, poisson_bracket
+from gaudin.algebra import AlgebraSignature, Mode, ModeError, commutator, poisson_bracket
 from gaudin.gluing import (
     PatternError,
     classical_limits_match,
     diagonal_embedding,
     elementary_glue,
     hg_membership_check,
+    infer_sites,
     iterate_pattern,
     left_comb_pattern,
     limit_gaudin_algebra,
@@ -255,6 +256,29 @@ class TestEmbeddings:
         assert list(image.terms) == [((3, 1, 1), (4, 1, 2))]
 
 
+def embedding_reference(rank, node, poles):
+    """The paper's limit algebra of a tail collapse, built with the
+    embeddings: the Gaudin algebra on (fixed poles, w) spread diagonally over
+    the collapsed group, plus the group's own limit algebra shifted up."""
+    n = len(poles)
+
+    def coefficients(sig, node_poles):
+        out = talalaev_generators(gaudin_lax(sig, node_poles))
+        return [c for _, c in talalaev_coefficients(out)]
+
+    inner = node.internal_children()
+    if not inner:
+        return coefficients(AlgebraSignature(rank, n, Mode.QUANTUM), poles)
+    (child,) = inner
+    k = n - len(child.leaves())
+    factor = AlgebraSignature(rank, k + 1, Mode.QUANTUM)
+    gens = [diagonal_embedding(g, n)
+            for g in coefficients(factor, poles[:k] + [child.location])]
+    gens += [shift_embedding(g, n, shift=k)
+             for g in embedding_reference(rank, child, poles[k:])]
+    return gens
+
+
 class TestLimitGaudinAlgebra:
     def test_elementary_glue_cross_commutators(self, q3):
         pattern = parse_pattern("[1,[2,3]@3]", 3)
@@ -285,10 +309,51 @@ class TestLimitGaudinAlgebra:
 
         assert spans_equal(span([0, 1]), span([2, -3]))
 
-    def test_non_tail_collapse_rejected(self, q3):
-        pattern = parse_pattern("[[1,2]@5,3]", 3)
-        with pytest.raises(ValueError, match="trailing"):
-            limit_gaudin_algebra(q3, pattern, poles=[0, 1, 2])
+    @pytest.mark.parametrize("text", ["[[1,2]@5,3]", "[2,[1,3]@7]",
+                                      "[[1,2]@0,[3,4]@5]"])
+    def test_non_tail_patterns_build_and_commute(self, text):
+        sites = infer_sites(text)
+        sig = AlgebraSignature(2, sites, Mode.QUANTUM)
+        gens = limit_gaudin_algebra(sig, parse_pattern(text, sites))
+        assert commutation_matrix([g for _, g in gens], [l for l, _ in gens]).passed
+        # FAIL control: one letter that is not central breaks the table
+        gens.append(("letter", sig.gen(1, 1, 2)))
+        rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
+        assert not rep.passed
+        assert all("letter" in w["pair"] for w in rep.witnesses)
+
+    def test_left_comb_count(self, q3):
+        gens = limit_gaudin_algebra(q3, parse_pattern("[[1,2]@0,3]", 3))
+        assert len(gens) == 16
+        assert gens[0][0].startswith("L1:QH0[")
+
+    def test_unlocated_child_collapses_where_the_classical_family_does(self):
+        sig = AlgebraSignature(2, 4, Mode.QUANTUM)
+
+        def span(text):
+            return [g.terms for _, g in limit_gaudin_algebra(sig, parse_pattern(text, 4))]
+
+        assert spans_equal(span("[1,2,[3,4]]"), span("[1,2,[3,4]@2]"))
+        assert not spans_equal(span("[1,2,[3,4]]"), span("[1,2,[3,4]@4]"))
+
+    def test_classical_signature_rejected(self, c3):
+        with pytest.raises(ModeError):
+            limit_gaudin_algebra(c3, parse_pattern("[1,[2,3]@3]", 3))
+
+    @pytest.mark.parametrize("rank,text", [
+        (2, "[1,[2,3]@3]"), (3, "[1,[2,3]@3]"), (2, "[1,[2,3]@5]"),
+        (2, "[1,[2,3,4]@7]"), (2, "[1,2,[3,4]@5]"), (2, "[1,2,3]"),
+        (2, "[1,[2,[3,4]@5]@9]"),
+    ])
+    def test_matches_the_embedding_construction(self, rank, text):
+        sites = infer_sites(text)
+        sig = AlgebraSignature(rank, sites, Mode.QUANTUM)
+        pattern = parse_pattern(text, sites)
+        poles = [Fraction(i) for i in range(sites)]
+        gens = [g.terms for _, g in limit_gaudin_algebra(sig, pattern, poles)]
+        reference = [g.terms for g in embedding_reference(rank, pattern.root, poles)]
+        assert len(gens) == len(reference)
+        assert spans_equal(gens, reference)
 
     def test_direct_generators_of_glued_matrices_commute(self, q3):
         # the glued matrices are Gaudin-type, so the column-determinant
