@@ -1,6 +1,7 @@
 """Exact linear algebra: the one row reduction, matrix product, power-trace
-loop and column determinant of the package, plus rank, span comparison and
-expressing a target vector as a combination of given sparse vectors.
+loop and column determinant of the package, plus rank, span comparison,
+the greedy independent subset of a list of sparse vectors and expressing a
+target vector as a combination of given sparse vectors.
 
 The matrix product, power traces and column determinant use only ``+``,
 ``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
@@ -170,6 +171,14 @@ def spans_equal(first: Sequence[Mapping[Hashable, Fraction]],
     b = _to_dense(second, keys)
     ra, rb = rank(a), rank(b)
     return ra == rb == rank(a + b)
+
+
+def independent_columns(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[int]:
+    """Indices of the vectors outside the span of the vectors before them:
+    the pivot columns of the matrix whose columns are the vectors."""
+    keys = list({k: None for vec in vectors for k in vec})
+    rows = [list(row) for row in zip(*_to_dense(vectors, keys))]
+    return row_reduce(rows, len(vectors))
 
 
 def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],

@@ -346,7 +346,8 @@ def compatibility_check(first: BracketSpec, second: BracketSpec,
 
 
 def family_commutes_under(spec: BracketSpec, family: InvariantFamily) -> CheckReport:
-    """All pairwise brackets of the family members under the given spec."""
+    """Whether the family members commute pairwise under the given spec,
+    certified by ``commutation_matrix`` on the spec's letter table."""
     members = family.members
     table = letter_table(spec, members[0].expr.sig) if len(members) > 1 else {}
     rep = commutation_matrix(family.exprs(), [m.provenance for m in members], table)

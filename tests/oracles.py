@@ -7,7 +7,9 @@ differences, and the block-operator oracle multiplies plain Fraction matrices
 of finite-difference gradients.  Agreement between these and the kernel is evidence, not
 circularity.  The sampled Jacobi test is the reference for the exhaustive
 letter-triple certificate in ``gaudin.poisson``: it runs the Leibniz bracket
-on random polynomials instead of summing table entries.  The seeded random
+on random polynomials instead of summing table entries, and the full
+ordered-pair bracket table is the reference for the centre-and-basis
+certificate of ``manin.commutation_matrix``.  The seeded random
 letters, words and polynomials the tests draw are generated here as well.
 """
 
@@ -227,3 +229,19 @@ def sampled_jacobi(table, sig, rng, trials: int = 8) -> bool:
         leibniz_jacobiator(table, *(random_ncpoly(rng, sig, max_degree=2, terms=3)
                                     for _ in range(3))).is_zero()
         for _ in range(trials))
+
+
+def ordered_pair_brackets(gens, table=None) -> dict:
+    """(i, j) -> nonzero bracket terms of gens[i] and gens[j], over every
+    ordered pair, the diagonal included: ``naive_commutator`` in Quantum
+    mode, ``leibniz_terms`` (with ``table`` when given) in Classical mode."""
+    out = {}
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens):
+            if g.sig.is_quantum:
+                terms = naive_commutator(g.terms, h.terms)
+            else:
+                terms = leibniz_terms(g.terms, h.terms, table)
+            if terms:
+                out[(i, j)] = terms
+    return out

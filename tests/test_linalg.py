@@ -6,6 +6,7 @@ import pytest
 from gaudin.algebra import AlgebraSignature, Mode
 from gaudin.linalg import (
     col_det,
+    independent_columns,
     matmul,
     power_traces,
     rank,
@@ -48,6 +49,14 @@ def test_solve_combination_exact():
     target = {"u": F(3), "v": F(5), "w": F(4)}
     coeffs = solve_combination(vectors, target)
     assert coeffs == [F(3), F(2)]
+
+
+def test_independent_columns_keeps_the_first_of_each_dependency():
+    vectors = [{"u": F(1), "v": F(2)}, {}, {"u": F(2), "v": F(4)}, {"w": Fraction(1, 3)},
+               {"u": F(1), "v": F(2), "w": F(5)}, {"v": F(1)}]
+    assert independent_columns(vectors) == [0, 3, 5]
+    assert independent_columns([]) == []
+    assert independent_columns([{}, {}]) == []
 
 
 def test_solve_combination_inconsistent():

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.algebra import AlgebraSignature, Mode, ModeError, classical_limit, commutator
-from gaudin.gluing import elementary_glue
+from gaudin import linalg
+from gaudin.algebra import (
+    AlgebraSignature, Mode, ModeError, NCPoly, classical_limit, commutator,
+)
+from gaudin.gluing import elementary_glue, iterate_pattern, parse_pattern
 from gaudin.lax import LaxMatrix, bending_lax_rational, gaudin_lax, pole_site_groups
 from gaudin.manin import (
     DiffOpMatrix,
@@ -22,6 +25,8 @@ from gaudin.manin import (
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 from gaudin.suites import RunConfig, run_suite
+
+from oracles import ordered_pair_brackets, random_letter, random_ncpoly
 
 
 def scalar_sig():
@@ -435,3 +440,109 @@ class TestCommutationMatrix:
     def test_letter_table_rejected_in_quantum_mode(self, q2):
         with pytest.raises(ModeError):
             commutation_matrix([q2.gen(1, 1, 1), q2.gen(1, 1, 2)], table={})
+
+    def test_labels_must_match_the_inputs(self, q2):
+        gens = [q2.gen(1, 1, 1), q2.gen(1, 1, 2)]
+        for labels in (["a"], ["a", "b", "c"]):
+            with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 generators"):
+                commutation_matrix(gens, labels)
+
+    def test_letter_table_diagonal_is_bracketed(self, c2):
+        # {x[1,1]@1, x[1,1]@1} = x[2,2]@2: only the diagonal pair fails
+        rep = commutation_matrix([c2.gen(1, 1, 1)], ["a"],
+                                 {((1, 1, 1), (1, 1, 1)): [((2, 2, 2), Fraction(1))]})
+        assert rep.witnesses == [{"pair": ["a", "a"], "bracket": "x[2,2]@2"}]
+        assert rep.info == {"central": 0, "basis": 1, "pairs": 1}
+
+
+def _talalaev_coefficients(rank, sites):
+    sig = AlgebraSignature(rank, sites, Mode.QUANTUM)
+    return talalaev_coefficients(talalaev_generators(gaudin_lax(sig, list(range(sites)))))
+
+
+def _glued_family(rank):
+    sig = AlgebraSignature(rank, 3, Mode.CLASSICAL)
+    family = iterate_pattern(sig, parse_pattern("[1,[2,3]@3]", 3), [0, 1, 2])
+    return family.invariant_family().exprs()
+
+
+class TestCommutationCertificate:
+    """The centre-and-basis certificate against the full ordered-pair table."""
+
+    @staticmethod
+    def assert_matches_oracle(gens, table=None):
+        rep = commutation_matrix(gens, table=table)
+        want = ordered_pair_brackets(gens, table)
+        assert rep.passed is (not want)
+        for w in rep.witnesses:
+            i, j = (int(label[1:]) for label in w["pair"])
+            assert w["bracket"] == NCPoly(gens[0].sig, want[(i, j)]).render()
+        return rep
+
+    @pytest.mark.parametrize("family", [
+        lambda: [c for _, c in _talalaev_coefficients(2, 2)],
+        lambda: [c for _, c in _talalaev_coefficients(2, 3)],
+        lambda: _glued_family(2),
+    ], ids=["talalaev-r2n2", "talalaev-r2n3", "glue-r2"])
+    def test_verdict_equals_the_full_table(self, family, rng):
+        gens = family()
+        assert self.assert_matches_oracle(gens).passed
+        extra = random_ncpoly(rng, gens[0].sig, max_degree=2, terms=3)
+        assert self.assert_matches_oracle(gens + [extra]).passed is False
+
+    def test_verdict_equals_the_full_table_under_non_antisymmetric_tables(self, c2, rng):
+        verdicts = set()
+        for _ in range(20):
+            table = {}
+            for _ in range(3):
+                g = random_letter(rng, c2)
+                h = g if rng.random() < 0.3 else random_letter(rng, c2)
+                table[(g, h)] = [(random_letter(rng, c2), Fraction(rng.choice([-2, -1, 1, 3])))]
+            gens = [random_ncpoly(rng, c2, max_degree=2, terms=2) for _ in range(3)]
+            verdicts.add(self.assert_matches_oracle(gens, table).passed)
+        assert verdicts == {True, False}
+
+    def test_corrupted_central_coefficient_fails(self):
+        coeffs = _talalaev_coefficients(2, 3)
+        sig = coeffs[0][1].sig
+        letters = [sig.gen(*g) for g in sig.letters()]
+        k = next(i for i, (_, c) in enumerate(coeffs)
+                 if not any(commutator(c, x) for x in letters))
+        label, c = coeffs[k]
+        coeffs[k] = (label, c + sig.gen(1, 1, 2))
+        rep = commutation_matrix([c for _, c in coeffs], [l for l, _ in coeffs])
+        assert rep.passed is False
+        assert all(label in w["pair"] for w in rep.witnesses)
+
+    def test_corrupted_coefficient_outside_the_basis_fails(self):
+        coeffs = _talalaev_coefficients(2, 3)
+        gens = [c for _, c in coeffs]
+        sig = gens[0].sig
+        letters = [sig.gen(*g) for g in sig.letters()]
+        # the greedy basis, recomputed rank by rank
+        central = [i for i, g in enumerate(gens) if not any(commutator(g, x) for x in letters)]
+        span = [gens[i].terms for i in central]
+        outside = []
+        for i in sorted(set(range(len(gens))) - set(central),
+                        key=lambda i: (len(gens[i].terms), i)):
+            if linalg.span_dimension(span + [gens[i].terms]) > linalg.span_dimension(span):
+                span.append(gens[i].terms)
+            else:
+                outside.append(i)
+        assert commutation_matrix(gens).info["basis"] == len(span) - len(central)
+        assert outside
+        label, c = coeffs[outside[0]]
+        coeffs[outside[0]] = (label, c + sig.gen(1, 1, 2))
+        rep = commutation_matrix([c for _, c in coeffs], [l for l, _ in coeffs])
+        assert rep.passed is False
+        assert all(label in w["pair"] for w in rep.witnesses)
+
+    @pytest.mark.parametrize("gens, info", [
+        (lambda: [c for _, c in _talalaev_coefficients(3, 2)], (10, 6, 15)),
+        (lambda: [c for _, c in _talalaev_coefficients(2, 3)], (9, 4, 6)),
+        (lambda: _glued_family(3), (10, 6, 15)),
+    ], ids=["talalaev-r3n2", "talalaev-r2n3", "glue-r3"])
+    def test_work_counters(self, gens, info):
+        rep = commutation_matrix(gens())
+        assert rep.passed
+        assert (rep.info["central"], rep.info["basis"], rep.info["pairs"]) == info

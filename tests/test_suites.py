@@ -52,7 +52,7 @@ def test_talalaev_suite_certifies_residue_coefficients():
     # QH0 and QTr2 have double poles; QTr1 repeats QH1, and the
     # simple-pole residues of QH0 at the two poles are proportional
     assert rep.params == {"count": 8, "mode": "quantum"}
-    assert rep.info == {}
+    assert rep.info == {"central": 6, "basis": 2, "pairs": 1}
 
 
 def test_no_suite_takes_a_polynomial_gcd(monkeypatch):
