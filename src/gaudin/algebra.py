@@ -23,12 +23,15 @@ difference (``_LOCAL_PAIRS``).
 ``SparseSum`` is the one sparse container of the package: a zero-free map from
 keys to coefficients with addition, negation, equality, scaling and
 coefficient maps written once.  ``NCPoly`` adds the PBW product over
-``Fraction`` coefficients; ``ratfun.RatFun`` keys Fractions by the
+``Fraction`` coefficients; ``ratfun.RatFun`` keys rationals by the
 partial-fraction basis in z, ``ratfun.LaxEntry`` is the PBW product over
 RatFun coefficients, and ``ratfun.DiffOpEntry`` keys LaxEntry coefficients by
 powers of d/dz.
 
-Coefficients are exact ``fractions.Fraction`` values at the API.  The two
+Coefficients are exact ``fractions.Fraction`` values at the API; no float is
+produced anywhere.  Inside the z-layer (``ratfun``) a coefficient or pole is
+kept as a Python ``int`` where it is integral and every value leaving it is a
+``Fraction`` again, so ``NCPoly`` coefficients are always Fractions.  The two
 bracket engines (``commutator`` and ``poisson_bracket``) scale each operand
 once to integer numerators over one common denominator, run their loops on
 Python ints and divide by the product of the denominators at the end, so a
@@ -437,7 +440,7 @@ class NCPoly(SparseSum):
             a, b = a.terms.get(key, 0), b.terms[key]
             if not a:
                 return None if self else Fraction(0)
-        ratio = a / b
+        ratio = Fraction(a, b)
         return ratio if self == other.scale(ratio) else None
 
     def __mul__(self, other):

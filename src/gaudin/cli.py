@@ -18,6 +18,7 @@ from .gluing import infer_sites, iterate_pattern, parse_pattern
 from .lax import (
     bending_lax,
     bending_lax_rational,
+    check_distinct,
     gaudin_lax,
     physical_hamiltonian,
     quadratic_hamiltonians,
@@ -146,8 +147,9 @@ def _run_config(merged: dict) -> RunConfig:
         mode=merged["mode"],
         poles=_parse_fraction_list("--poles", str(merged["poles"])),
         pattern=str(merged["pattern"]),
-        eval_points=(_parse_fraction_list("--eval", str(merged["eval_points"]))
-                     or RunConfig().eval_points),
+        eval_points=check_distinct(
+            _parse_fraction_list("--eval", str(merged["eval_points"]))
+            or RunConfig().eval_points, "eval points"),
         seed=merged["seed"],
         k=merged["k"],
         z1=_rational("--z1", str(merged["z1"])),

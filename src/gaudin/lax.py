@@ -106,7 +106,8 @@ class InvariantFamily:
         }
 
 
-def _check_distinct(points: Iterable[Fraction], what: str) -> list[Fraction]:
+def check_distinct(points: Iterable[Fraction], what: str) -> list[Fraction]:
+    """The points as Fractions; ValueError naming ``what`` if two are equal."""
     pts = [Fraction(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError(f"repeated {what}: {[str(p) for p in pts]}")
@@ -117,7 +118,7 @@ def lax_from_groups(sig: AlgebraSignature,
                     groups: Sequence[tuple[Sequence[int], Fraction]],
                     label: str = "L") -> LaxMatrix:
     """Gaudin-type matrix  sum over (site group, pole) of (group block)/(z-pole)."""
-    locs = _check_distinct([loc for _, loc in groups], "pole locations")
+    locs = check_distinct([loc for _, loc in groups], "pole locations")
     entries = []
     for a in range(1, sig.rank + 1):
         row = []
@@ -135,7 +136,7 @@ def lax_from_groups(sig: AlgebraSignature,
 def gaudin_lax(sig: AlgebraSignature, poles: Sequence) -> LaxMatrix:
     """The N-site Lax matrix with simple poles: entry (a,b) is
     sum_i e[a,b]@i / (z - z_i)."""
-    pts = _check_distinct(poles, "poles")
+    pts = check_distinct(poles, "poles")
     if len(pts) != sig.sites:
         raise ValueError(f"need {sig.sites} poles, got {len(pts)}")
     return lax_from_groups(sig, [([i], p) for i, p in enumerate(pts, start=1)],
@@ -209,7 +210,7 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
 
 def quadratic_hamiltonians(sig: AlgebraSignature, poles: Sequence) -> list[NCPoly]:
     """H_i = sum_{k != i} Tr(X_i X_k)/(z_i - z_k); their sum vanishes."""
-    pts = _check_distinct(poles, "poles")
+    pts = check_distinct(poles, "poles")
     if len(pts) != sig.sites:
         raise ValueError(f"need {sig.sites} poles, got {len(pts)}")
     out = []

@@ -286,7 +286,7 @@ def _scalar_matrix(M: DiffOpMatrix) -> list[list[Fraction]] | None:
             f = lax.constant_term()
             if e.order > 0 or lax.terms.keys() - {()} or f.terms.keys() - {0}:
                 return None
-            r.append(f.terms.get(0, Fraction(0)))
+            r.append(Fraction(f.terms.get(0, 0)))
         out.append(r)
     return out
 

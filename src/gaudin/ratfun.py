@@ -8,8 +8,22 @@ points, so ``RatFun`` stores a rational function in partial-fraction form: a
 equality and scaling are the sparse-sum ones; a product expands through a
 cached table of basis products, and derivatives, values and principal parts
 act term by term.  No arithmetic path divides or shifts a polynomial or takes
-a gcd.  ``Poly`` is the dense polynomial that ``render`` multiplies out at the
-edge; ``poly_gcd`` is kept as a callable for code outside the arithmetic path.
+a gcd.
+
+Inside this layer a rational number is a Python ``int`` when it is integral
+and a ``Fraction`` otherwise: constants, pole points and the basis-product
+table enter through ``_num``, so integral poles make int keys and integral
+coefficients stay ints.  A ``Fraction`` appears only where a value is not
+integral, such as the 1/(p-q) that two distinct poles produce; sums and
+products through one may leave an integral ``Fraction``, which equals and
+hashes like the int, so the partial-fraction form stays canonical.  Every
+value that leaves the layer (``RatFun.__call__``, ``residue``,
+``principal_part``, ``LaxEntry.z_coefficient`` and ``eval_z``) is a
+``Fraction``, and every division goes through ``Fraction``, so no float is
+ever produced.
+
+``Poly`` is the dense polynomial that ``render`` multiplies out at the edge;
+``poly_gcd`` is kept as a callable for code outside the arithmetic path.
 
 ``LaxEntry`` is ``algebra.NCPoly`` over RatFun coefficients: one matrix entry
 of a Lax matrix, whose z-operations (derivative, evaluation, residues) map the
@@ -144,14 +158,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
+def _num(c) -> int | Fraction:
+    """The rational c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @cache
-def _basis_product(s, t) -> tuple[tuple[object, Fraction], ...]:
+def _basis_product(s, t) -> tuple[tuple[object, int | Fraction], ...]:
     """The product of the basis functions keyed s and t, as (key, coefficient)
-    pairs of the partial-fraction basis."""
+    pairs of the partial-fraction basis; a coefficient is an int when it is
+    integral."""
     if type(s) is tuple and type(t) is int:
         s, t = t, s
     if type(t) is int:                                  # z^s z^t
-        return ((s + t, Fraction(1)),)
+        return ((s + t, 1),)
     b, n = t
     if type(s) is int:                                  # z^s (z-b)^-n
         # z^s = sum_i C(s,i) b^(s-i) (z-b)^i; powers i >= n leave the
@@ -164,10 +188,10 @@ def _basis_product(s, t) -> tuple[tuple[object, Fraction], ...]:
             else:
                 for l in range(i - n + 1):
                     _acc(terms, l, c * comb(i - n, l) * (-b) ** (i - n - l))
-        return tuple(terms.items())
+        return tuple((key, _num(c)) for key, c in terms.items())
     a, m = s
     if a == b:                                          # (z-a)^-m (z-a)^-n
-        return (((a, m + n), Fraction(1)),)
+        return (((a, m + n), 1),)
     # (z-a)^-m (z-b)^-n: the coefficient of (z-p)^-k, p one pole of order
     # mp and q the other of order mq, is
     # (-1)^(mp-k) C(mp+mq-k-1, mp-k) (p-q)^-(mp+mq-k); there is no polynomial part
@@ -175,23 +199,26 @@ def _basis_product(s, t) -> tuple[tuple[object, Fraction], ...]:
     for p, mp, q, mq in ((a, m, b, n), (b, n, a, m)):
         for k in range(1, mp + 1):
             c = (-1) ** (mp - k) * comb(mp + mq - k - 1, mp - k)
-            out.append(((p, k), c / (p - q) ** (mp + mq - k)))
+            out.append(((p, k), _num(Fraction(c, (p - q) ** (mp + mq - k)))))
     return tuple(out)
 
 
 class RatFun(SparseSum):
     """Rational function of z with rational poles, in partial-fraction form:
     ``terms`` maps k to the coefficient of z^k and (p, k) to that of
-    (z-p)^-k.  Sums, negation, equality, ``scale`` and ``map`` are the
-    ``SparseSum`` ones over no signature (``sig`` is None)."""
+    (z-p)^-k.  Coefficients and pole points are ints or Fractions (see the
+    module docstring); the values returned by ``__call__``, ``residue`` and
+    ``principal_part`` are Fractions.  Sums, negation, equality, ``scale``
+    and ``map`` are the ``SparseSum`` ones over no signature (``sig`` is
+    None)."""
 
     __slots__ = ()
     _scalars = (int, Fraction)
     _unit = 0
 
     @staticmethod
-    def _coeff(sig: None, c) -> Fraction:
-        return Fraction(c)
+    def _coeff(sig: None, c) -> int | Fraction:
+        return _num(c)
 
     @staticmethod
     def const(c) -> "RatFun":
@@ -199,11 +226,11 @@ class RatFun(SparseSum):
 
     @staticmethod
     def z() -> "RatFun":
-        return RatFun(None, {1: Fraction(1)})
+        return RatFun(None, {1: 1})
 
     @staticmethod
     def one_over_z_minus(point) -> "RatFun":
-        return RatFun(None, {(Fraction(point), 1): Fraction(1)})
+        return RatFun(None, {(_num(point), 1): 1})
 
     def is_polynomial(self) -> bool:
         return all(type(key) is int for key in self.terms)
@@ -250,16 +277,16 @@ class RatFun(SparseSum):
     def principal_part(self, pole) -> list[Fraction]:
         """[c_0, ..., c_(m-1)]: c_j is the coefficient of (z-pole)^-(j+1), m the
         multiplicity of the pole (empty when ``pole`` is not a pole)."""
-        pole = Fraction(pole)
+        pole = _num(pole)
         mult = max((key[1] for key in self.terms
                     if type(key) is tuple and key[0] == pole), default=0)
-        return [self.terms.get((pole, j), Fraction(0)) for j in range(1, mult + 1)]
+        return [Fraction(self.terms.get((pole, j), 0)) for j in range(1, mult + 1)]
 
     def residue(self, pole, order: int = 0) -> Fraction:
         """Coefficient of (z-pole)^(-1) in (z-pole)^order * self."""
         if order < 0:
             raise ValueError("residue order must be non-negative")
-        return self.terms.get((Fraction(pole), order + 1), Fraction(0))
+        return Fraction(self.terms.get((_num(pole), order + 1), 0))
 
     def num_den(self) -> tuple[Poly, Poly]:
         """(num, den) with self = num/den and den = prod (z-p)^m_p monic.  The
@@ -333,7 +360,7 @@ class LaxEntry(NCPoly):
         """Coefficient of z^power; entry must be polynomial in z."""
         if not all(f.is_polynomial() for f in self.terms.values()):
             raise ValueError("entry is not polynomial in z")
-        return self.map(lambda f: f.terms.get(power, 0), NCPoly)
+        return self.map(lambda f: Fraction(f.terms.get(power, 0)), NCPoly)
 
     def render(self) -> str:
         if not self.terms:

@@ -251,6 +251,20 @@ def test_build_talalaev_rank_one(tmp_path, capsys):
     assert doc["evaluations"]["5"]["qh"][1] == "1"
 
 
+@pytest.mark.parametrize("points", ["5,5", "5,7,10/2"])
+def test_build_talalaev_rejects_repeated_eval_points(points, tmp_path, capsys):
+    # one evaluation per distinct point: a repeat would be echoed in the
+    # config but collapse to a single "evaluations" entry
+    code, out, err = run_cli([
+        "build", "--what", "talalaev", "--r", "1", "--sites", "2",
+        "--eval", points, "--out", str(tmp_path),
+    ], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: repeated eval points: [")
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("extra", [(), ("--eval", "")], ids=["no-flags", "empty-eval"])
 def test_verify_defaults_are_the_run_config_defaults(extra, tmp_path, capsys):
     from gaudin.suites import RunConfig

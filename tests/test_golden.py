@@ -6,7 +6,8 @@ To refresh a golden file after an intended behaviour change, run the case's
 command with ``--out tests/golden`` (``PYTHONPATH=src python -m gaudin.cli
 verify SUITE --out tests/golden``); a rank-3 report is written as
 ``verify-SUITE.json`` by ``verify SUITE --r 3`` and kept as
-``verify-SUITE-r3.json``.
+``verify-SUITE-r3.json``; the mixed-pole manin run is kept as
+``verify-manin-rational.json``.
 """
 
 from pathlib import Path
@@ -25,6 +26,9 @@ PATTERN_ARGS = ("--pattern", "[1,2,[3,4,5]@3]", "--sites", "5")
 CASES = [(suite, ("verify", suite), f"verify-{suite}.json") for suite in SUITES] + [
     (f"{suite}-r3", ("verify", suite, "--r", "3"), f"verify-{suite}-r3.json")
     for suite in ("glue", "manin")] + [
+    # integral and non-integral poles together: both pole-key types of RatFun
+    ("manin-rational-poles", ("verify", "manin", "--r", "2", "--poles", "1/2,-3/4,5"),
+     "verify-manin-rational.json")] + [
     (f"build-{what}",
      ("build", "--what", what, *(PATTERN_ARGS if what == "pattern" else ())),
      f"build-{what}.json")

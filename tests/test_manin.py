@@ -194,6 +194,13 @@ class TestPropertySuite:
         reports = {r.check: r for r in manin_property_suite(M)}
         assert reports["schur"].passed
 
+    def test_scalar_entries_leave_the_z_layer_as_fractions(self):
+        from gaudin.manin import _scalar_matrix
+
+        scal = _scalar_matrix(const_matrix([[2, Fraction(1, 2)], [0, -3]]))
+        assert scal == [[2, Fraction(1, 2)], [0, -3]]
+        assert all(type(v) is Fraction for row in scal for v in row)
+
     def test_schur_skipped_when_block_singular(self):
         M = const_matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
         reports = {r.check: r for r in manin_property_suite(M)}

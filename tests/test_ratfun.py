@@ -494,3 +494,108 @@ class TestSparseSum:
             assert not hasattr(obj, "__dict__")
             with pytest.raises(AttributeError):
                 obj.extra = 1
+
+
+
+def _ratfuns(obj):
+    """The RatFun coefficients inside a RatFun, LaxEntry or DiffOpEntry."""
+    if isinstance(obj, RatFun):
+        yield obj
+    else:
+        for c in obj.terms.values():
+            yield from _ratfuns(c)
+
+
+def _points(obj):
+    return [key[0] for f in _ratfuns(obj) for key in f.terms if type(key) is tuple]
+
+
+def _coeffs(obj):
+    return [c for f in _ratfuns(obj) for c in f.terms.values()]
+
+
+class TestIntegerZLayer:
+    """Ints inside the z-layer where a value is integral, Fractions at every
+    value that leaves it, and no float anywhere."""
+
+    @staticmethod
+    def _workload(rng, poles):
+        """Random functions over ``poles`` with their products, derivatives
+        and scalings."""
+        out = []
+        for _ in range(20):
+            f = sum((zpoly(*[0] * key, c) if type(key) is int else pole(*key) * c
+                     for key, c in _random_terms(rng, poles=rng.sample(poles, 2))),
+                    RatFun.const(0))
+            g = RatFun.one_over_z_minus(rng.choice(poles)) * rng.randint(1, 3) + Z
+            out += [f, f * g, (f * g).derivative(), f.scale(3), f.scale(Fraction(4, 2))]
+        return out
+
+    @staticmethod
+    def _col_det_terms(poles):
+        """d/dz - L for a rank-2 Gaudin matrix: two entry products, a
+        commutator and the column determinant."""
+        from gaudin.lax import gaudin_lax
+        from gaudin.manin import col_det, partial_minus
+
+        M = partial_minus(gaudin_lax(AlgebraSignature(2, 2, Mode.QUANTUM), poles))
+        (a, b), (c, d) = M.entries
+        return [a * d, b * c - c * b, col_det(M)]
+
+    def test_no_coefficient_or_pole_is_a_float(self):
+        rng = random.Random(43)
+        values = self._workload(rng, [0, 1, 3, Fraction(1, 2), Fraction(-3, 4)])
+        values += self._col_det_terms([Fraction(1, 2), 5]) + self._col_det_terms([0, 3])
+        for value in values:
+            assert all(type(x) in (int, Fraction) for x in _coeffs(value) + _points(value))
+
+    def test_integral_poles_are_int_keys(self):
+        rng = random.Random(41)
+        for value in self._workload(rng, [0, 1, -2, Fraction(3)]) + self._col_det_terms([0, 3]):
+            assert all(type(p) is int for p in _points(value))
+
+    def test_unit_spaced_poles_stay_on_ints(self):
+        # (p - q)^-e is integral when |p - q| = 1, so nothing leaves the ints
+        rng = random.Random(45)
+        for value in self._workload(rng, [0, 1]) + self._col_det_terms([0, 1]):
+            assert _coeffs(value) and all(type(c) is int for c in _coeffs(value))
+
+    def test_values_leaving_the_layer_are_fractions(self):
+        rng = random.Random(47)
+        sig = AlgebraSignature(1, 1, Mode.QUANTUM)
+        for f in self._workload(rng, [0, 1, Fraction(1, 2)]):
+            for p in (0, 1, Fraction(1, 2), 7):
+                assert all(type(c) is Fraction for c in f.principal_part(p))
+                assert all(type(f.residue(p, j)) is Fraction for j in range(4))
+            assert type(f(Fraction(1, 3))) is Fraction and type(f(9)) is Fraction
+            e = LaxEntry.scalar(sig, f) + LaxEntry.from_ncpoly(sig.gen(1, 1, 1)) * f
+            for value in (e.eval_z(9), e.residue(0), *e.principal_part(1)):
+                assert all(type(c) is Fraction for c in value.terms.values())
+        for f in (zpoly(3, 0, -2), zpoly(1, 2) * Fraction(1, 2) + 4):
+            e = LaxEntry.scalar(sig, f) + LaxEntry.from_ncpoly(sig.gen(1, 1, 1)) * f
+            coeffs = [c for k in range(3) for c in e.z_coefficient(k).terms.values()]
+            assert coeffs and all(type(c) is Fraction for c in coeffs)
+
+    def test_integral_pole_renders_like_its_fraction(self):
+        f, g = RatFun.one_over_z_minus(2), RatFun.one_over_z_minus(Fraction(2))
+        assert f == g and hash(next(iter(f.terms))) == hash(next(iter(g.terms)))
+        assert str(f) == str(g) == "(1)/(z - 2)"
+        assert f.terms == g.terms == {(2, 1): 1}
+        assert type(next(iter(g.terms))[0]) is int
+        assert type(next(iter(RatFun.one_over_z_minus(Fraction(1, 2)).terms))[0]) is Fraction
+        assert [type(c) for c in (RatFun.const(Fraction(6, 3)) * Z).terms.values()] == [int]
+        # z/(z - 1/2) = 1 + (1/2)/(z - 1/2): the integral part of a product
+        # over a non-integral pole is an int too
+        assert (Z * pole(Fraction(1, 2))).terms == {0: 1, (Fraction(1, 2), 1): Fraction(1, 2)}
+        assert type((Z * pole(Fraction(1, 2))).terms[0]) is int
+
+    def test_proportionality_of_int_coefficients_is_a_fraction(self):
+        sig = AlgebraSignature(1, 1, Mode.CLASSICAL)
+        x = sig.gen(1, 1, 1)
+        e1, e2 = LaxEntry.from_ncpoly(x), LaxEntry.from_ncpoly(x) * 2
+        assert [f.terms for f in (*e1.terms.values(), *e2.terms.values())] == [{0: 1}, {0: 2}]
+        ratio = e1.proportionality(e2)
+        assert type(ratio) is Fraction and ratio == Fraction(1, 2)
+        ratio = (e1 * RatFun.one_over_z_minus(3)).proportionality(
+            e2 * RatFun.one_over_z_minus(3))
+        assert type(ratio) is Fraction and ratio == Fraction(1, 2)
