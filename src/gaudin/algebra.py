@@ -276,6 +276,20 @@ def _acc(terms: dict, key, val) -> None:
         del terms[key]
 
 
+def _difference(a, b):
+    """a - b: b's coefficients subtracted from a copy of a's terms, so a
+    negated coefficient is built only where a has no such key."""
+    terms = dict(a.terms)
+    for key, c in b.terms.items():
+        cur = terms.get(key)
+        cur = -c if cur is None else cur - c
+        if cur:
+            terms[key] = cur
+        else:
+            del terms[key]
+    return type(a)(a.sig, terms)
+
+
 class SparseSum:
     """Zero-free sparse sum over an algebra signature (None where no algebra
     is involved, as for ``ratfun.RatFun``): ``terms`` maps each key to a
@@ -358,13 +372,13 @@ class SparseSum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _difference(self, other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _difference(other, self)
 
     def __eq__(self, other) -> bool:
         try:

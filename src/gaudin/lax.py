@@ -243,36 +243,18 @@ def physical_hamiltonian(sig: AlgebraSignature) -> NCPoly:
 
 def pole_site_groups(matrix: LaxMatrix) -> dict[Fraction, list[int]] | None:
     """Site groups read off the residues, or None if the matrix is not of
-    Gaudin type: simple poles at the declared points and nothing else, whose
-    residues are disjoint site-group blocks."""
+    Gaudin type: it must equal ``lax_from_groups`` of disjoint site groups at
+    its declared poles, all of them simple.  Each pole's group is read from
+    the residue of entry (1,1)."""
     if matrix.is_polynomial() or any(order != 1 for _, order in matrix.poles):
         return None
-    simple = {(pole, 1) for pole, _ in matrix.poles}
-    if any(key not in simple for row in matrix.entries for e in row
-           for f in e.terms.values() for key in f.terms):
+    groups = {pole: sorted({word[0][0] for word in matrix.entries[0][0].residue(pole).terms
+                            if word})
+              for pole, _ in matrix.poles}
+    sites = [i for group in groups.values() for i in group]
+    if len(sites) != len(set(sites)):
         return None
-    groups: dict[Fraction, list[int]] = {}
-    seen: set[int] = set()
-    for pole, _ in matrix.poles:
-        res = matrix.residue_matrix(pole)
-        sites: set[int] = set()
-        for a in range(1, matrix.size + 1):
-            for b in range(1, matrix.size + 1):
-                expected_sites = {
-                    w[0][0] for w in res[a - 1][b - 1].terms
-                }
-                for word, coeff in res[a - 1][b - 1].terms.items():
-                    if len(word) != 1 or coeff != 1:
-                        return None
-                    site, r, c = word[0]
-                    if (r, c) != (a, b):
-                        return None
-                if (a, b) == (1, 1):
-                    sites = expected_sites
-                elif expected_sites != sites:
-                    return None
-        if sites & seen:
-            return None
-        seen |= sites
-        groups[pole] = sorted(sites)
+    rebuilt = lax_from_groups(matrix.sig, [(group, pole) for pole, group in groups.items()])
+    if rebuilt.entries != matrix.entries:
+        return None
     return groups

@@ -9,8 +9,10 @@ circularity.  The sampled Jacobi test is the reference for the exhaustive
 letter-triple certificate in ``gaudin.poisson``: it runs the Leibniz bracket
 on random polynomials instead of summing table entries, and the full
 ordered-pair bracket table is the reference for the centre-and-basis
-certificate of ``manin.commutation_matrix``.  The seeded random
-letters, words and polynomials the tests draw are generated here as well.
+certificate of ``manin.commutation_matrix``.  The Manin test that brackets
+every pair of matrix positions is the reference for ``manin.is_manin``, which
+states each relation once.  The seeded random letters, words, polynomials and
+differential-operator matrices the tests draw are generated here as well.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import random
 from fractions import Fraction
 
 from gaudin.algebra import AlgebraSignature, Letter, NCPoly, poisson_bracket
+from gaudin.manin import DiffOpMatrix
+from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
 
 def random_letter(rng: random.Random, sig: AlgebraSignature) -> Letter:
@@ -245,3 +249,78 @@ def ordered_pair_brackets(gens, table=None) -> dict:
             if terms:
                 out[(i, j)] = terms
     return out
+
+
+def random_diffop_matrix(rng: random.Random, sig: AlgebraSignature, n: int,
+                         row_sites: bool = False) -> DiffOpMatrix:
+    """A seeded n x n matrix whose entries are sums of two letters, each times
+    a + b/(z - p) for small integers a, b, p.  By default the letters range
+    over every site and each entry carries such a sum times d/dz as well.
+    With ``row_sites`` row i uses letters at site i only and no d/dz, so
+    entries of different rows commute and the matrix is Manin."""
+    def lax(site):
+        items = []
+        for _ in range(2):
+            letter = random_letter(rng, sig)
+            if site is not None:
+                letter = (site, *letter[1:])
+            f = RatFun.const(rng.randint(-2, 2)) + RatFun.one_over_z_minus(
+                rng.randint(0, 2)).scale(rng.randint(1, 3))
+            items.append(((letter,), f))
+        return LaxEntry.from_terms(sig, items)
+
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for _ in range(n):
+            if row_sites:
+                row.append(DiffOpEntry.from_entry(lax(i)))
+            else:
+                row.append(DiffOpEntry(sig, {0: lax(None), 1: lax(None)}))
+        rows.append(row)
+    return DiffOpMatrix(sig, rows)
+
+
+def all_position_pairs_manin(M: DiffOpMatrix) -> list[dict]:
+    """Manin witnesses from bracketing every pair of matrix positions: the
+    column relation [M_ij, M_kj] for every column and rows i < k, then
+    [M_ij, M_kl] - [M_kj, M_il] for every (i, j) < (k, l).  The second loop
+    meets each cross relation twice (j and l swapped give the same residual),
+    the column relation again at j = l (twice its residual) and the trivial
+    case i = k; ``manin_relation`` names the relation a witness violates."""
+    n = M.size
+    E = M.entries
+
+    def comm(a, b):
+        return a * b - b * a
+
+    witnesses = []
+    for j in range(n):
+        for i in range(n):
+            for k in range(i + 1, n):
+                res = comm(E[i][j], E[k][j])
+                if not res.is_zero():
+                    witnesses.append({"kind": "column",
+                                      "positions": [[i + 1, j + 1], [k + 1, j + 1]],
+                                      "residual": res.render()})
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for l in range(n):
+                    if (i, j) >= (k, l):
+                        continue
+                    res = comm(E[i][j], E[k][l]) - comm(E[k][j], E[i][l])
+                    if not res.is_zero():
+                        witnesses.append({"kind": "cross",
+                                          "positions": [[i + 1, j + 1], [k + 1, l + 1]],
+                                          "residual": res.render()})
+    return witnesses
+
+
+def manin_relation(witness: dict) -> tuple:
+    """The relation a Manin witness violates, 1-based: ("column", i, k, j) or
+    ("cross", i, k, j, l) with i < k and j < l."""
+    (i, j), (k, l) = witness["positions"]
+    if witness["kind"] == "column" or j == l:
+        return ("column", i, k, j)
+    return ("cross", i, k, min(j, l), max(j, l))

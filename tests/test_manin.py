@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from gaudin import linalg
+from gaudin import linalg, manin
 from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, classical_limit, commutator,
 )
 from gaudin.gluing import elementary_glue, iterate_pattern, parse_pattern
-from gaudin.lax import LaxMatrix, bending_lax_rational, gaudin_lax, pole_site_groups
+from gaudin.lax import (
+    LaxMatrix, bending_lax_rational, gaudin_lax, lax_from_groups, pole_site_groups,
+)
 from gaudin.manin import (
     DiffOpMatrix,
     adjugate,
@@ -26,7 +29,14 @@ from gaudin.manin import (
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 from gaudin.suites import RunConfig, run_suite
 
-from oracles import ordered_pair_brackets, random_letter, random_ncpoly
+from oracles import (
+    all_position_pairs_manin,
+    manin_relation,
+    ordered_pair_brackets,
+    random_diffop_matrix,
+    random_letter,
+    random_ncpoly,
+)
 
 
 def scalar_sig():
@@ -93,6 +103,74 @@ class TestIsManin:
         assert "column" in kinds
         col = next(w for w in rep.witnesses if w["kind"] == "column")
         assert col["positions"] == [[1, 2], [2, 2]]
+
+
+SIG_2X4 = AlgebraSignature(2, 4, Mode.QUANTUM)
+
+# (name, is Manin): random entries over all sites with d/dz parts; row i at
+# site i without d/dz; the latter with entry (1,2) redrawn; two d/dz - L.
+MANIN_CASES = [(f"{kind}-{n}", manin) for n in (2, 3, 4) for kind, manin in
+               (("random", False), ("row-sites", True), ("perturbed", False))]
+MANIN_CASES += [("gaudin-gl3", True), ("bending-rational", True)]
+
+
+def manin_case(name: str) -> DiffOpMatrix:
+    if name == "gaudin-gl3":
+        return partial_minus(gaudin_lax(AlgebraSignature(3, 2, Mode.QUANTUM), [0, 1]))
+    if name == "bending-rational":
+        return partial_minus(bending_lax_rational(AlgebraSignature(2, 3, Mode.QUANTUM), 2))
+    kind, n = name.rsplit("-", 1)
+    rng = random.Random(name)
+    M = random_diffop_matrix(rng, SIG_2X4, int(n), row_sites=kind != "random")
+    if kind == "perturbed":
+        M.entries[0][1] = random_diffop_matrix(rng, SIG_2X4, 1).entries[0][0]
+    return M
+
+
+class TestIsManinOracle:
+    """is_manin states each relation once; the all-position-pairs loops of
+    ``oracles.all_position_pairs_manin`` are the reference."""
+
+    @pytest.mark.parametrize("name, manin", MANIN_CASES, ids=[c[0] for c in MANIN_CASES])
+    def test_violated_relations_match(self, name, manin):
+        M = manin_case(name)
+        rep = is_manin(M)
+        ref = all_position_pairs_manin(M)
+        assert rep.passed is manin is (not ref)
+        got = [manin_relation(w) for w in rep.witnesses]
+        assert len(got) == len(set(got))
+        assert set(got) == {manin_relation(w) for w in ref}
+        # same positions and residual as the reference's witness of the relation
+        assert all(w in ref for w in rep.witnesses)
+
+    def test_perturbed_matrices_keep_some_relations(self):
+        for n in (3, 4):
+            rep = is_manin(manin_case(f"perturbed-{n}"))
+            kinds = {w["kind"] for w in rep.witnesses}
+            assert kinds == {"column", "cross"}
+            assert len(rep.witnesses) < comb(n, 2) * (n + comb(n, 2))
+
+    @pytest.mark.parametrize("n, calls", [(2, 4), (3, 27), (4, 96)])
+    def test_one_commutator_per_relation_term(self, monkeypatch, n, calls):
+        seen = []
+        inner = manin._entry_commutator
+        monkeypatch.setattr(manin, "_entry_commutator",
+                            lambda a, b: seen.append(1) or inner(a, b))
+        is_manin(manin_case(f"random-{n}"))
+        assert len(seen) == calls == comb(n, 2) * n * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_determinant_per_column_order(self, monkeypatch, n):
+        seen = []
+        inner = manin.col_det
+        monkeypatch.setattr(manin, "col_det",
+                            lambda M, order=None: seen.append(order) or inner(M, order))
+        rng = random.Random(n)
+        rep = column_order_invariance(
+            const_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+        assert rep.passed and rep.params["orders"] == factorial(n)
+        assert len(seen) == factorial(n)
+        assert seen[0] is None and tuple(range(n)) not in seen
 
 
 class TestColDet:
@@ -400,25 +478,64 @@ class TestTalalaevCoefficients:
             out.recursion_constants
 
 
-class TestGaudinTypeGate:
-    """pole_site_groups reads every coefficient, not only the residues at the
-    declared poles."""
+def _pole_entry(sig, word, pole, k=1):
+    """LaxEntry  word / (z - pole)^k."""
+    f = RatFun.const(1)
+    for _ in range(k):
+        f = f * RatFun.one_over_z_minus(pole)
+    return LaxEntry.from_terms(sig, [(word, f)])
 
-    def test_constant_term_rejected(self):
-        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        L = gaudin_lax(sig, [0, 1])
+
+def _non_gaudin(name: str) -> LaxMatrix:
+    """gaudin_lax at poles 0, 1 over gl2 with two sites, spoiled one way."""
+    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+    if name == "site-in-two-groups":
+        return lax_from_groups(sig, [([1, 2], 0), ([2], 1)])
+    L = gaudin_lax(sig, [0, 1])
+    if name == "constant-term":
         L.entries[0][0] = L.entries[0][0] + LaxEntry.from_ncpoly(sig.gen(1, 1, 1))
+    elif name == "undeclared-pole":
+        L.poles = L.poles[:1]
+    elif name == "coefficient-2":
+        L.entries[0][1] = L.entries[0][1] + _pole_entry(sig, ((1, 1, 2),), 0)
+    elif name == "transposed-letter":
+        L.entries[1][0] = (_pole_entry(sig, ((1, 1, 2),), 0)
+                           + _pole_entry(sig, ((2, 2, 1),), 1))
+    elif name == "degree-2-word":
+        L.entries[0][0] = L.entries[0][0] + _pole_entry(sig, ((1, 1, 1), (2, 2, 2)), 0)
+    elif name == "scalar-residue":
+        L.entries[0][0] = L.entries[0][0] + _pole_entry(sig, (), 0)
+    elif name == "double-pole":
+        L.entries[0][0] = L.entries[0][0] + _pole_entry(sig, ((1, 1, 1),), 0, k=2)
+        L.poles = [(Fraction(0), 2), (Fraction(1), 1)]
+    return L
+
+
+NON_GAUDIN = ["constant-term", "undeclared-pole", "coefficient-2", "transposed-letter",
+              "site-in-two-groups", "degree-2-word", "scalar-residue", "double-pole"]
+
+
+class TestGaudinTypeGate:
+    """pole_site_groups accepts exactly what lax_from_groups builds from
+    disjoint site groups at the declared poles: every coefficient counts, not
+    only the residues there."""
+
+    @pytest.mark.parametrize("name", NON_GAUDIN)
+    def test_rejected(self, name):
+        L = _non_gaudin(name)
         assert pole_site_groups(L) is None
         with pytest.raises(ValueError, match="not of Gaudin type"):
             talalaev_generators(L)
 
-    def test_undeclared_pole_rejected(self):
-        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        L = gaudin_lax(sig, [0, 1])
-        L.poles = L.poles[:1]
-        assert pole_site_groups(L) is None
-        with pytest.raises(ValueError, match="not of Gaudin type"):
-            talalaev_generators(L)
+    @pytest.mark.parametrize("text, groups", [
+        ("[1,[2,3]@5]", [{1: [2], 2: [3]}, {0: [1], 5: [2, 3]}]),
+        ("[[1,2]@0,[3,4]@5]", [{0: [1], 1: [2]}, {2: [3], 3: [4]}, {0: [1, 2], 5: [3, 4]}]),
+    ])
+    def test_iterate_pattern_matrices_return_their_groups(self, text, groups):
+        pattern = parse_pattern(text, sum(map(len, groups[-1].values())))
+        sig = AlgebraSignature(2, pattern.n_leaves, Mode.QUANTUM)
+        family = iterate_pattern(sig, pattern)
+        assert [pole_site_groups(L) for L in family.matrices] == groups
 
 
 class TestCommutationMatrix:

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.algebra import AlgebraSignature, Mode, NCPoly, SignatureMismatchError
+from gaudin.algebra import AlgebraSignature, Mode, NCPoly, SignatureMismatchError, SparseSum
 from gaudin.ratfun import (
     DiffOpEntry,
     LaxEntry,
@@ -405,6 +406,30 @@ def _one_of_each(sig):
 OPS = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b]
 
 
+def _subtraction_operands(sig):
+    """Per container, values whose differences cancel some keys (at every
+    nesting level) and keep others."""
+    f = Z * 2 + pole(0) + 3
+    g = Z * 2 - pole(0) * Fraction(1, 2)
+    x, y = sig.gen(1, 1, 2), sig.gen(1, 2, 1)
+    p, q = x * y + x + 1, x * y - y * Fraction(1, 3)
+    e = LaxEntry.from_ncpoly(p) * f
+    h = LaxEntry.from_ncpoly(p) * g + LaxEntry.from_ncpoly(q)
+    d = DiffOpEntry.partial(sig)
+    return {
+        "RatFun": [f, g],
+        "NCPoly": [p, q],
+        "LaxEntry": [e, h],
+        "DiffOpEntry": [d * e + h, d * h + e, DiffOpEntry.from_entry(h) + d * e],
+    }
+
+
+def _zero_free(obj) -> bool:
+    """No coefficient, at any nesting level, is zero."""
+    return all(c and (not isinstance(c, SparseSum) or _zero_free(c))
+               for c in obj.terms.values())
+
+
 class TestSparseSum:
     """The sum/scale/map core shared by NCPoly, LaxEntry and DiffOpEntry."""
 
@@ -488,6 +513,23 @@ class TestSparseSum:
         assert e.eval_z(1) == p
         assert type(e.residue(0)) is NCPoly and e.residue(0) == p
         assert e.residue(1).is_zero()
+
+    @pytest.mark.parametrize("kind", ["RatFun", "NCPoly", "LaxEntry", "DiffOpEntry"])
+    def test_subtraction_is_adding_the_negative(self, q1, kind):
+        ops = _subtraction_operands(q1)[kind]
+        pairs = [(a, b) for a in ops for b in ops]
+        for c in (3, Fraction(-2, 5), Z * 2 - pole(1)):
+            if isinstance(c, type(ops[0])._scalars):
+                pairs += [(a, c) for a in ops] + [(c, a) for a in ops]
+        for a, b in pairs:
+            before = copy.deepcopy((a, b))
+            diff = a - b
+            assert type(diff) is type(ops[0])
+            assert diff == a + (-b)
+            assert _zero_free(diff)
+            assert (a, b) == before
+        for a in ops:
+            assert (a - a).terms == {}
 
     def test_no_instance_has_a_dict(self, q1):
         for obj in _one_of_each(q1):
