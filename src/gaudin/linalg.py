@@ -1,7 +1,8 @@
 """Exact linear algebra: the one row reduction, matrix product, power-trace
 loop and column determinant of the package, plus rank, span comparison,
-the greedy independent subset of a list of sparse vectors and expressing a
-target vector as a combination of given sparse vectors.
+the greedy independent subset of a sequence of sparse vectors (a sparse,
+incremental form of the same elimination) and expressing a target vector as
+a combination of given sparse vectors.
 
 The matrix product, power traces and column determinant use only ``+``,
 ``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
@@ -26,7 +27,7 @@ from functools import reduce
 from itertools import permutations
 from math import gcd, lcm
 from operator import add
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 def row_reduce(rows: list[list], ncols: int) -> list[int]:
@@ -132,10 +133,12 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
         prod = entries[perm[cols[0]]][cols[0]]
         for c in cols[1:]:
             prod = prod * entries[perm[c]][c]
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        if inversions % 2:
-            prod = -prod
-        total = prod if total is None else total + prod
+        if total is None:                   # the identity, which comes first
+            total = prod
+        elif sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2:
+            total = total - prod
+        else:
+            total = total + prod
     return total
 
 
@@ -173,12 +176,44 @@ def spans_equal(first: Sequence[Mapping[Hashable, Fraction]],
     return ra == rb == rank(a + b)
 
 
-def independent_columns(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[int]:
+def independent_columns(vectors: Iterable[Mapping[Hashable, Fraction]]) -> list[int]:
     """Indices of the vectors outside the span of the vectors before them:
-    the pivot columns of the matrix whose columns are the vectors."""
-    keys = list({k: None for vec in vectors for k in vec})
-    rows = [list(row) for row in zip(*_to_dense(vectors, keys))]
-    return row_reduce(rows, len(vectors))
+    the pivot columns of the matrix whose columns are the vectors.
+
+    Sparse, fraction-free and incremental.  Each vector is scaled to
+    integers and reduced against the pivot rows kept so far, in the order
+    they were kept: a row is replaced by a*row - b*pivot row, with a and b
+    the two entries at the pivot key over their gcd, then divided by the
+    gcd of its entries.  A kept row is zero at the pivot keys of the rows
+    kept before it, so one pass clears every pivot key.  The vector is
+    independent exactly when something is left, and what is left becomes
+    the next pivot row, pivoting on its first key.
+    """
+    kept: list[tuple[Hashable, int, dict]] = []
+    out = []
+    for index, vec in enumerate(vectors):
+        d = 1
+        for v in vec.values():
+            d = lcm(d, v.denominator)
+        row = {k: v.numerator * (d // v.denominator) for k, v in vec.items() if v}
+        for key, a, prow in kept:
+            b = row.get(key)
+            if b:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                if ag != 1:
+                    row = {k: ag * v for k, v in row.items()}
+                for k, v in prow.items():
+                    row[k] = row.get(k, 0) - bg * v
+                row = {k: v for k, v in row.items() if v}
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {k: v // g for k, v in row.items()}
+        if row:
+            key = next(iter(row))
+            kept.append((key, row[key], row))
+            out.append(index)
+    return out
 
 
 def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],

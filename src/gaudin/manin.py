@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from math import factorial
 from operator import add
 
@@ -494,25 +494,59 @@ def _centre_letters(sig: AlgebraSignature, table: LetterTable | None) -> list[NC
     return out
 
 
+def _module_basis(gens: list[NCPoly], central: list[int], rest: list[int]) -> list[int]:
+    """The inputs of ``rest`` that are pivots of one column sequence:
+
+    1. the central inputs;
+    2. the products c*c' of central inputs of degree >= 1;
+    3. each input g of ``rest`` in turn, followed at once by its products
+       c*g with central c of degree >= 1.
+
+    Products of degree above the largest input degree are skipped.
+    """
+    degree = [g.degree for g in gens]
+    top = max(degree)
+    multipliers = [i for i in central if degree[i] >= 1]
+    columns: list[tuple[int | None, NCPoly]] = [(None, gens[i]) for i in central]
+    columns += [(None, gens[i] * gens[j])
+                for i, j in combinations_with_replacement(multipliers, 2)
+                if degree[i] + degree[j] <= top]
+    for g in rest:
+        columns.append((g, gens[g]))
+        columns += [(None, gens[c] * gens[g]) for c in multipliers
+                    if degree[c] + degree[g] <= top]
+    pivots = linalg.independent_columns([x.terms for _, x in columns])
+    return sorted(columns[k][0] for k in pivots if columns[k][0] is not None)
+
+
 def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
                        table: LetterTable | None = None) -> CheckReport:
     """PASS iff every bracket of two inputs vanishes, certified on the
-    centre and a linear basis instead of on every pair.
+    centre and a basis of a module over it instead of on every pair.
 
     1. An input whose brackets with the letters of ``_centre_letters`` all
        vanish (in both orders under a table) is central.  The bracket is a
        biderivation, so by Leibniz a central input brackets to zero with
-       every polynomial, on either side.
-    2. One row reduction over the words x inputs matrix
-       (``linalg.independent_columns``), columns ordered central inputs
-       first, then the others by (term count, input index), picks as basis
-       the pivot columns past the central block: the sparsest inputs that
-       are independent modulo the central span.
-    3. Every input is a central element plus a combination of basis
-       inputs, and the bracket is bilinear, so all inputs commute exactly
-       when the basis inputs commute pairwise.  The pairs i < j of the
-       basis, in input order, are bracketed; under a table, which need not
-       be antisymmetric, every ordered basis pair, the diagonal included.
+       every polynomial, on either side, and so does every product of
+       central inputs.
+    2. The basis B is chosen by ``_module_basis``: one incremental
+       elimination (``linalg.independent_columns``) over the central
+       inputs, their products, and the other inputs in (degree, term
+       count, index) order, each followed by its products with the central
+       inputs.  B is the set of those inputs that are pivots.
+    3. The pairs i < j of B, in input order, are bracketed; under a table,
+       which need not be antisymmetric, every ordered pair of B, the
+       diagonal included.
+
+    Why a PASS proves that every pair of inputs commutes.  Let A be the
+    algebra generated by the central inputs and W = A + A*B.  Every column
+    of the sequence lies in W, by induction along it: a central input or a
+    product of two is in A, a pivot input is in B, a non-pivot input is in
+    the span of earlier columns, and a product c*g has g earlier and
+    c*W in W.  For central c and c', [c*b, c'*b'] = c*c'*[b, b'] for the
+    commutator and for every biderivation, letter tables included, and A
+    brackets to zero with everything.  So W commutes as soon as the pairs
+    of B do, and every input lies in W.
 
     A witness is a failing basis pair, both of them inputs, with its
     bracket.  ``info`` records the central inputs, the basis size and the
@@ -537,10 +571,8 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
 
     central = [i for i, g in enumerate(gens) if all(commutes(g, x) for x in letters)]
     rest = sorted(set(range(len(gens))) - set(central),
-                  key=lambda i: (len(gens[i].terms), i))
-    order = central + rest
-    basis = sorted(order[k] for k in linalg.independent_columns([gens[i].terms for i in order])
-                   if k >= len(central))
+                  key=lambda i: (gens[i].degree, len(gens[i].terms), i))
+    basis = _module_basis(gens, central, rest) if rest else []
     pairs = list(product(basis, repeat=2) if table is not None
                  else combinations(basis, 2))
     witnesses = []

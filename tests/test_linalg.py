@@ -59,6 +59,37 @@ def test_independent_columns_keeps_the_first_of_each_dependency():
     assert independent_columns([{}, {}]) == []
 
 
+def _greedy_independent(vectors):
+    """Indices that raise the span dimension, by one dense rank per vector."""
+    kept, out = [], []
+    for i, vec in enumerate(vectors):
+        if span_dimension(kept + [vec]) > span_dimension(kept):
+            kept.append(vec)
+            out.append(i)
+    return out
+
+
+def test_independent_columns_matches_a_greedy_span_dimension_oracle():
+    rng = random.Random(2718)
+    keys = ["a", "b", "c", "d", "e", "f", "g"]
+    for _ in range(200):
+        vectors = []
+        for _ in range(rng.randint(0, 8)):
+            roll = rng.random()
+            if vectors and roll < 0.2:              # a duplicate
+                vectors.append(dict(rng.choice(vectors)))
+            elif vectors and roll < 0.4:            # a scaled copy
+                c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+                vectors.append({k: c * v for k, v in rng.choice(vectors).items()})
+            elif roll < 0.5:                        # a zero vector, possibly with zero entries
+                vectors.append({k: Fraction(0) for k in rng.sample(keys, rng.randint(0, 2))})
+            else:
+                vectors.append({k: Fraction(rng.choice([-4, -1, 1, 2, 3]), rng.choice([1, 1, 3, 4]))
+                                for k in rng.sample(keys, rng.randint(1, 4))})
+        assert independent_columns(vectors) == _greedy_independent(vectors)
+    assert independent_columns(iter([{"a": F(1)}, {"a": F(2)}, {"b": F(1)}])) == [0, 2]
+
+
 def test_solve_combination_inconsistent():
     vectors = [{"u": F(1)}]
     target = {"u": F(1), "v": F(1)}

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import add
 
 import pytest
 
@@ -636,44 +638,149 @@ class TestCommutationCertificate:
             verdicts.add(self.assert_matches_oracle(gens, table).passed)
         assert verdicts == {True, False}
 
-    def test_corrupted_central_coefficient_fails(self):
-        coeffs = _talalaev_coefficients(2, 3)
-        sig = coeffs[0][1].sig
+    @staticmethod
+    def central(gens):
+        sig = gens[0].sig
         letters = [sig.gen(*g) for g in sig.letters()]
-        k = next(i for i, (_, c) in enumerate(coeffs)
-                 if not any(commutator(c, x) for x in letters))
+        return [i for i, g in enumerate(gens) if not any(commutator(g, x) for x in letters)]
+
+    @staticmethod
+    def module_basis(gens, central):
+        """The basis recomputed rank by rank along the column sequence: the
+        central inputs, their products, then each other input in (degree,
+        term count, index) order followed by its central multiples, every
+        product of degree above the top input degree skipped."""
+        top = max(g.degree for g in gens)
+        mult = [gens[i] for i in central if gens[i].degree >= 1]
+        rest = sorted(set(range(len(gens))) - set(central),
+                      key=lambda i: (gens[i].degree, len(gens[i].terms), i))
+        seq = [(None, gens[i]) for i in central]
+        seq += [(None, c * d) for k, c in enumerate(mult) for d in mult[k:]
+                if c.degree + d.degree <= top]
+        for i in rest:
+            seq.append((i, gens[i]))
+            seq += [(None, c * gens[i]) for c in mult if c.degree + gens[i].degree <= top]
+        span, basis = [], []
+        for i, x in seq:
+            if linalg.span_dimension(span + [x.terms]) > linalg.span_dimension(span):
+                span.append(x.terms)
+                if i is not None:
+                    basis.append(i)
+        return sorted(basis)
+
+    @staticmethod
+    def assert_corruption_fails(coeffs, k):
+        sig = coeffs[0][1].sig
         label, c = coeffs[k]
+        coeffs = list(coeffs)
         coeffs[k] = (label, c + sig.gen(1, 1, 2))
         rep = commutation_matrix([c for _, c in coeffs], [l for l, _ in coeffs])
         assert rep.passed is False
+        assert rep.witnesses
         assert all(label in w["pair"] for w in rep.witnesses)
+
+    def test_corrupted_central_coefficient_fails(self):
+        coeffs = _talalaev_coefficients(2, 3)
+        self.assert_corruption_fails(coeffs, self.central([c for _, c in coeffs])[0])
 
     def test_corrupted_coefficient_outside_the_basis_fails(self):
         coeffs = _talalaev_coefficients(2, 3)
         gens = [c for _, c in coeffs]
-        sig = gens[0].sig
-        letters = [sig.gen(*g) for g in sig.letters()]
-        # the greedy basis, recomputed rank by rank
-        central = [i for i, g in enumerate(gens) if not any(commutator(g, x) for x in letters)]
-        span = [gens[i].terms for i in central]
-        outside = []
-        for i in sorted(set(range(len(gens))) - set(central),
-                        key=lambda i: (len(gens[i].terms), i)):
-            if linalg.span_dimension(span + [gens[i].terms]) > linalg.span_dimension(span):
-                span.append(gens[i].terms)
-            else:
-                outside.append(i)
-        assert commutation_matrix(gens).info["basis"] == len(span) - len(central)
+        central = self.central(gens)
+        basis = self.module_basis(gens, central)
+        assert commutation_matrix(gens).info["basis"] == len(basis)
+        outside = [i for i in range(len(gens)) if i not in basis + central]
         assert outside
-        label, c = coeffs[outside[0]]
-        coeffs[outside[0]] = (label, c + sig.gen(1, 1, 2))
-        rep = commutation_matrix([c for _, c in coeffs], [l for l, _ in coeffs])
+        self.assert_corruption_fails(coeffs, outside[0])
+
+    def test_corrupted_coefficient_outside_the_linear_span_fails(self):
+        # QTr3's order-1 residue at z=0 is independent of the inputs before
+        # it in the column sequence, so only product columns take it out of
+        # the basis
+        coeffs = _talalaev_coefficients(3, 2)
+        gens = [c for _, c in coeffs]
+        k = [label for label, _ in coeffs].index("QTr3[z=0,order 1]")
+        central = self.central(gens)
+        before = [g.terms for i, g in enumerate(gens) if i in central
+                  or (g.degree, len(g.terms), i) < (gens[k].degree, len(gens[k].terms), k)]
+        assert linalg.span_dimension(before + [gens[k].terms]) == linalg.span_dimension(before) + 1
+        assert k not in self.module_basis(gens, central)
+        self.assert_corruption_fails(coeffs, k)
+
+    def test_products_of_non_central_inputs_certify_nothing(self, q1):
+        # e12 + e21 = (e12 + e21)(e11 + 1) - (e12 + e21) e11, but e11 is not
+        # central, so neither product is a column and e12 + e21 stays in the
+        # basis
+        e11 = q1.gen(1, 1, 1)
+        gens = [e11, e11 * e11, e11 + NCPoly.one(q1), q1.gen(1, 1, 2) + q1.gen(1, 2, 1)]
+        rep = self.assert_matches_oracle(gens)
         assert rep.passed is False
-        assert all(label in w["pair"] for w in rep.witnesses)
+        assert all("g3" in w["pair"] for w in rep.witnesses)
+
+    def test_a_product_column_follows_its_factor(self, q1):
+        # with C and C + 1 central, g = (C + 1) g - C g for every g, so the
+        # products of g must not enter before g itself
+        c = q1.gen(1, 1, 1) + q1.gen(1, 2, 2)
+        gens = [c, c + NCPoly.one(q1), c * c, q1.gen(1, 1, 2), q1.gen(1, 1, 1)]
+        rep = self.assert_matches_oracle(gens)
+        assert rep.passed is False
+        assert rep.info == {"central": 3, "basis": 2, "pairs": 1}
+
+    @staticmethod
+    def random_module_family(rng, central, others, spoiler):
+        """Two of ``central`` and a shifted copy of the first, two random
+        combinations g of ``others``, and three products c*g plus sometimes
+        a multiple of a g; half the time ``spoiler`` is added to one input
+        that is not from ``central``.  Shuffled."""
+        sig = central[0].sig
+        cs = rng.sample(central, 2)
+        cs.append(cs[0] + NCPoly.scalar(sig, rng.choice([-2, 1, 3])))
+        gs = [reduce(add, (x.scale(rng.choice([-2, -1, 1, 3])) for x in rng.sample(others, 2)))
+              for _ in range(2)]
+        inputs = cs + gs
+        for _ in range(3):
+            inputs.append(rng.choice(cs) * rng.choice(gs)
+                          + rng.choice(gs).scale(rng.choice([0, 1, -2])))
+        if rng.random() < 0.5:
+            k = rng.randrange(len(cs), len(inputs))
+            inputs[k] = inputs[k] + spoiler
+        rng.shuffle(inputs)
+        return inputs
+
+    def test_verdict_equals_the_full_table_on_random_central_modules(self, q2, c2, rng):
+        for sig in (q2, c2):
+            casimirs = []
+            for i in (1, 2):
+                e = [[sig.gen(i, a, b) for b in (1, 2)] for a in (1, 2)]
+                casimirs += [e[0][0] + e[1][1], reduce(add, (e[a][b] * e[b][a]
+                                                             for a in (0, 1) for b in (0, 1)))]
+            # pairwise commuting: the diagonal letters at site 1 and a letter at site 2
+            others = [sig.gen(1, 1, 1), sig.gen(1, 2, 2), sig.gen(2, 1, 2)]
+            verdicts = set()
+            for _ in range(12):
+                gens = self.random_module_family(rng, casimirs, others, sig.gen(1, 1, 2))
+                verdicts.add(self.assert_matches_oracle(gens).passed)
+            assert verdicts == {True, False}
+
+    def test_verdict_equals_the_full_table_on_random_central_modules_under_tables(self, c2, rng):
+        # the tables bracket site-1 letters only, so site-2 polynomials are central
+        site1 = [(1, a, b) for a in (1, 2) for b in (1, 2)]
+        verdicts = set()
+        for _ in range(20):
+            table = {(rng.choice(site1), rng.choice(site1)):
+                     [(random_letter(rng, c2), Fraction(rng.choice([-2, -1, 1, 3])))]
+                     for _ in range(2)}
+            central = [NCPoly(c2, {tuple(sorted((2, a, b) for _, a, b in w)): v
+                                   for w, v in random_ncpoly(rng, c2, terms=2).terms.items()})
+                       for _ in range(3)]
+            gens = self.random_module_family(rng, central, [c2.gen(*g) for g in site1],
+                                             c2.gen(1, 1, 2))
+            verdicts.add(self.assert_matches_oracle(gens, table).passed)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("gens, info", [
-        (lambda: [c for _, c in _talalaev_coefficients(3, 2)], (10, 6, 15)),
-        (lambda: [c for _, c in _talalaev_coefficients(2, 3)], (9, 4, 6)),
+        (lambda: [c for _, c in _talalaev_coefficients(3, 2)], (10, 3, 3)),
+        (lambda: [c for _, c in _talalaev_coefficients(2, 3)], (9, 2, 1)),
         (lambda: _glued_family(3), (10, 6, 15)),
     ], ids=["talalaev-r3n2", "talalaev-r2n3", "glue-r3"])
     def test_work_counters(self, gens, info):

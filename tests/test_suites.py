@@ -52,7 +52,22 @@ def test_talalaev_suite_certifies_residue_coefficients():
     # QH0 and QTr2 have double poles; QTr1 repeats QH1, and the
     # simple-pole residues of QH0 at the two poles are proportional
     assert rep.params == {"count": 8, "mode": "quantum"}
-    assert rep.info == {"central": 6, "basis": 2, "pairs": 1}
+    # QTr2[z=0,order 0] is -2 QH0[z=0,order 0] plus a product of central
+    # coefficients, so only QH0[z=0,order 0] is in the basis
+    assert rep.info == {"central": 6, "basis": 1, "pairs": 0}
+
+
+def test_talalaev_r3n2_commutator_calls(monkeypatch, tmp_path):
+    # 88 letter tests of the centre test plus 3 basis pairs: a lost
+    # reduction of the certificate shows here without any timing
+    import gaudin.algebra
+    from gaudin.cli import main
+
+    calls = []
+    real = gaudin.algebra.commutator
+    monkeypatch.setattr(gaudin.algebra, "commutator", lambda p, q: calls.append(1) or real(p, q))
+    assert main(["verify", "talalaev", "--r", "3", "--sites", "2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 88 + 3
 
 
 def test_no_suite_takes_a_polynomial_gcd(monkeypatch):
