@@ -16,10 +16,11 @@ from gaudin import (
     commutator,
     gaudin_lax,
     is_manin,
+    iterate_pattern,
+    left_comb_pattern,
     limit_gaudin_algebra,
     parse_pattern,
     partial_minus,
-    quantum_bending_generators,
     talalaev_generators,
 )
 from gaudin.gluing import classical_limits_match
@@ -54,12 +55,15 @@ print("  symbol(QH_0(5)) == det L_cl(5):",
 
 print("\nGlued quantum family on three sites (tail collapse at w=3):")
 q3 = AlgebraSignature(rank=2, sites=3, mode=Mode.QUANTUM)
-gens = limit_gaudin_algebra(q3, parse_pattern("[1,[2,3]@3]", 3), poles=[0, 1, 2])
+gens = limit_gaudin_algebra(iterate_pattern(q3, parse_pattern("[1,[2,3]@3]", 3), [0, 1, 2]))
 rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
 print(f"  {len(gens)} residue coefficients, all pairwise commutators zero: {rep.passed}")
 
-print("\nQuantum bending generators and their classical symbols:")
-pairs = quantum_bending_generators(q3)
-print("  member-by-member symbol match:", classical_limits_match(pairs).passed)
+print("\nQuantum bending flows (the left comb's limit algebra) and their symbols:")
+comb, comb_poles = left_comb_pattern(3)
+quantum = iterate_pattern(q3, comb, comb_poles)
+classical = iterate_pattern(q3.as_mode(Mode.CLASSICAL), comb, comb_poles).invariant_family()
+print("  member-by-member symbol match:",
+      classical_limits_match(quantum.talalaev_outputs, classical).passed)
 print("  pairwise quantum commutativity:",
-      commutation_matrix([p['generator'] for p in pairs]).passed)
+      commutation_matrix([g for _, g in limit_gaudin_algebra(quantum)]).passed)

@@ -17,16 +17,13 @@ from .gluing import (
     GluingPattern,
     LimitFamily,
     PatternError,
-    diagonal_embedding,
     elementary_glue,
     hg_membership_check,
     iterate_pattern,
     left_comb_pattern,
     limit_gaudin_algebra,
     parse_pattern,
-    quantum_bending_generators,
     rank_completeness_check,
-    shift_embedding,
 )
 from .lax import (
     InvariantFamily,

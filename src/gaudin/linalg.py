@@ -1,8 +1,8 @@
 """Exact linear algebra: the one row reduction, matrix product, power-trace
-loop and column determinant of the package, plus rank, span comparison,
-the greedy independent subset of a sequence of sparse vectors (a sparse,
-incremental form of the same elimination) and expressing a target vector as
-a combination of given sparse vectors.
+loop and column determinant of the package, plus rank, the greedy
+independent subset of a sequence of sparse vectors (a sparse, incremental
+form of the same elimination) and expressing a target vector as a
+combination of given sparse vectors.
 
 The matrix product, power traces and column determinant use only ``+``,
 ``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
@@ -150,32 +150,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(row_reduce(mat, len(mat[0])))
 
 
-def _to_dense(vectors: Sequence[Mapping[Hashable, Fraction]],
-              keys: Sequence[Hashable]) -> list[list[Fraction]]:
-    index = {k: i for i, k in enumerate(keys)}
-    dense = []
-    for vec in vectors:
-        row = [Fraction(0)] * len(keys)
-        for k, v in vec.items():
-            row[index[k]] = v
-        dense.append(row)
-    return dense
-
-
-def span_dimension(vectors: Sequence[Mapping[Hashable, Fraction]]) -> int:
-    keys = sorted({k for vec in vectors for k in vec})
-    return rank(_to_dense(vectors, keys))
-
-
-def spans_equal(first: Sequence[Mapping[Hashable, Fraction]],
-                second: Sequence[Mapping[Hashable, Fraction]]) -> bool:
-    keys = sorted({k for vec in list(first) + list(second) for k in vec})
-    a = _to_dense(first, keys)
-    b = _to_dense(second, keys)
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(a + b)
-
-
 def independent_columns(vectors: Iterable[Mapping[Hashable, Fraction]]) -> list[int]:
     """Indices of the vectors outside the span of the vectors before them:
     the pivot columns of the matrix whose columns are the vectors.
@@ -223,11 +197,19 @@ def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],
     Free variables are set to zero, so the reported combination is unique to
     the elimination order.
     """
-    keys = sorted({k for vec in vectors for k in vec} | set(target))
+    columns = [*vectors, target]
     ncols = len(vectors)
-    # Row i of the augmented system: the i-th coordinate of every vector,
-    # then of the target.
-    aug = [list(row) for row in zip(*_to_dense(list(vectors) + [target], keys))]
+    # One row of the augmented system per key, in first-seen order (keys of
+    # mixed types need not be comparable): the key's coordinate in every
+    # vector, then in the target.
+    index: dict[Hashable, int] = {}
+    for vec in columns:
+        for k in vec:
+            index.setdefault(k, len(index))
+    aug = [[Fraction(0)] * (ncols + 1) for _ in index]
+    for j, vec in enumerate(columns):
+        for k, v in vec.items():
+            aug[index[k]][j] = v
     pivots = row_reduce(aug, ncols)
     if any(row[ncols] for row in aug[len(pivots):]):
         return None

@@ -18,16 +18,17 @@ from .algebra import (
     diagonal_generators,
 )
 from .gluing import (
+    GluingPattern,
     classical_limits_match,
     hg_membership_check,
     iterate_pattern,
     left_comb_pattern,
     limit_gaudin_algebra,
     parse_pattern,
-    quantum_bending_generators,
     rank_completeness_check,
 )
 from .lax import (
+    InvariantFamily,
     bending_lax_rational,
     gaudin_lax,
     physical_hamiltonian,
@@ -144,6 +145,22 @@ def suite_quadratic(cfg: RunConfig) -> list[CheckReport]:
     return reports
 
 
+def _quantum_half(cfg: RunConfig, pattern: GluingPattern, poles: list[Fraction],
+                 classical: InvariantFamily, symbols: str,
+                 table: str) -> list[CheckReport]:
+    """The quantum limit family of ``pattern`` at ``poles``: the symbol check
+    of ``classical`` against it, then its commutation table, named
+    ``symbols`` and ``table``.  Both read the one Talalaev output per matrix
+    that the family caches."""
+    family = iterate_pattern(cfg.signature("quantum"), pattern, poles)
+    symbol_rep = classical_limits_match(family.talalaev_outputs, classical)
+    symbol_rep.check = symbols
+    gens = limit_gaudin_algebra(family)
+    table_rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
+    table_rep.check = table
+    return [symbol_rep, table_rep]
+
+
 def suite_glue(cfg: RunConfig) -> list[CheckReport]:
     cfg.check_scale()
     text = cfg.pattern or ("[1,[2,3]@3]" if cfg.sites == 3 else None)
@@ -165,14 +182,11 @@ def suite_glue(cfg: RunConfig) -> list[CheckReport]:
                                            trials=5, seed=cfg.seed))
     reports.append(hg_membership_check(sig, family))
 
-    if cfg.mode == "quantum" or cfg.rank <= 2:
-        qsig = cfg.signature("quantum")
-        if qsig.sites <= 3 or cfg.unsafe_scale:
-            gens = limit_gaudin_algebra(qsig, pattern, poles)
-            rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
-            rep.check = "quantum_limit_algebra"
-            rep.params["pattern"] = text
-            reports.append(rep)
+    if (cfg.mode == "quantum" or cfg.rank <= 2) and (cfg.sites <= 3 or cfg.unsafe_scale):
+        symbols, table = _quantum_half(cfg, pattern, poles, inv, "quantum_classical_limits",
+                                       "quantum_limit_algebra")
+        table.params["pattern"] = text
+        reports += [symbols, table]
     return reports
 
 
@@ -199,13 +213,8 @@ def suite_bending(cfg: RunConfig) -> list[CheckReport]:
     reports += [std_rep, lim_rep]
 
     if cfg.sites <= 3 or cfg.unsafe_scale:
-        qsig = cfg.signature("quantum")
-        pairs = quantum_bending_generators(qsig, cfg.z1, cfg.z2)
-        reports.append(classical_limits_match(pairs))
-        rep = commutation_matrix([p["generator"] for p in pairs],
-                                 [str(p["provenance"]) for p in pairs])
-        rep.check = "quantum_bending_commutation"
-        reports.append(rep)
+        reports += _quantum_half(cfg, pattern, poles, inv, "bending_classical_limits",
+                                "quantum_bending_commutation")
     return reports
 
 

@@ -13,6 +13,13 @@ certificate of ``manin.commutation_matrix``.  The Manin test that brackets
 every pair of matrix positions is the reference for ``manin.is_manin``, which
 states each relation once.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
+
+Two references are constructions rather than kernels.  The paper builds the
+limit algebra of a tail collapse through two embeddings of enveloping
+algebras, ``diagonal_embedding`` (spread the last tensor factor diagonally
+over the trailing sites) and ``shift_embedding`` (move all site indices up);
+the tests compare ``gluing.limit_gaudin_algebra`` with it.  ``span_dimension``
+and ``spans_equal`` compare spans of sparse vectors by dense ranks.
 """
 
 from __future__ import annotations
@@ -20,7 +27,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gaudin.algebra import AlgebraSignature, Letter, NCPoly, poisson_bracket
+from gaudin.algebra import (
+    AlgebraSignature,
+    Letter,
+    Mode,
+    ModeError,
+    NCPoly,
+    poisson_bracket,
+)
+from gaudin.linalg import rank
 from gaudin.manin import DiffOpMatrix
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
@@ -324,3 +339,63 @@ def manin_relation(witness: dict) -> tuple:
     if witness["kind"] == "column" or j == l:
         return ("column", i, k, j)
     return ("cross", i, k, min(j, l), max(j, l))
+
+
+def diagonal_embedding(p: NCPoly, target_sites: int) -> NCPoly:
+    """Spread the last tensor factor diagonally: for p over k+1 sites, the
+    generator e[a,b]@(k+1) goes to  sum_{j=k+1..target} e[a,b]@j."""
+    src = p.sig
+    if not src.is_quantum:
+        raise ModeError("the diagonal embedding acts on Quantum-mode elements")
+    if target_sites < src.sites:
+        raise ValueError(f"cannot embed {src.sites} sites into {target_sites}")
+    tsig = AlgebraSignature(src.rank, target_sites, Mode.QUANTUM)
+    last = src.sites
+    out = tsig.zero()
+    for word, coeff in p.terms.items():
+        acc = tsig.one() * coeff
+        for (i, a, b) in word:
+            if i < last:
+                factor = tsig.gen(i, a, b)
+            else:
+                factor = tsig.zero()
+                for j in range(last, target_sites + 1):
+                    factor = factor + tsig.gen(j, a, b)
+            acc = acc * factor
+        out = out + acc
+    return out
+
+
+def shift_embedding(p: NCPoly, target_sites: int, shift: int | None = None) -> NCPoly:
+    """Shift all site indices up by k, embedding the trailing factors:
+    e[a,b]@j -> e[a,b]@(j+k)."""
+    src = p.sig
+    if not src.is_quantum:
+        raise ModeError("the shift embedding acts on Quantum-mode elements")
+    if shift is None:
+        shift = target_sites - src.sites
+    if shift < 0 or src.sites + shift > target_sites:
+        raise ValueError(f"cannot shift {src.sites} sites by {shift} into {target_sites}")
+    tsig = AlgebraSignature(src.rank, target_sites, Mode.QUANTUM)
+    terms = {
+        tuple((i + shift, a, b) for (i, a, b) in word): coeff
+        for word, coeff in p.terms.items()
+    }
+    return NCPoly(tsig, terms)
+
+
+def _dense(vectors, keys) -> list[list[Fraction]]:
+    return [[Fraction(vec.get(k, 0)) for k in keys] for vec in vectors]
+
+
+def span_dimension(vectors) -> int:
+    """Dimension of the span of sparse vectors (dicts key -> rational)."""
+    keys = list(dict.fromkeys(k for vec in vectors for k in vec))
+    return rank(_dense(vectors, keys))
+
+
+def spans_equal(first, second) -> bool:
+    """Whether two sequences of sparse vectors span the same space."""
+    keys = list(dict.fromkeys(k for vec in [*first, *second] for k in vec))
+    a, b = _dense(first, keys), _dense(second, keys)
+    return rank(a) == rank(b) == rank(a + b)

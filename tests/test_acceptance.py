@@ -16,16 +16,13 @@ from gaudin.algebra import (
 )
 from gaudin.gluing import (
     classical_limits_match,
-    diagonal_embedding,
     elementary_glue,
     hg_membership_check,
     iterate_pattern,
     left_comb_pattern,
     limit_gaudin_algebra,
     parse_pattern,
-    quantum_bending_generators,
     rank_completeness_check,
-    shift_embedding,
 )
 from gaudin.lax import (
     bending_lax_rational,
@@ -54,7 +51,7 @@ from gaudin.poisson import (
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
-from oracles import random_ncpoly
+from oracles import diagonal_embedding, random_ncpoly, shift_embedding
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -203,14 +200,19 @@ def test_criterion_8_quantum_limit_algebras():
             shift_embedding(p, 4) * shift_embedding(q, 4)
 
     sig = AlgebraSignature(2, 3, Mode.QUANTUM)
-    gens = limit_gaudin_algebra(sig, parse_pattern("[1,[2,3]@3]", 3), poles=[0, 1, 2])
+    pattern = parse_pattern("[1,[2,3]@3]", 3)
+    gens = limit_gaudin_algebra(iterate_pattern(sig, pattern, poles=[0, 1, 2]))
     ok &= bool(commutation_matrix([g for _, g in gens]).passed)
 
+    # the bending flows' quantum algebra: the limit algebra of the left comb
     for sites in (2, 3):
-        qsig = AlgebraSignature(2, sites, Mode.QUANTUM)
-        pairs = quantum_bending_generators(qsig)
-        ok &= bool(classical_limits_match(pairs).passed)
-        ok &= bool(commutation_matrix([p["generator"] for p in pairs]).passed)
+        pattern, poles = left_comb_pattern(sites)
+        quantum = iterate_pattern(AlgebraSignature(2, sites, Mode.QUANTUM), pattern, poles)
+        classical = iterate_pattern(AlgebraSignature(2, sites, Mode.CLASSICAL), pattern, poles)
+        ok &= bool(classical_limits_match(quantum.talalaev_outputs,
+                                          classical.invariant_family()).passed)
+        gens = limit_gaudin_algebra(quantum)
+        ok &= bool(commutation_matrix([g for _, g in gens]).passed)
     report(8, "quantum limit algebras: embeddings, commutators, symbols", ok)
 
 

@@ -7,7 +7,6 @@ from gaudin.algebra import AlgebraSignature, Mode, ModeError, commutator, poisso
 from gaudin.gluing import (
     PatternError,
     classical_limits_match,
-    diagonal_embedding,
     elementary_glue,
     hg_membership_check,
     infer_sites,
@@ -15,21 +14,19 @@ from gaudin.gluing import (
     left_comb_pattern,
     limit_gaudin_algebra,
     parse_pattern,
-    quantum_bending_generators,
     rank_completeness_check,
-    shift_embedding,
 )
 from gaudin.lax import (
     InvariantFamily,
+    InvariantMember,
     bending_lax_rational,
     gaudin_lax,
     lax_from_groups,
     spectral_invariants,
 )
-from gaudin.linalg import spans_equal
 from gaudin.manin import commutation_matrix, talalaev_coefficients, talalaev_generators
 
-from oracles import random_ncpoly
+from oracles import diagonal_embedding, random_ncpoly, shift_embedding, spans_equal
 
 
 class TestParsePattern:
@@ -42,7 +39,7 @@ class TestParsePattern:
 
     def test_trivial_pattern(self):
         pattern = parse_pattern("[1,2,3]", 3)
-        assert pattern.root.is_trivial()
+        assert not pattern.root.internal_children()
 
     def test_duplicate_leaf(self):
         with pytest.raises(PatternError, match="duplicate leaf"):
@@ -282,7 +279,7 @@ def embedding_reference(rank, node, poles):
 class TestLimitGaudinAlgebra:
     def test_elementary_glue_cross_commutators(self, q3):
         pattern = parse_pattern("[1,[2,3]@3]", 3)
-        gens = limit_gaudin_algebra(q3, pattern, poles=[0, 1, 2])
+        gens = limit_gaudin_algebra(iterate_pattern(q3, pattern, poles=[0, 1, 2]))
         rep = commutation_matrix([g for _, g in gens], [l for l, _ in gens])
         assert rep.passed
         assert rep.params["count"] == 16
@@ -291,13 +288,13 @@ class TestLimitGaudinAlgebra:
     def test_collapse_point_may_be_any_rational(self, q3, text):
         # the generators carry no evaluation point, so no collapse location
         # can hit one
-        gens = limit_gaudin_algebra(q3, parse_pattern(text, 3), poles=[0, 1, 2])
+        gens = limit_gaudin_algebra(iterate_pattern(q3, parse_pattern(text, 3), [0, 1, 2]))
         assert commutation_matrix([g for _, g in gens]).passed
 
     def test_rank_one_everything_central(self):
         sig = AlgebraSignature(1, 3, Mode.QUANTUM)
         pattern = parse_pattern("[1,[2,3]@3]", 3)
-        gens = limit_gaudin_algebra(sig, pattern, poles=[0, 1, 2])
+        gens = limit_gaudin_algebra(iterate_pattern(sig, pattern, poles=[0, 1, 2]))
         assert commutation_matrix([g for _, g in gens]).passed
 
     def test_two_site_algebra_pole_independent(self):
@@ -314,7 +311,7 @@ class TestLimitGaudinAlgebra:
     def test_non_tail_patterns_build_and_commute(self, text):
         sites = infer_sites(text)
         sig = AlgebraSignature(2, sites, Mode.QUANTUM)
-        gens = limit_gaudin_algebra(sig, parse_pattern(text, sites))
+        gens = limit_gaudin_algebra(iterate_pattern(sig, parse_pattern(text, sites)))
         assert commutation_matrix([g for _, g in gens], [l for l, _ in gens]).passed
         # FAIL control: one letter that is not central breaks the table
         gens.append(("letter", sig.gen(1, 1, 2)))
@@ -323,7 +320,7 @@ class TestLimitGaudinAlgebra:
         assert all("letter" in w["pair"] for w in rep.witnesses)
 
     def test_left_comb_count(self, q3):
-        gens = limit_gaudin_algebra(q3, parse_pattern("[[1,2]@0,3]", 3))
+        gens = limit_gaudin_algebra(iterate_pattern(q3, parse_pattern("[[1,2]@0,3]", 3)))
         assert len(gens) == 16
         assert gens[0][0].startswith("L1:QH0[")
 
@@ -331,14 +328,15 @@ class TestLimitGaudinAlgebra:
         sig = AlgebraSignature(2, 4, Mode.QUANTUM)
 
         def span(text):
-            return [g.terms for _, g in limit_gaudin_algebra(sig, parse_pattern(text, 4))]
+            family = iterate_pattern(sig, parse_pattern(text, 4))
+            return [g.terms for _, g in limit_gaudin_algebra(family)]
 
         assert spans_equal(span("[1,2,[3,4]]"), span("[1,2,[3,4]@2]"))
         assert not spans_equal(span("[1,2,[3,4]]"), span("[1,2,[3,4]@4]"))
 
     def test_classical_signature_rejected(self, c3):
         with pytest.raises(ModeError):
-            limit_gaudin_algebra(c3, parse_pattern("[1,[2,3]@3]", 3))
+            limit_gaudin_algebra(iterate_pattern(c3, parse_pattern("[1,[2,3]@3]", 3)))
 
     @pytest.mark.parametrize("rank,text", [
         (2, "[1,[2,3]@3]"), (3, "[1,[2,3]@3]"), (2, "[1,[2,3]@5]"),
@@ -350,7 +348,8 @@ class TestLimitGaudinAlgebra:
         sig = AlgebraSignature(rank, sites, Mode.QUANTUM)
         pattern = parse_pattern(text, sites)
         poles = [Fraction(i) for i in range(sites)]
-        gens = [g.terms for _, g in limit_gaudin_algebra(sig, pattern, poles)]
+        family = iterate_pattern(sig, pattern, poles)
+        gens = [g.terms for _, g in limit_gaudin_algebra(family)]
         reference = [g.terms for g in embedding_reference(rank, pattern.root, poles)]
         assert len(gens) == len(reference)
         assert spans_equal(gens, reference)
@@ -368,24 +367,102 @@ class TestLimitGaudinAlgebra:
         assert commutation_matrix(gens).passed
 
 
+def quantum_and_classical(rank, pattern, poles):
+    """The quantum limit family of a pattern and the classical invariant
+    family of the same pattern at the same poles."""
+    quantum = iterate_pattern(AlgebraSignature(rank, pattern.n_leaves, Mode.QUANTUM),
+                              pattern, poles)
+    classical = iterate_pattern(AlgebraSignature(rank, pattern.n_leaves, Mode.CLASSICAL),
+                                pattern, poles)
+    return quantum, classical.invariant_family()
+
+
 class TestQuantumBending:
+    # the bending flows' quantum algebra is the limit algebra of the left comb
+
     @pytest.mark.parametrize("sites", [2, 3])
     def test_classical_limits_match(self, sites):
-        sig = AlgebraSignature(2, sites, Mode.QUANTUM)
-        pairs = quantum_bending_generators(sig)
-        assert pairs
-        assert classical_limits_match(pairs).passed
+        quantum, classical = quantum_and_classical(2, *left_comb_pattern(sites))
+        assert len(classical)
+        assert classical_limits_match(quantum.talalaev_outputs, classical).passed
 
-    def test_pairwise_quantum_commutativity_n3(self):
-        sig = AlgebraSignature(2, 3, Mode.QUANTUM)
-        pairs = quantum_bending_generators(sig)
-        rep = commutation_matrix([p["generator"] for p in pairs])
+    def test_pairwise_quantum_commutativity_n3(self, q3):
+        gens = limit_gaudin_algebra(iterate_pattern(q3, *left_comb_pattern(3)))
+        rep = commutation_matrix([g for _, g in gens])
         assert rep.passed
 
     def test_rank_one_generators_central(self):
         sig = AlgebraSignature(1, 3, Mode.QUANTUM)
-        pairs = quantum_bending_generators(sig)
-        gens = [p["generator"] for p in pairs]
+        gens = [g for _, g in limit_gaudin_algebra(iterate_pattern(sig, *left_comb_pattern(3)))]
+        assert len(gens) == 4
         for letter in sig.letters():
             for g in gens:
                 assert commutator(sig.gen(*letter), g).is_zero()
+
+
+class TestClassicalLimitsMatch:
+    # an int pattern is the site count of the left comb
+    @pytest.mark.parametrize("rank,pattern,members", [
+        (2, "[1,[2,3]@3]", 12), (3, "[1,[2,3]@3]", 24), (2, "[[1,2]@0,[3,4]@5]", 18),
+        (2, 2, 6), (2, 3, 12), (2, 4, 18),
+    ])
+    def test_every_member_is_a_symbol(self, rank, pattern, members):
+        if isinstance(pattern, int):
+            pattern, poles = left_comb_pattern(pattern)
+        else:
+            pattern, poles = parse_pattern(pattern, infer_sites(pattern)), None
+        quantum, classical = quantum_and_classical(rank, pattern, poles)
+        rep = classical_limits_match(quantum.talalaev_outputs, classical)
+        assert rep.passed, rep.witnesses
+        assert rep.params == {"pairs": members}
+
+    def test_moved_pole_fails_with_named_members(self, q3, c3):
+        # FAIL control: the quantum family at poles 0,1,2 against the
+        # classical family at 0,1,5
+        pattern = parse_pattern("[1,[2,3]@3]", 3)
+        quantum = iterate_pattern(q3, pattern, [0, 1, 2])
+        classical = iterate_pattern(c3, pattern, [0, 1, 5]).invariant_family()
+        rep = classical_limits_match(quantum.talalaev_outputs, classical)
+        assert rep.passed is False
+        assert rep.witnesses
+        for w in rep.witnesses:
+            assert set(w["provenance"]) == {"matrix", "power", "pole", "order"}
+        # the members at the moved pole have no counterpart; a member at a
+        # kept pole whose value moved is a mismatch
+        assert {"matrix": "L1", "power": "1", "pole": "5", "order": "0"} in \
+            [w["provenance"] for w in rep.witnesses if w["classical_limit"] is None]
+        assert any(w["classical_limit"] is not None and w["provenance"]["pole"] == "1"
+                   for w in rep.witnesses)
+
+    def test_member_without_quantum_counterpart_fails(self, q3, c3):
+        pattern = parse_pattern("[1,[2,3]@3]", 3)
+        quantum = iterate_pattern(q3, pattern, [0, 1, 2])
+        classical = iterate_pattern(c3, pattern, [0, 1, 2]).invariant_family()
+        # drop the root's quantum matrix: its classical members are not
+        # skipped, each one fails
+        rep = classical_limits_match(quantum.talalaev_outputs[:1], classical)
+        assert rep.passed is False
+        root = [m for m in classical.members if m.provenance["matrix"] == "L2"]
+        assert len(rep.witnesses) == len(root) > 0
+        assert all(w["classical_limit"] is None and w["provenance"]["matrix"] == "L2"
+                   for w in rep.witnesses)
+        # a member whose order exceeds the quantum pole order fails the same way
+        extra = InvariantFamily([InvariantMember(c3.gen(1, 1, 1), {
+            "matrix": "L1", "power": 1, "pole": "1", "order": 3})])
+        rep = classical_limits_match(quantum.talalaev_outputs, extra)
+        assert rep.passed is False and rep.witnesses[0]["classical_limit"] is None
+
+    def test_talalaev_outputs_computed_once_per_matrix(self, q3, monkeypatch):
+        import gaudin.gluing
+
+        calls = []
+        real = gaudin.gluing.talalaev_generators
+        monkeypatch.setattr(gaudin.gluing, "talalaev_generators",
+                            lambda m: calls.append(m.label) or real(m))
+        quantum = iterate_pattern(q3, parse_pattern("[1,[2,3]@3]", 3))
+        gens = limit_gaudin_algebra(quantum)
+        outputs = quantum.talalaev_outputs
+        assert calls == ["L1", "L2"]
+        assert [out.lax.label for out in outputs] == ["L1", "L2"]
+        assert gens == limit_gaudin_algebra(quantum)
+        assert calls == ["L1", "L2"]

@@ -12,10 +12,10 @@ from gaudin.linalg import (
     rank,
     row_reduce,
     solve_combination,
-    span_dimension,
-    spans_equal,
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
+
+from oracles import span_dimension, spans_equal
 
 
 def F(v):
@@ -88,6 +88,19 @@ def test_independent_columns_matches_a_greedy_span_dimension_oracle():
                                 for k in rng.sample(keys, rng.randint(1, 4))})
         assert independent_columns(vectors) == _greedy_independent(vectors)
     assert independent_columns(iter([{"a": F(1)}, {"a": F(2)}, {"b": F(1)}])) == [0, 2]
+
+
+def test_mixed_key_types_need_no_key_order():
+    # str and tuple keys together, and the int and (pole, order) keys of a
+    # RatFun's terms, cannot be sorted; the keys are taken in first-seen order
+    vectors = [{"a": F(1), (1, 2): F(2)}, {(1, 2): F(1)}]
+    assert solve_combination(vectors, {"a": F(1), (1, 2): F(3)}) == [F(1), F(1)]
+    assert solve_combination(vectors, {"b": F(1)}) is None
+    assert span_dimension(vectors) == 2
+    assert spans_equal(vectors, [{"a": F(1)}, {(1, 2): F(5)}])
+    f = RatFun.z() + RatFun.one_over_z_minus(2)         # keys 1 and (2, 1)
+    g = RatFun.one_over_z_minus(2)
+    assert solve_combination([f.terms, g.terms], (f + g + g).terms) == [F(1), F(2)]
 
 
 def test_solve_combination_inconsistent():

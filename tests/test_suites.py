@@ -93,3 +93,30 @@ def test_quantum_suites_apply_the_quantum_limit(suite):
     with pytest.raises(ValueError, match="sites <= 3 in quantum mode"):
         run_suite(suite, small_cfg(sites=4, mode="classical"))
     small_cfg(sites=4).check_scale()  # a classical build may use four sites
+
+
+@pytest.mark.parametrize("suite,cfg,matrices", [
+    ("bending", RunConfig(), 2), ("bending", RunConfig(sites=2), 1),
+    ("glue", RunConfig(), 2), ("glue", RunConfig(mode="quantum", rank=3), 2),
+])
+def test_quantum_half_runs_talalaev_once_per_matrix(monkeypatch, suite, cfg, matrices):
+    # the symbol check and the commutation table read the same outputs
+    import gaudin.gluing
+
+    calls = []
+    real = gaudin.gluing.talalaev_generators
+    monkeypatch.setattr(gaudin.gluing, "talalaev_generators",
+                        lambda m: calls.append(m.label) or real(m))
+    reports = run_suite(suite, cfg)
+    assert all_passed(reports)
+    assert len(calls) == matrices
+    assert len(set(calls)) == matrices
+
+
+def test_classical_glue_at_rank_three_has_no_quantum_half(monkeypatch):
+    import gaudin.gluing
+
+    monkeypatch.setattr(gaudin.gluing, "talalaev_generators",
+                        lambda m: pytest.fail("quantum half ran"))
+    checks = [r.check for r in run_suite("glue", RunConfig(rank=3))]
+    assert checks == ["glued_family_commutes", "rank_completeness", "hg_membership"]
