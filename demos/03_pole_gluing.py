@@ -9,7 +9,6 @@ family, and contain the physical Hamiltonian.
 from gaudin import (
     AlgebraSignature,
     Mode,
-    elementary_glue,
     gaudin_lax,
     hg_membership_check,
     iterate_pattern,
@@ -18,6 +17,7 @@ from gaudin import (
     rank_completeness_check,
     spectral_invariants,
 )
+from gaudin.lax import lax_from_groups
 
 sig = AlgebraSignature(rank=2, sites=5, mode=Mode.CLASSICAL)
 
@@ -28,15 +28,15 @@ for matrix in family.matrices:
     print(f"\n{matrix.label}: poles {[str(p) for p, _ in matrix.poles]}")
     print("  entry (1,1):", matrix.entry(1, 1))
 
-print("\nThe same pair comes from one elementary gluing step:")
-step = elementary_glue(sig, fixed=[0, 1], collapsing=[2, 3, 4], w=3)
-print("  matrices agree:",
-      step.matrices[0] == family.matrices[0],
-      step.matrices[1] == family.matrices[1])
+print("\nThe same pair, built directly from (site group, pole) lists:")
+l1 = lax_from_groups(sig, [([3], 2), ([4], 3), ([5], 4)])
+l2 = lax_from_groups(sig, [([1], 0), ([2], 1), ([3, 4, 5], 3)])
+print("  matrices agree:", l1 == family.matrices[0], l2 == family.matrices[1])
 
-# Desk-scale verification of the three structural claims, on 3 sites.
+# Desk-scale verification of the three structural claims, on 3 sites:
+# sites 2 and 3 (poles 1 and 2) collide at w = 5.
 small = AlgebraSignature(rank=2, sites=3, mode=Mode.CLASSICAL)
-glued = elementary_glue(small, fixed=[0], collapsing=[1, 2], w=5)
+glued = iterate_pattern(small, parse_pattern("[1,[2,3]@5]", 3), poles=[0, 1, 2])
 inv = glued.invariant_family()
 
 exprs = inv.exprs()

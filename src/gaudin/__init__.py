@@ -17,7 +17,6 @@ from .gluing import (
     GluingPattern,
     LimitFamily,
     PatternError,
-    elementary_glue,
     hg_membership_check,
     iterate_pattern,
     left_comb_pattern,

@@ -228,36 +228,6 @@ class LimitFamily:
         }
 
 
-def elementary_glue(sig: AlgebraSignature, fixed: Sequence, collapsing: Sequence,
-                    w) -> LimitFamily:
-    """One gluing step: the first k poles stay fixed, the remaining sites
-    collapse to w keeping relative positions.  Yields the pair
-
-        L1(z) = sum_{i>k} X_i/(z - u_i)
-        L2(z) = sum_{i<=k} X_i/(z - z_i) + (sum_{i>k} X_i)/(z - w)
-    """
-    k = len(fixed)
-    tail = sig.sites - k
-    if tail < 1:
-        raise ValueError("nothing to collapse")
-    if len(collapsing) != tail:
-        raise ValueError(f"need {tail} relative positions, got {len(collapsing)}")
-    fixed = [Fraction(p) for p in fixed]
-    coll = [Fraction(u) for u in collapsing]
-    w = Fraction(w)
-    if len(set(fixed + [w])) != k + 1:
-        raise ValueError("fixed poles and w must be pairwise distinct")
-    if len(set(coll)) != tail:
-        raise ValueError("relative positions must be pairwise distinct")
-    l1 = lax_from_groups(sig, [([k + 1 + t], coll[t]) for t in range(tail)], label="L1")
-    groups2 = [([i + 1], fixed[i]) for i in range(k)]
-    groups2.append((list(range(k + 1, sig.sites + 1)), w))
-    l2 = lax_from_groups(sig, groups2, label="L2")
-    return LimitFamily(sig, [l1, l2], provenance={
-        "label": "elementary_glue", "k": k, "w": w,
-    })
-
-
 def iterate_pattern(sig: AlgebraSignature, pattern: GluingPattern,
                     poles: Sequence | None = None) -> LimitFamily:
     """One Lax matrix per internal node, children first, root last.

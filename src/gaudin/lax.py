@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import AlgebraSignature, ModeError, NCPoly
-from .linalg import matmul, power_traces
+from .linalg import power_traces
 from .ratfun import LaxEntry, RatFun
 
 
@@ -44,19 +44,6 @@ class LaxMatrix:
 
     def eval_z(self, point) -> list[list[NCPoly]]:
         return [[e.eval_z(point) for e in row] for row in self.entries]
-
-    def trace(self) -> LaxEntry:
-        out = LaxEntry.zero(self.sig)
-        for i in range(self.size):
-            out = out + self.entries[i][i]
-        return out
-
-    def matmul(self, other: "LaxMatrix") -> list[list[LaxEntry]]:
-        return matmul(self.entries, other.entries)
-
-    def power_traces(self, max_power: int) -> Iterator[LaxEntry]:
-        """Tr L, Tr L^2, ..., Tr L^max_power (see ``linalg.power_traces``)."""
-        return power_traces(self.entries, max_power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaxMatrix):
@@ -185,7 +172,7 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
     if max_power is None:
         max_power = sig.rank
     members: list[InvariantMember] = []
-    for m, tr in enumerate(matrix.power_traces(max_power), start=1):
+    for m, tr in enumerate(power_traces(matrix.entries, max_power), start=1):
         if matrix.is_polynomial():
             top = max((k for f in tr.terms.values() for k in f.terms if type(k) is int),
                       default=-1)

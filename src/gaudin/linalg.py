@@ -1,23 +1,23 @@
-"""Exact linear algebra: the one row reduction, matrix product, power-trace
-loop and column determinant of the package, plus rank, the greedy
-independent subset of a sequence of sparse vectors (a sparse, incremental
-form of the same elimination) and expressing a target vector as a
-combination of given sparse vectors.
+"""Exact linear algebra: the matrix product, power-trace loop and column
+determinant of the package, and its one elimination, which gives rank, the
+greedy independent subset of a sequence of sparse vectors and the expression
+of a target vector as a combination of given sparse vectors.
 
 The matrix product, power traces and column determinant use only ``+``,
 ``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
 noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` all
 qualify; products keep the factor order they are written in.
 
-Row reduction takes rational entries only.  It scales each row to integers
-by the lcm of its denominators, which changes neither the row space nor the
-pivots, and eliminates fraction-free: a row is replaced by a*row - b*pivot
-row, with a and b the two entries in the pivot column over their gcd, and
-then divided by the gcd of its entries.  Each integer row stays a nonzero
-multiple of the row that elimination over ``Fraction`` would hold, so the
-pivots are the same, and scaling each pivot row to a unit pivot at the end
-gives the same reduced rows; the loop itself runs on Python ints and builds
-no ``Fraction``.
+The elimination takes sparse vectors (dicts key -> rational) and reduces
+them one at a time, sparse, fraction-free and incrementally.  Each vector
+is scaled to integers by the lcm of its denominators and reduced against
+the pivot rows kept so far, in the order they were kept: a row is replaced
+by a*row - b*pivot row, with a and b the two entries at the pivot key over
+their gcd, then divided by the gcd of its entries.  A kept row is zero at
+the pivot keys of the rows kept before it, so one pass clears every pivot
+key.  The vector is independent of those before it exactly when something
+is left, and what is left becomes the next pivot row.  The loop runs on
+Python ints and builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -28,57 +28,6 @@ from itertools import permutations
 from math import gcd, lcm
 from operator import add
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
-
-
-def row_reduce(rows: list[list], ncols: int) -> list[int]:
-    """In-place Gauss-Jordan elimination on the first ``ncols`` columns.
-
-    The pivot of each column is the first nonzero entry at or below the
-    current row; its row is scaled to a unit pivot and the column is cleared
-    in every other row.  Row operations act on whole rows, so columns past
-    ``ncols`` (an augmented block) are carried along.  Returns the pivot
-    columns; the i-th pivot sits in row i.
-
-    Entries are rationals (``int`` or ``Fraction``) and come back as
-    ``Fraction``; the elimination is fraction-free (see the module
-    docstring).  Rows past the last pivot are zero on the first ``ncols``
-    columns; their augmented entries are fixed only up to a nonzero factor.
-    """
-    for i, row in enumerate(rows):
-        d = 1
-        for v in row:
-            d = lcm(d, v.denominator)
-        rows[i] = _primitive([v.numerator * (d // v.denominator) for v in row])
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        a = prow[col]
-        for i, row in enumerate(rows):
-            b = row[col]
-            if i != r and b:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                rows[i] = _primitive([ag * x - bg * y for x, y in zip(row, prow)])
-        pivots.append(col)
-    for r, col in enumerate(pivots):
-        a = rows[r][col]
-        rows[r] = [Fraction(v, a) for v in rows[r]]
-    for i in range(len(pivots), len(rows)):
-        rows[i] = [Fraction(v) for v in rows[i]]
-    return pivots
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g <= 1 else [v // g for v in row]
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -142,30 +91,27 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
     return total
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Row rank by exact Gaussian elimination."""
-    mat = [list(row) for row in rows]
-    if not mat:
-        return 0
-    return len(row_reduce(mat, len(mat[0])))
+class _Tag:
+    """A key that no caller's vector holds and that never becomes a pivot.
+
+    ``solve_combination`` gives each input vector one, with coefficient 1,
+    so a reduced row records which inputs it combines.  Callers key vectors
+    by ints (``rank``'s columns) and tuples (words), so a tag is an object of
+    its own class, equal only to itself.
+    """
+
+    __slots__ = ()
 
 
-def independent_columns(vectors: Iterable[Mapping[Hashable, Fraction]]) -> list[int]:
-    """Indices of the vectors outside the span of the vectors before them:
-    the pivot columns of the matrix whose columns are the vectors.
+def _reduce(vectors: Iterable[Mapping]) -> Iterator[tuple[Hashable | None, dict]]:
+    """Each vector reduced against the pivot rows kept from those before it.
 
-    Sparse, fraction-free and incremental.  Each vector is scaled to
-    integers and reduced against the pivot rows kept so far, in the order
-    they were kept: a row is replaced by a*row - b*pivot row, with a and b
-    the two entries at the pivot key over their gcd, then divided by the
-    gcd of its entries.  A kept row is zero at the pivot keys of the rows
-    kept before it, so one pass clears every pivot key.  The vector is
-    independent exactly when something is left, and what is left becomes
-    the next pivot row, pivoting on its first key.
+    Yields (pivot key, integer row) per vector; the pivot key is the row's
+    first key that is not a ``_Tag``, or None when no such key is left,
+    in which case the row is not kept.
     """
     kept: list[tuple[Hashable, int, dict]] = []
-    out = []
-    for index, vec in enumerate(vectors):
+    for vec in vectors:
         d = 1
         for v in vec.values():
             d = lcm(d, v.denominator)
@@ -183,37 +129,39 @@ def independent_columns(vectors: Iterable[Mapping[Hashable, Fraction]]) -> list[
                 g = gcd(*row.values())
                 if g > 1:
                     row = {k: v // g for k, v in row.items()}
-        if row:
-            key = next(iter(row))
+        key = next((k for k in row if type(k) is not _Tag), None)
+        if key is not None:
             kept.append((key, row[key], row))
-            out.append(index)
-    return out
+        yield key, row
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Row rank: the number of rows outside the span of the rows before them."""
+    return len(independent_columns(dict(enumerate(row)) for row in rows))
+
+
+def independent_columns(vectors: Iterable[Mapping[Hashable, Fraction]]) -> list[int]:
+    """Indices of the vectors outside the span of the vectors before them:
+    the pivot columns of the matrix whose columns are the vectors."""
+    return [i for i, (key, _) in enumerate(_reduce(vectors)) if key is not None]
 
 
 def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],
                       target: Mapping[Hashable, Fraction]) -> list[Fraction] | None:
     """Coefficients x with sum_j x_j * vectors[j] == target, or None.
 
-    Free variables are set to zero, so the reported combination is unique to
-    the elimination order.
+    Vector j carries tag j and the target carries -1 times tag n, so
+    sum_j x_j (vector j + tag j) - (target - tag n) = tag n + sum_j x_j tag j
+    when the x solve the system.  The target reduced against the pivot rows
+    is then a multiple of that tag-only row; otherwise a non-tag key is
+    left.  A vector in the span of those before it is never a pivot row, so
+    its coefficient (a free variable) is zero and the combination is unique.
     """
-    columns = [*vectors, target]
-    ncols = len(vectors)
-    # One row of the augmented system per key, in first-seen order (keys of
-    # mixed types need not be comparable): the key's coordinate in every
-    # vector, then in the target.
-    index: dict[Hashable, int] = {}
-    for vec in columns:
-        for k in vec:
-            index.setdefault(k, len(index))
-    aug = [[Fraction(0)] * (ncols + 1) for _ in index]
-    for j, vec in enumerate(columns):
-        for k, v in vec.items():
-            aug[index[k]][j] = v
-    pivots = row_reduce(aug, ncols)
-    if any(row[ncols] for row in aug[len(pivots):]):
+    tags = [_Tag() for _ in range(len(vectors) + 1)]
+    rows = [{**vec, tag: 1} for vec, tag in zip(vectors, tags)]
+    rows.append({**target, tags[-1]: -1})
+    *_, (key, row) = _reduce(rows)
+    if key is not None:
         return None
-    solution = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        solution[col] = aug[row][ncols]
-    return solution
+    scale = row[tags[-1]]
+    return [Fraction(row.get(tag, 0), scale) for tag in tags[:-1]]

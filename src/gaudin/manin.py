@@ -287,13 +287,14 @@ def _scalar_matrix(M: DiffOpMatrix) -> list[list[Fraction]] | None:
 
 
 def _inverse(mat: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Inverse of a square rational matrix, or None if it is singular."""
+    """Inverse of a square rational matrix, or None if it is singular: its
+    i-th column expresses the i-th unit vector in the columns of ``mat``."""
     n = len(mat)
-    one, zero = Fraction(1), Fraction(0)
-    aug = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
-    if len(linalg.row_reduce(aug, n)) < n:
+    columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(n)]
+    solved = [linalg.solve_combination(columns, {i: Fraction(1)}) for i in range(n)]
+    if any(x is None for x in solved):
         return None
-    return [row[n:] for row in aug]
+    return [list(row) for row in zip(*solved)]
 
 
 def _schur_check(M: DiffOpMatrix) -> CheckReport:

@@ -14,18 +14,24 @@ every pair of matrix positions is the reference for ``manin.is_manin``, which
 states each relation once.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
 
-Two references are constructions rather than kernels.  The paper builds the
-limit algebra of a tail collapse through two embeddings of enveloping
-algebras, ``diagonal_embedding`` (spread the last tensor factor diagonally
-over the trailing sites) and ``shift_embedding`` (move all site indices up);
-the tests compare ``gluing.limit_gaudin_algebra`` with it.  ``span_dimension``
-and ``spans_equal`` compare spans of sparse vectors by dense ranks.
+Three references are constructions rather than kernels.
+``elementary_glue`` builds the pair of Lax matrices of one gluing step
+directly from the fixed poles and the collapsing sites; the tests compare
+``gluing.iterate_pattern`` with it.  The paper builds the limit algebra of a
+tail collapse through two embeddings of enveloping algebras,
+``diagonal_embedding`` (spread the last tensor factor diagonally over the
+trailing sites) and ``shift_embedding`` (move all site indices up); the
+tests compare ``gluing.limit_gaudin_algebra`` with it.  ``span_dimension``
+and ``spans_equal`` compare spans of sparse vectors by ``dense_rank``, a
+textbook Gaussian elimination kept apart from the sparse one in
+``gaudin.linalg``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from gaudin.algebra import (
     AlgebraSignature,
@@ -35,7 +41,8 @@ from gaudin.algebra import (
     NCPoly,
     poisson_bracket,
 )
-from gaudin.linalg import rank
+from gaudin.gluing import LimitFamily
+from gaudin.lax import lax_from_groups
 from gaudin.manin import DiffOpMatrix
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
@@ -341,6 +348,36 @@ def manin_relation(witness: dict) -> tuple:
     return ("cross", i, k, min(j, l), max(j, l))
 
 
+def elementary_glue(sig: AlgebraSignature, fixed: Sequence, collapsing: Sequence,
+                    w) -> LimitFamily:
+    """One gluing step: the first k poles stay fixed, the remaining sites
+    collapse to w keeping relative positions.  Yields the pair
+
+        L1(z) = sum_{i>k} X_i/(z - u_i)
+        L2(z) = sum_{i<=k} X_i/(z - z_i) + (sum_{i>k} X_i)/(z - w)
+    """
+    k = len(fixed)
+    tail = sig.sites - k
+    if tail < 1:
+        raise ValueError("nothing to collapse")
+    if len(collapsing) != tail:
+        raise ValueError(f"need {tail} relative positions, got {len(collapsing)}")
+    fixed = [Fraction(p) for p in fixed]
+    coll = [Fraction(u) for u in collapsing]
+    w = Fraction(w)
+    if len(set(fixed + [w])) != k + 1:
+        raise ValueError("fixed poles and w must be pairwise distinct")
+    if len(set(coll)) != tail:
+        raise ValueError("relative positions must be pairwise distinct")
+    l1 = lax_from_groups(sig, [([k + 1 + t], coll[t]) for t in range(tail)], label="L1")
+    groups2 = [([i + 1], fixed[i]) for i in range(k)]
+    groups2.append((list(range(k + 1, sig.sites + 1)), w))
+    l2 = lax_from_groups(sig, groups2, label="L2")
+    return LimitFamily(sig, [l1, l2], provenance={
+        "label": "elementary_glue", "k": k, "w": w,
+    })
+
+
 def diagonal_embedding(p: NCPoly, target_sites: int) -> NCPoly:
     """Spread the last tensor factor diagonally: for p over k+1 sites, the
     generator e[a,b]@(k+1) goes to  sum_{j=k+1..target} e[a,b]@j."""
@@ -384,6 +421,24 @@ def shift_embedding(p: NCPoly, target_sites: int, shift: int | None = None) -> N
     return NCPoly(tsig, terms)
 
 
+def dense_rank(rows) -> int:
+    """Row rank by textbook Gaussian elimination over ``Fraction``: swap a
+    nonzero pivot up, subtract multiples of it from the rows below."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            factor = mat[i][col] / mat[rank][col]
+            if factor:
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
 def _dense(vectors, keys) -> list[list[Fraction]]:
     return [[Fraction(vec.get(k, 0)) for k in keys] for vec in vectors]
 
@@ -391,11 +446,11 @@ def _dense(vectors, keys) -> list[list[Fraction]]:
 def span_dimension(vectors) -> int:
     """Dimension of the span of sparse vectors (dicts key -> rational)."""
     keys = list(dict.fromkeys(k for vec in vectors for k in vec))
-    return rank(_dense(vectors, keys))
+    return dense_rank(_dense(vectors, keys))
 
 
 def spans_equal(first, second) -> bool:
     """Whether two sequences of sparse vectors span the same space."""
     keys = list(dict.fromkeys(k for vec in [*first, *second] for k in vec))
     a, b = _dense(first, keys), _dense(second, keys)
-    return rank(a) == rank(b) == rank(a + b)
+    return dense_rank(a) == dense_rank(b) == dense_rank(a + b)

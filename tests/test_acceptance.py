@@ -16,7 +16,6 @@ from gaudin.algebra import (
 )
 from gaudin.gluing import (
     classical_limits_match,
-    elementary_glue,
     hg_membership_check,
     iterate_pattern,
     left_comb_pattern,
@@ -51,7 +50,7 @@ from gaudin.poisson import (
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
-from oracles import diagonal_embedding, random_ncpoly, shift_embedding
+from oracles import diagonal_embedding, elementary_glue, random_ncpoly, shift_embedding
 
 
 def report(number: int, name: str, ok: bool) -> None:

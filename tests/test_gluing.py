@@ -7,7 +7,6 @@ from gaudin.algebra import AlgebraSignature, Mode, ModeError, commutator, poisso
 from gaudin.gluing import (
     PatternError,
     classical_limits_match,
-    elementary_glue,
     hg_membership_check,
     infer_sites,
     iterate_pattern,
@@ -26,7 +25,9 @@ from gaudin.lax import (
 )
 from gaudin.manin import commutation_matrix, talalaev_coefficients, talalaev_generators
 
-from oracles import diagonal_embedding, random_ncpoly, shift_embedding, spans_equal
+from oracles import (
+    diagonal_embedding, elementary_glue, random_ncpoly, shift_embedding, spans_equal,
+)
 
 
 class TestParsePattern:

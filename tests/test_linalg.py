@@ -10,9 +10,9 @@ from gaudin.linalg import (
     matmul,
     power_traces,
     rank,
-    row_reduce,
     solve_combination,
 )
+from gaudin.manin import _inverse
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
 from oracles import span_dimension, spans_equal
@@ -109,23 +109,34 @@ def test_solve_combination_inconsistent():
     assert solve_combination(vectors, target) is None
 
 
-def test_row_reduce_inverts_fraction_matrix():
+def test_inverse_needs_a_row_swap():
     A = [[F(0), F(2)], [F(3), Fraction(1, 2)]]          # the first pivot needs a swap
-    one, zero = F(1), F(0)
-    aug = [row + [one if i == j else zero for j in range(2)] for i, row in enumerate(A)]
-    assert row_reduce(aug, 2) == [0, 1]
-    inverse = [row[2:] for row in aug]
-    assert matmul(A, inverse) == [[one, zero], [zero, one]]
+    inverse = _inverse(A)
+    assert inverse == [[Fraction(-1, 12), Fraction(1, 3)], [Fraction(1, 2), F(0)]]
+    assert matmul(A, inverse) == [[F(1), F(0)], [F(0), F(1)]]
 
 
-def test_row_reduce_singular_block_has_fewer_pivots():
-    A = [[F(2), F(4), F(1)], [F(1), F(2), F(5)]]        # the second column repeats the first
-    assert row_reduce(A, 2) == [0]
+def test_inverse_of_a_singular_matrix_is_none():
+    assert _inverse([[F(2), F(4)], [F(1), F(2)]]) is None    # the rows are proportional
+    assert _inverse([[F(0)]]) is None
 
 
-# Fraction-free elimination against sympy's reduced row echelon form.  The
-# matrices have zero rows, duplicate rows and scaled copies of rows, so
-# their rank is below the row count and the elimination clears whole rows.
+def test_int_keys_do_not_meet_the_internal_tags():
+    # keys 0..4 are also the indices of the vectors and of the target, so a
+    # tag that were an int would merge with them
+    v0, v1, v3 = {0: F(3), 1: F(2)}, {1: F(1), 2: F(-1)}, {3: Fraction(1, 2), 4: F(1)}
+    v2 = {k: v0.get(k, 0) + 3 * v1.get(k, 0) for k in range(3)}      # dependent
+    vectors = [v0, v1, v2, v3]
+    target = {0: F(6), 1: F(3), 2: F(1), 3: F(2), 4: F(4)}        # 2 v0 - v1 + 4 v3
+    assert solve_combination(vectors, target) == [F(2), F(-1), F(0), F(4)]
+    assert solve_combination(vectors, {**target, 4: F(5)}) is None
+    assert independent_columns(vectors) == [0, 1, 3]
+    assert rank([[vec.get(k, 0) for k in range(5)] for vec in vectors]) == 3
+
+
+# The elimination against sympy's reduced row echelon form.  The matrices
+# have zero rows, duplicate rows and scaled copies of rows, so their rank is
+# below the row count and the elimination clears whole rows.
 def _random_rational_matrix(rng, nrows, ncols):
     base = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
              if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
@@ -143,45 +154,14 @@ def _sympy_rref(rows):
              for i in range(reduced.rows)], list(pivots))
 
 
-def test_row_reduce_matches_sympy_rref():
+def test_independent_columns_match_sympy_rref_pivots():
     rng = random.Random(1410)
     for _ in range(40):
         rows = _random_rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        expected, expected_pivots = _sympy_rref(rows)
-        mat = [list(row) for row in rows]
-        assert row_reduce(mat, len(rows[0])) == expected_pivots
-        assert mat == expected
-        assert all(type(v) is Fraction for row in mat for v in row)
+        _, expected_pivots = _sympy_rref(rows)
+        columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(len(rows[0]))]
+        assert independent_columns(columns) == expected_pivots
         assert rank(rows) == len(expected_pivots)
-
-
-def test_row_reduce_augmented_block_matches_sympy_rref():
-    # [A | A X]: the block is in A's column span, so the reduced form of the
-    # whole matrix has its pivots in A and equals the partial reduction
-    rng = random.Random(1411)
-    for _ in range(30):
-        a = _random_rational_matrix(rng, rng.randint(2, 6), rng.randint(1, 5))
-        x = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)]
-             for _ in range(len(a[0]))]
-        aug = [row + extra for row, extra in zip(a, matmul(a, x))]
-        expected, expected_pivots = _sympy_rref(aug)
-        assert row_reduce(aug, len(a[0])) == expected_pivots
-        assert aug == expected
-
-
-def test_row_reduce_inconsistent_block_keeps_the_left_reduction():
-    rng = random.Random(1412)
-    for _ in range(30):
-        a = _random_rational_matrix(rng, rng.randint(2, 6), rng.randint(1, 5))
-        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in a]
-        aug = [row + [v] for row, v in zip(a, b)]
-        ncols = len(a[0])
-        left, pivots = _sympy_rref(a)
-        _, aug_pivots = _sympy_rref(aug)
-        assert row_reduce(aug, ncols) == pivots
-        assert [row[:ncols] for row in aug] == left
-        consistent = ncols not in aug_pivots
-        assert consistent == (not any(row[ncols] for row in aug[len(pivots):]))
 
 
 def test_solve_combination_matches_sympy():

@@ -10,7 +10,7 @@ from gaudin import manin
 from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, classical_limit, commutator,
 )
-from gaudin.gluing import elementary_glue, iterate_pattern, parse_pattern
+from gaudin.gluing import iterate_pattern, parse_pattern
 from gaudin.lax import (
     LaxMatrix, bending_lax_rational, gaudin_lax, lax_from_groups, pole_site_groups,
 )
@@ -33,6 +33,7 @@ from gaudin.suites import RunConfig, run_suite
 
 from oracles import (
     all_position_pairs_manin,
+    elementary_glue,
     manin_relation,
     ordered_pair_brackets,
     random_diffop_matrix,
