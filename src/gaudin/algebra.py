@@ -673,32 +673,16 @@ def bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
     return poisson_bracket(p, q, table)
 
 
-def partial(p: NCPoly, letter: Letter) -> NCPoly:
-    """Formal partial derivative with respect to one coordinate generator."""
+def integer_gradient(p: NCPoly) -> tuple[int, dict[Letter, list[tuple[Word, int]]]]:
+    """(d, letter g -> [(a word of p with one g removed, numerator * multiplicity
+    of g)]): p's gradient over its common denominator d.  Distinct words leave
+    distinct rest words, so nothing needs accumulating."""
     if p.sig.is_quantum:
         raise ModeError("partial derivatives are defined in Classical mode only")
-    p.sig.check_letter(letter)
-    terms: dict[Word, Fraction] = {}
-    for w, c in p.terms.items():
-        count = w.count(letter)
-        if count:
-            idx = w.index(letter)
-            _acc(terms, w[:idx] + w[idx + 1:], c * count)
-    return NCPoly(p.sig, terms)
-
-
-def evaluate(p: NCPoly, point: Mapping[Letter, int | Fraction]) -> Fraction:
-    """Value of a classical polynomial at an assignment of the coordinates.
-
-    The sum runs over p's integer numerators, so an integer point builds a
-    single ``Fraction``, the result.
-    """
-    if p.sig.is_quantum:
-        raise ModeError("evaluation is defined in Classical mode only")
     d, terms = _integer_terms(p)
-    total = 0
+    grad: dict[Letter, list[tuple[Word, int]]] = {}
     for w, c in terms.items():
-        for g in w:
-            c *= point[g]
-        total += c
-    return Fraction(total, d)
+        for g in dict.fromkeys(w):
+            s = w.index(g)
+            grad.setdefault(g, []).append((w[:s] + w[s + 1:], c * w.count(g)))
+    return d, grad

@@ -135,7 +135,7 @@ def _reduce(vectors: Iterable[Mapping]) -> Iterator[tuple[Hashable | None, dict]
         yield key, row
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Row rank: the number of rows outside the span of the rows before them."""
     return len(independent_columns(dict(enumerate(row)) for row in rows))
 

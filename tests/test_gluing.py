@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.algebra import AlgebraSignature, Mode, ModeError, commutator, poisson_bracket
+import gaudin.gluing
+from gaudin.algebra import (
+    AlgebraSignature, Mode, ModeError, NCPoly, commutator, integer_gradient, poisson_bracket,
+)
 from gaudin.gluing import (
     PatternError,
+    _jacobian_rows,
     classical_limits_match,
     hg_membership_check,
     infer_sites,
@@ -13,6 +17,7 @@ from gaudin.gluing import (
     left_comb_pattern,
     limit_gaudin_algebra,
     parse_pattern,
+    random_point,
     rank_completeness_check,
 )
 from gaudin.lax import (
@@ -23,10 +28,12 @@ from gaudin.lax import (
     lax_from_groups,
     spectral_invariants,
 )
+from gaudin.linalg import rank
 from gaudin.manin import commutation_matrix, talalaev_coefficients, talalaev_generators
 
 from oracles import (
-    diagonal_embedding, elementary_glue, random_ncpoly, shift_embedding, spans_equal,
+    dense_rank, diagonal_embedding, elementary_glue, fd_partial, random_ncpoly,
+    shift_embedding, spans_equal,
 )
 
 
@@ -191,8 +198,79 @@ class TestRankCompleteness:
         rep = rank_completeness_check(c3, fam, generic, trials=4, seed=7)
         assert rep.passed is False
         assert rep.params["limit_members"] == len(full) - 1
-        assert len(rep.witnesses) == 4
-        assert all(w["limit"] == w["generic"] - 1 for w in rep.witnesses)
+        assert rep.witnesses == [{"trial": t, "limit": 7, "generic": 8} for t in range(4)]
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_refused(self, c2, trials):
+        # a PASS over no points would carry no evidence
+        fam = iterate_pattern(c2, parse_pattern("[1,2]", 2))
+        with pytest.raises(ValueError, match="trials"):
+            rank_completeness_check(c2, fam, fam.invariant_family(), trials=trials)
+
+    def test_glue_r3_ranks_two_jacobians_per_trial(self, monkeypatch):
+        # the families of `verify glue --r 3`; one rank per family per point
+        sig = AlgebraSignature(3, 3, Mode.CLASSICAL)
+        fam = iterate_pattern(sig, parse_pattern("[1,[2,3]@3]", 3), [0, 1, 2])
+        generic = spectral_invariants(gaudin_lax(sig, [0, 1, 2]))
+        calls = []
+        real = gaudin.gluing.rank
+        monkeypatch.setattr(gaudin.gluing, "rank", lambda rows: calls.append(1) or real(rows))
+        rep = rank_completeness_check(sig, fam, generic, trials=5, seed=12345)
+        assert rep.passed
+        assert len(calls) == 2 * 5
+
+
+class TestIntegerJacobian:
+    """Jacobian rows from ``integer_gradient`` against exact finite
+    differences, and their ranks against textbook elimination."""
+
+    SCALES = (Fraction(1, 3), Fraction(5, 6), Fraction(-7, 4))
+
+    @pytest.fixture
+    def members(self, c2):
+        rng = random.Random(1803)
+        base = []
+        for _ in range(4):
+            p = random_ncpoly(rng, c2, max_degree=3, terms=4)
+            base.append(NCPoly(c2, {w: c * rng.choice(self.SCALES)
+                                    for w, c in p.terms.items()}))
+        # no linear part: the member's row vanishes at the origin
+        base[3] = NCPoly(c2, {w: c for w, c in base[3].terms.items() if len(w) > 1})
+        # a product and a combination of members: the Jacobian loses rank
+        out = base + [base[0] * base[1], base[2] * Fraction(5, 6) - base[3] * Fraction(1, 3)]
+        assert any(len(set(w)) < len(w) for m in out for w in m.terms)
+        assert any(c.denominator > 1 for m in out for c in m.terms.values())
+        return out
+
+    @staticmethod
+    def points(sig):
+        rng = random.Random(77)
+        letters = list(sig.letters())
+        pts = [random_point(rng, sig) for _ in range(5)]
+        for k, point in enumerate(pts):
+            point.update({g: 0 for g in letters[k::k + 2]})
+        pts.append({g: 0 for g in letters})
+        assert all(any(v == 0 for v in pt.values()) for pt in pts)
+        return pts
+
+    def test_rows_are_denominator_times_derivative(self, c2, members):
+        letters = list(c2.letters())
+        grads = [integer_gradient(m) for m in members]
+        for point in self.points(c2):
+            rows = _jacobian_rows([g for _, g in grads], point)
+            for m, (d, _), row in zip(members, grads, rows):
+                assert row == [d * fd_partial(m.terms, g, point, m.degree) for g in letters]
+
+    def test_ranks_match_dense_elimination(self, c2, members):
+        letters = list(c2.letters())
+        grads = [integer_gradient(m)[1] for m in members]
+        ranks = []
+        for point in self.points(c2):
+            exact = [[fd_partial(m.terms, g, point, m.degree) for g in letters]
+                     for m in members]
+            ranks.append(rank(_jacobian_rows(grads, point)))
+            assert ranks[-1] == dense_rank(exact)
+        assert ranks[:-1] == [4] * 5 and ranks[-1] < 4
 
 
 class TestHgMembership:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.algebra import AlgebraSignature, Mode, ModeError, evaluate, poisson_bracket
+from gaudin.algebra import AlgebraSignature, Mode, ModeError, poisson_bracket
 from gaudin.gluing import iterate_pattern, left_comb_pattern
 from gaudin import poisson
 from gaudin.lax import InvariantFamily, lax_from_groups, spectral_invariants
@@ -26,7 +26,9 @@ from gaudin.poisson import (
     standard_operator,
 )
 
-from oracles import leibniz_jacobiator, numeric_block_bracket, random_ncpoly, sampled_jacobi
+from oracles import (
+    eval_terms, leibniz_jacobiator, numeric_block_bracket, random_ncpoly, sampled_jacobi,
+)
 
 
 def xx2_blocks():
@@ -312,7 +314,7 @@ class TestBlockFormulaOracle:
                                                point, max_degree=3)
                  for scale, blocks in blocks_by_scale),
                 Fraction(0))
-            assert evaluate(bracket_eval(spec, f, g), point) == expected
+            assert eval_terms(bracket_eval(spec, f, g).terms, point) == expected
 
     def test_limit_bracket_four_sites(self, rng):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
