@@ -24,8 +24,8 @@ print("Entry (1,2) of the three-site gl(2) Lax matrix:")
 print("  ", L.entry(1, 2))
 
 print("\nResidue at z = 0 recovers the site-1 generator block:")
-for row in L.residue_matrix(0):
-    print("  ", [str(p) for p in row])
+for row in L.entries:
+    print("  ", [str(e.residue(0)) for e in row])
 
 fam = spectral_invariants(L, max_power=2)
 print(f"\nSpectral invariants up to Tr L^2: {len(fam)} members")

@@ -8,15 +8,15 @@ making the system bi-Hamiltonian.
 
 from gaudin import (
     AlgebraSignature,
-    LimitBracket,
     Mode,
-    StandardBracket,
     bending_lax,
     bending_lax_rational,
     family_commutes_under,
     iterate_pattern,
     left_comb_pattern,
+    limit_rijk_operator,
     spectral_invariants,
+    standard_operator,
 )
 
 sig = AlgebraSignature(rank=2, sites=4, mode=Mode.CLASSICAL)
@@ -42,6 +42,6 @@ for m in fam1.members[:4]:
 inv = family.invariant_family()
 print(f"\nBi-Hamiltonian property of all {len(inv)} rational-cluster invariants:")
 print("  commute under the standard bracket:",
-      family_commutes_under(StandardBracket(), inv).passed)
+      family_commutes_under(standard_operator(4), inv).passed)
 print("  commute under the limit bracket:",
-      family_commutes_under(LimitBracket(), inv).passed)
+      family_commutes_under(limit_rijk_operator(4), inv).passed)

@@ -49,18 +49,14 @@ from .manin import (
     talalaev_generators,
 )
 from .poisson import (
-    BracketSpec,
-    LimitBracket,
-    OperatorBracket,
-    PencilBracket,
     PoissonOperator,
-    StandardBracket,
     bracket_eval,
     compatibility_check,
     family_commutes_under,
     fivesite_operator,
     jacobi_check,
     limit_rijk_operator,
+    pencil,
     standard_operator,
 )
 from .ratfun import (

@@ -66,9 +66,6 @@ class PatternNode:
                 out.append(child)
         return out
 
-    def internal_children(self) -> list["PatternNode"]:
-        return [c for c in self.children if isinstance(c, PatternNode)]
-
 
 @dataclass
 class GluingPattern:

@@ -39,9 +39,6 @@ class LaxMatrix:
     def is_polynomial(self) -> bool:
         return not self.poles
 
-    def residue_matrix(self, pole, order: int = 0) -> list[list[NCPoly]]:
-        return [[e.residue(pole, order) for e in row] for row in self.entries]
-
     def eval_z(self, point) -> list[list[NCPoly]]:
         return [[e.eval_z(point) for e in row] for row in self.entries]
 

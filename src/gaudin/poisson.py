@@ -7,9 +7,12 @@ variables, and
     {F, G} = sum_{i,j} Tr( grad_i F [P_ij, grad_j G] ).
 
 Such a bracket is a biderivation, so it is fixed by its values on coordinate
-pairs.  Every bracket description (standard, limit, block operator, pencil)
-compiles to that letter table once per check, and the table drives the same
-Leibniz loop as the standard bracket (``algebra.poisson_bracket``).
+pairs.  A ``PoissonOperator`` is the only bracket description: the standard
+and limit brackets, a tabulated operator and a pencil are all block operators,
+and since the bracket is linear in the blocks, ``pencil`` combines the blocks
+of two operators.  Each check compiles the operator to that letter table once
+(``letter_table``), and the table drives the same Leibniz loop as the standard
+bracket (``algebra.poisson_bracket``).
 
 The same table makes the Poisson property a finite check: a biderivation is
 Poisson iff it is antisymmetric on every pair of coordinate letters and its
@@ -33,7 +36,7 @@ checks are diagnostics only.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
@@ -55,10 +58,22 @@ Block = dict[int, Fraction]
 
 @dataclass(frozen=True)
 class PoissonOperator:
-    """N x N block operator; block (i,j) is a combination sum_k c_k ad(X_k)."""
+    """N x N block operator; block (i,j) is a combination sum_k c_k ad(X_k).
+
+    ``name`` labels the bracket in reports and takes no part in equality.
+    A block key or coefficient site outside 1..sites is refused, so every
+    block reaches the letter table that the certificates examine."""
 
     sites: int
     blocks: Mapping[tuple[int, int], Block]
+    name: str = field(default="operator", compare=False)
+
+    def __post_init__(self):
+        for (i, j), combo in self.blocks.items():
+            for s in (i, j, *combo):
+                if not 1 <= s <= self.sites:
+                    raise ValueError(f"block ({i},{j}) names site {s}, "
+                                     f"outside 1..{self.sites}")
 
     def block(self, i: int, j: int) -> Block:
         return self.blocks.get((i, j), {})
@@ -68,18 +83,35 @@ class PoissonOperator:
         blocks[(i, j)] = dict(block)
         return PoissonOperator(self.sites, blocks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sites": self.sites,
-            "blocks": {
-                f"{i},{j}": {str(k): str(c) for k, c in sorted(combo.items())}
-                for (i, j), combo in sorted(self.blocks.items())
-            },
-        }
+
+def pencil(lam, first: PoissonOperator, mu, second: PoissonOperator) -> PoissonOperator:
+    """The operator lam*first + mu*second; the bracket is linear in the blocks."""
+    if first.sites != second.sites:
+        raise ValueError(f"pencil of a {first.sites}-site and a "
+                         f"{second.sites}-site operator")
+    blocks: dict[tuple[int, int], Block] = {}
+    for scale, op in ((lam, first), (mu, second)):
+        for key, combo in op.blocks.items():
+            acc = blocks.setdefault(key, {})
+            for k, c in combo.items():
+                acc[k] = acc.get(k, 0) + scale * c
+    return PoissonOperator(first.sites, _pruned(blocks),
+                           f"pencil({lam}*{first.name} + {mu}*{second.name})")
+
+
+def _pruned(blocks: Mapping[tuple[int, int], Block]) -> dict[tuple[int, int], Block]:
+    """The blocks without zero coefficients and without the blocks left empty."""
+    out = {}
+    for key, combo in blocks.items():
+        combo = {k: c for k, c in combo.items() if c}
+        if combo:
+            out[key] = combo
+    return out
 
 
 def standard_operator(sites: int) -> PoissonOperator:
-    return PoissonOperator(sites, {(i, i): {i: Fraction(1)} for i in range(1, sites + 1)})
+    return PoissonOperator(sites, {(i, i): {i: Fraction(1)} for i in range(1, sites + 1)},
+                           "standard")
 
 
 def theta(n: int) -> int:
@@ -97,17 +129,9 @@ def limit_coefficient(i: int, j: int, k: int) -> Fraction:
 
 
 def limit_rijk_operator(sites: int) -> PoissonOperator:
-    blocks: dict[tuple[int, int], Block] = {}
-    for i in range(1, sites + 1):
-        for j in range(1, sites + 1):
-            combo = {}
-            for k in range(1, sites + 1):
-                c = limit_coefficient(i, j, k)
-                if c:
-                    combo[k] = c
-            if combo:
-                blocks[(i, j)] = combo
-    return PoissonOperator(sites, blocks)
+    ids = range(1, sites + 1)
+    blocks = {(i, j): {k: limit_coefficient(i, j, k) for k in ids} for i in ids for j in ids}
+    return PoissonOperator(sites, _pruned(blocks), "limit_rijk")
 
 
 def fivesite_operator(z: Sequence) -> PoissonOperator:
@@ -123,142 +147,71 @@ def fivesite_operator(z: Sequence) -> PoissonOperator:
     def zd(i: int, j: int) -> Fraction:
         return pts[i - 1] - pts[j - 1]
 
-    blocks: dict[tuple[int, int], Block] = {}
-
-    def put(i, j, combo: dict[int, Fraction]):
-        combo = {k: c for k, c in combo.items() if c}
-        if combo:
-            blocks[(i, j)] = combo
-
     z12, z13, z23 = zd(1, 2), zd(1, 3), zd(2, 3)
     z34, z35, z45 = zd(3, 4), zd(3, 5), zd(4, 5)
-
-    put(1, 2, {1: z23})
-    put(2, 1, {1: z23})
-    put(2, 2, {2: z23, 1: -z23, 3: z12, 4: z12, 5: z12})
-    put(2, 3, {3: -z12})
-    put(3, 2, {3: -z12})
-    put(2, 4, {4: -z12})
-    put(4, 2, {4: -z12})
-    put(2, 5, {5: -z12})
-    put(5, 2, {5: -z12})
-    put(3, 4, {3: -z13 * z34 / z45})
-    put(4, 3, {3: -z13 * z34 / z45})
-    put(3, 5, {3: z13 * z35 / z45})
-    put(5, 3, {3: z13 * z35 / z45})
     c44 = z13 * z34 / z45
-    put(4, 4, {3: c44, 4: -c44 * (z35 - z45) / z45, 5: -c44 * z13 * z34 / z45})
     p45 = z13 / (z45 * z45)
-    put(4, 5, {4: p45 * z35 * z35, 5: p45 * z34 * z34})
-    put(5, 4, {4: p45 * z35 * z35, 5: p45 * z34 * z34})
     c55 = -z13 * z35 / z45
-    put(5, 5, {3: c55, 4: c55 * z35 / z45, 5: c55 * (z34 - z45) / z45})
-    return PoissonOperator(5, blocks)
+    return PoissonOperator(5, _pruned({
+        (1, 2): {1: z23},
+        (2, 1): {1: z23},
+        (2, 2): {2: z23, 1: -z23, 3: z12, 4: z12, 5: z12},
+        (2, 3): {3: -z12},
+        (3, 2): {3: -z12},
+        (2, 4): {4: -z12},
+        (4, 2): {4: -z12},
+        (2, 5): {5: -z12},
+        (5, 2): {5: -z12},
+        (3, 4): {3: -z13 * z34 / z45},
+        (4, 3): {3: -z13 * z34 / z45},
+        (3, 5): {3: z13 * z35 / z45},
+        (5, 3): {3: z13 * z35 / z45},
+        (4, 4): {3: c44, 4: -c44 * (z35 - z45) / z45, 5: -c44 * z13 * z34 / z45},
+        (4, 5): {4: p45 * z35 * z35, 5: p45 * z34 * z34},
+        (5, 4): {4: p45 * z35 * z35, 5: p45 * z34 * z34},
+        (5, 5): {3: c55, 4: c55 * z35 / z45, 5: c55 * (z34 - z45) / z45},
+    }))
 
 
-class BracketSpec:
-    """Marker base class for bracket descriptions."""
+def letter_table(op: PoissonOperator, sig: AlgebraSignature) -> LetterTable:
+    """Compile a block operator to its nonzero values on coordinate pairs,
 
+        {x[a,b]@i, x[c,d]@j} = sum_k c^ij_k (d_bc x[a,d]@k - d_ad x[c,b]@k),
 
-@dataclass(frozen=True)
-class StandardBracket(BracketSpec):
-    pass
-
-
-@dataclass(frozen=True)
-class LimitBracket(BracketSpec):
-    """The parameter-free total-collision bracket from the r_ijk formula."""
-
-
-@dataclass(frozen=True)
-class OperatorBracket(BracketSpec):
-    operator: PoissonOperator
-
-
-@dataclass(frozen=True)
-class PencilBracket(BracketSpec):
-    lam: Fraction
-    first: BracketSpec
-    mu: Fraction
-    second: BracketSpec
-
-
-def describe(spec: BracketSpec) -> str:
-    if isinstance(spec, StandardBracket):
-        return "standard"
-    if isinstance(spec, LimitBracket):
-        return "limit_rijk"
-    if isinstance(spec, OperatorBracket):
-        return "operator"
-    if isinstance(spec, PencilBracket):
-        return (f"pencil({spec.lam}*{describe(spec.first)} "
-                f"+ {spec.mu}*{describe(spec.second)})")
-    return spec.__class__.__name__
-
-
-def _table() -> defaultdict:
-    return defaultdict(lambda: defaultdict(Fraction))
-
-
-def _operator_table(op: PoissonOperator, sig: AlgebraSignature) -> defaultdict:
-    """{x[a,b]@i, x[c,d]@j} = sum_k c^ij_k (d_bc x[a,d]@k - d_ad x[c,b]@k),
     read off Tr(grad_i F [P_ij, grad_j G]) on coordinate functions."""
     if op.sites != sig.sites:
         raise ValueError(f"operator is for {op.sites} sites, signature has {sig.sites}")
-    table = _table()
+    table: defaultdict = defaultdict(lambda: defaultdict(Fraction))
     for (i, j), combo in op.blocks.items():
         for k, coeff in combo.items():
             for a, b, c in product(range(1, sig.rank + 1), repeat=3):
                 table[(i, a, b), (j, b, c)][k, a, c] += coeff  # the d_bc term
                 table[(i, a, b), (j, c, a)][k, c, b] -= coeff  # the d_ad term
-    return table
-
-
-def _spec_table(spec: BracketSpec, sig: AlgebraSignature) -> defaultdict:
-    if isinstance(spec, StandardBracket):
-        return _operator_table(standard_operator(sig.sites), sig)
-    if isinstance(spec, LimitBracket):
-        return _operator_table(limit_rijk_operator(sig.sites), sig)
-    if isinstance(spec, OperatorBracket):
-        return _operator_table(spec.operator, sig)
-    if isinstance(spec, PencilBracket):
-        table = _table()
-        for scale, part in ((Fraction(spec.lam), spec.first),
-                            (Fraction(spec.mu), spec.second)):
-            for pair, combo in _spec_table(part, sig).items():
-                for letter, coeff in combo.items():
-                    table[pair][letter] += scale * coeff
-        return table
-    raise TypeError(f"unknown bracket spec {spec!r}")
-
-
-def letter_table(spec: BracketSpec, sig: AlgebraSignature) -> LetterTable:
-    """Compile a bracket description to its nonzero values on coordinate pairs."""
-    table = {}
-    for pair, combo in _spec_table(spec, sig).items():
+    out = {}
+    for pair, combo in table.items():
         terms = [(letter, coeff) for letter, coeff in combo.items() if coeff]
         if terms:
-            table[pair] = terms
-    return table
+            out[pair] = terms
+    return out
 
 
-def bracket_eval(spec: BracketSpec, F: NCPoly, G: NCPoly) -> NCPoly:
-    """Evaluate the described bracket on two classical polynomials.
+def bracket_eval(op: PoissonOperator, F: NCPoly, G: NCPoly) -> NCPoly:
+    """Evaluate the operator's bracket on two classical polynomials.
 
     Compiles the letter table on every call; checks that evaluate many
     brackets compile it once with ``letter_table``.
     """
     if F.sig.is_quantum:
         raise ModeError("bracket_eval works on Classical-mode elements")
-    return poisson_bracket(F, G, letter_table(spec, F.sig))
+    return poisson_bracket(F, G, letter_table(op, F.sig))
 
 
-def _scaled_table(spec: BracketSpec, sig: AlgebraSignature) -> tuple[int, dict]:
+def _scaled_table(op: PoissonOperator, sig: AlgebraSignature) -> tuple[int, dict]:
     """(d, table): the letter table times d, the lcm of its denominators, as
     (g, h) -> {letter: integer numerator}."""
     if sig.is_quantum:
         raise ModeError("Poisson certificates run in Classical mode")
-    table = letter_table(spec, sig)
+    table = letter_table(op, sig)
     d = 1
     for combo in table.values():
         for _, c in combo:
@@ -275,10 +228,10 @@ def _names(sig: AlgebraSignature, letters) -> list[str]:
     return [sig.gen(*g).render() for g in letters]
 
 
-def antisymmetry_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
+def antisymmetry_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     """{x, y} + {y, x} = 0 on every pair of coordinate letters, x = y
     included; the witness residual is {x, y} + {y, x}."""
-    d, table = _scaled_table(spec, sig)
+    d, table = _scaled_table(op, sig)
     n = sig.sites * sig.rank ** 2
     witnesses = []
     for x, y in sorted({tuple(sorted(pair)) for pair in table}):
@@ -291,13 +244,13 @@ def antisymmetry_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
     return CheckReport(
         check="antisymmetry",
         passed=not witnesses,
-        params={"spec": describe(spec)},
+        params={"spec": op.name},
         witnesses=witnesses,
         info={"pairs": n * (n + 1) // 2, "failed": len(witnesses)},
     )
 
 
-def jacobi_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
+def jacobi_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     """The jacobiator {a,{b,c}} + {b,{c,a}} + {c,{a,b}} on every triple a < b < c
     of coordinate letters.
 
@@ -308,7 +261,7 @@ def jacobi_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
     a PASS here, with ``antisymmetry_check``, certifies the Jacobi identity on
     every polynomial.
     """
-    d, table = _scaled_table(spec, sig)
+    d, table = _scaled_table(op, sig)
     letters = list(sig.letters())
     empty: dict = {}
     witnesses = []
@@ -324,33 +277,33 @@ def jacobi_check(spec: BracketSpec, sig: AlgebraSignature) -> CheckReport:
     return CheckReport(
         check="jacobi",
         passed=not witnesses,
-        params={"spec": describe(spec)},
+        params={"spec": op.name},
         witnesses=witnesses,
         info={"triples": comb(len(letters), 3), "failed": len(witnesses)},
     )
 
 
-def compatibility_check(first: BracketSpec, second: BracketSpec,
+def compatibility_check(first: PoissonOperator, second: PoissonOperator,
                         sig: AlgebraSignature) -> CheckReport:
     """Two Poisson brackets are compatible iff their sum and difference both
     satisfy Jacobi (by bilinearity this covers the whole pencil)."""
-    reps = [jacobi_check(PencilBracket(Fraction(1), first, Fraction(sign), second), sig)
+    reps = [jacobi_check(pencil(1, first, sign, second), sig)
             for sign in (1, -1)]
     return CheckReport(
         check="compatibility",
         passed=all(rep.passed for rep in reps),
-        params={"first": describe(first), "second": describe(second)},
+        params={"first": first.name, "second": second.name},
         witnesses=[{"spec": rep.params["spec"], **w} for rep in reps for w in rep.witnesses],
         info={key: sum(rep.info[key] for rep in reps) for key in ("triples", "failed")},
     )
 
 
-def family_commutes_under(spec: BracketSpec, family: InvariantFamily) -> CheckReport:
-    """Whether the family members commute pairwise under the given spec,
-    certified by ``commutation_matrix`` on the spec's letter table."""
+def family_commutes_under(op: PoissonOperator, family: InvariantFamily) -> CheckReport:
+    """Whether the family members commute pairwise under the operator's
+    bracket, certified by ``commutation_matrix`` on its letter table."""
     members = family.members
-    table = letter_table(spec, members[0].expr.sig) if len(members) > 1 else {}
+    table = letter_table(op, members[0].expr.sig) if len(members) > 1 else {}
     rep = commutation_matrix(family.exprs(), [m.provenance for m in members], table)
     rep.check = "family_commutes"
-    rep.params = {"spec": describe(spec), "family": family.label, "members": len(members)}
+    rep.params = {"spec": op.name, "family": family.label, "members": len(members)}
     return rep

@@ -47,15 +47,13 @@ from .manin import (
     talalaev_generators,
 )
 from .poisson import (
-    LimitBracket,
-    OperatorBracket,
-    StandardBracket,
     antisymmetry_check,
     compatibility_check,
     family_commutes_under,
     fivesite_operator,
     jacobi_check,
     limit_rijk_operator,
+    standard_operator,
 )
 from .ratfun import DiffOpEntry, LaxEntry, RatFun
 from .reports import CheckReport
@@ -206,8 +204,8 @@ def suite_bending(cfg: RunConfig) -> list[CheckReport]:
         witnesses=[{"k": k} for k in mismatched],
     ))
     inv = family.invariant_family()
-    std_rep = family_commutes_under(StandardBracket(), inv)
-    lim_rep = family_commutes_under(LimitBracket(), inv)
+    std_rep = family_commutes_under(standard_operator(sig.sites), inv)
+    lim_rep = family_commutes_under(limit_rijk_operator(sig.sites), inv)
     std_rep.check = "bending_commutes_standard"
     lim_rep.check = "bending_commutes_limit"
     reports += [std_rep, lim_rep]
@@ -332,13 +330,13 @@ def suite_poisson(cfg: RunConfig) -> list[CheckReport]:
         witnesses=[] if got == expected else [{"got": str(got)}],
     ))
 
+    std, lim = standard_operator(sig.sites), limit_rijk_operator(sig.sites)
     for rep, name in (
-        (antisymmetry_check(StandardBracket(), sig), "antisymmetry_standard"),
-        (antisymmetry_check(LimitBracket(), sig), "antisymmetry_limit"),
-        (jacobi_check(StandardBracket(), sig), "jacobi_standard"),
-        (jacobi_check(LimitBracket(), sig), "jacobi_limit"),
-        (compatibility_check(StandardBracket(), LimitBracket(), sig),
-         "compatibility_standard_limit"),
+        (antisymmetry_check(std, sig), "antisymmetry_standard"),
+        (antisymmetry_check(lim, sig), "antisymmetry_limit"),
+        (jacobi_check(std, sig), "jacobi_standard"),
+        (jacobi_check(lim, sig), "jacobi_limit"),
+        (compatibility_check(std, lim, sig), "compatibility_standard_limit"),
     ):
         rep.check = name
         reports.append(rep)
@@ -349,7 +347,7 @@ def suite_poisson(cfg: RunConfig) -> list[CheckReport]:
     csig = AlgebraSignature(max(sig.rank, 2), max(sig.sites, 3), Mode.CLASSICAL)
     bad = limit_rijk_operator(csig.sites).with_block(
         2, 2, {1: Fraction(1), 2: Fraction(1)})
-    control = jacobi_check(OperatorBracket(bad), csig)
+    control = jacobi_check(bad, csig)
     reports.append(CheckReport(
         check="corrupted_operator_rejected", passed=control.passed is False,
         params={"flipped_block": "2,2"}, witnesses=control.witnesses[:1],
@@ -359,7 +357,7 @@ def suite_poisson(cfg: RunConfig) -> list[CheckReport]:
     # five-site operator: diagnostics only (the tabulated blocks do not
     # satisfy Jacobi, see fivesite_jacobi)
     z5 = [Fraction(i) for i in range(5)]
-    op5 = OperatorBracket(fivesite_operator(z5))
+    op5 = fivesite_operator(z5)
     sig5 = AlgebraSignature(cfg.rank, 5, Mode.CLASSICAL)
     for rep, name in ((antisymmetry_check(op5, sig5), "fivesite_antisymmetry"),
                       (jacobi_check(op5, sig5), "fivesite_jacobi")):

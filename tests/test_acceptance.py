@@ -39,14 +39,12 @@ from gaudin.manin import (
     talalaev_generators,
 )
 from gaudin.poisson import (
-    LimitBracket,
-    OperatorBracket,
-    StandardBracket,
     compatibility_check,
     family_commutes_under,
     fivesite_operator,
     jacobi_check,
     limit_rijk_operator,
+    standard_operator,
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
@@ -121,8 +119,8 @@ def test_criterion_5_limit_bracket():
                 expected[(i, j)] = combo
     ok = dict(op.blocks) == expected
     sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
-    ok &= bool(jacobi_check(LimitBracket(), sig).passed)
-    ok &= bool(compatibility_check(StandardBracket(), LimitBracket(), sig).passed)
+    ok &= bool(jacobi_check(op, sig).passed)
+    ok &= bool(compatibility_check(standard_operator(4), op, sig).passed)
     report(5, "limit bracket block table; Jacobi and compatibility", ok)
 
 
@@ -133,8 +131,8 @@ def test_criterion_6_bending_flows():
     ok = all(fam.matrices[k - 1] == bending_lax_rational(sig, k, 0, 1)
              for k in range(1, 4))
     inv = fam.invariant_family()
-    ok &= bool(family_commutes_under(StandardBracket(), inv).passed)
-    ok &= bool(family_commutes_under(LimitBracket(), inv).passed)
+    ok &= bool(family_commutes_under(standard_operator(4), inv).passed)
+    ok &= bool(family_commutes_under(limit_rijk_operator(4), inv).passed)
     report(6, "bending clusters reproduce rational matrices; bi-commuting N=4", ok)
 
 
@@ -219,7 +217,7 @@ def test_fivesite_operator_diagnostics_do_not_gate():
     # The five-site partial-collision operator is exercised as a diagnostic
     # only: its findings are printed, never asserted.
     sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
-    spec = OperatorBracket(fivesite_operator([0, 1, 2, 3, 4]))
+    spec = fivesite_operator([0, 1, 2, 3, 4])
     from gaudin.poisson import antisymmetry_check
     anti = antisymmetry_check(spec, sig)
     jac = jacobi_check(spec, sig)
@@ -233,7 +231,7 @@ def test_criterion_9_fail_path_controls():
 
     bad_operator = limit_rijk_operator(4).with_block(
         2, 2, {1: Fraction(1), 2: Fraction(1)})
-    rep = jacobi_check(OperatorBracket(bad_operator),
+    rep = jacobi_check(bad_operator,
                        AlgebraSignature(2, 4, Mode.CLASSICAL))
     ok &= rep.passed is False and bool(rep.witnesses)
 

@@ -20,12 +20,11 @@ from gaudin.gluing import random_point
 from gaudin.lax import gaudin_lax, physical_hamiltonian, quadratic_hamiltonians
 from gaudin.manin import commutation_matrix, talalaev_coefficients, talalaev_generators
 from gaudin.poisson import (
-    LimitBracket,
-    OperatorBracket,
-    PencilBracket,
     PoissonOperator,
-    StandardBracket,
     letter_table,
+    limit_rijk_operator,
+    pencil,
+    standard_operator,
 )
 from gaudin.ratfun import LaxEntry, RatFun
 
@@ -199,7 +198,7 @@ def test_commutator_bilinear_antisymmetric_jacobi(q2, rng):
 
 def test_poisson_antisymmetry_leibniz_jacobi(c3, rng):
     # the built-in Lie-Poisson rule and the compiled limit-bracket table
-    for table in (None, letter_table(LimitBracket(), c3)):
+    for table in (None, letter_table(limit_rijk_operator(3), c3)):
         def br(f, g):
             return poisson_bracket(f, g, table)
 
@@ -292,8 +291,7 @@ def test_integer_kernel_table_pencil_matches_block_oracle(rng):
                        for k in range(1, 4)}
               for i in range(1, 4) for j in range(1, 4)}
     standard = {(i, i): {i: Fraction(1)} for i in range(1, 4)}
-    pencil = PencilBracket(lam, StandardBracket(), mu, OperatorBracket(PoissonOperator(3, blocks)))
-    table = letter_table(pencil, sig)
+    table = letter_table(pencil(lam, standard_operator(3), mu, PoissonOperator(3, blocks)), sig)
     for _ in range(4):
         f = _fractional_ncpoly(rng, sig, max_degree=3, terms=3)
         g = _fractional_ncpoly(rng, sig, max_degree=2, terms=3)
@@ -441,7 +439,7 @@ def test_packed_bracket_zero_and_constant_operands(c3, rng):
     zero, half = c3.zero(), c3.one() * Fraction(1, 2)
     for a, b in ((zero, p), (p, zero), (zero, zero), (half, p), (p, half), (half, half)):
         assert poisson_bracket(a, b) == c3.zero()
-        assert poisson_bracket(a, b, letter_table(LimitBracket(), c3)).is_zero()
+        assert poisson_bracket(a, b, letter_table(limit_rijk_operator(3), c3)).is_zero()
     # a constant term inside a nonconstant operand drops out of the bracket
     x = c3.gen(1, 1, 2)
     assert poisson_bracket(x + 5, p) == poisson_bracket(x, p)
@@ -464,8 +462,8 @@ def test_packed_bracket_rank_one_single_site():
 
 def test_packed_bracket_fractional_limit_tables(c3):
     rng = random.Random(4102)
-    spec = PencilBracket(Fraction(1, 2), StandardBracket(), Fraction(-2, 3), LimitBracket())
-    table = letter_table(spec, c3)
+    op = pencil(Fraction(1, 2), standard_operator(3), Fraction(-2, 3), limit_rijk_operator(3))
+    table = letter_table(op, c3)
     assert any(k.denominator > 1 for rule in table.values() for _, k in rule)
     for _ in range(8):
         f = _fractional_ncpoly(rng, c3, max_degree=3, terms=4)
