@@ -50,11 +50,11 @@ Only the nonzero output terms are decoded back to sorted words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, Sequence
 
 Letter = tuple[int, int, int]
 Word = tuple[Letter, ...]
@@ -75,19 +75,19 @@ class ModeError(ValueError):
     """Operation not defined for the signature's mode."""
 
 
-@dataclass(frozen=True)
-class AlgebraSignature:
-    """Shape of the ambient algebra: one copy of gl(rank) per tensor site."""
+class AlgebraSignature(namedtuple("AlgebraSignature", "rank sites mode")):
+    """Shape of the ambient algebra: one copy of gl(rank) per tensor site.
 
-    rank: int
-    sites: int
-    mode: Mode
+    A tuple, so equality and hashing stay C-level on the kernel's hot path."""
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.sites < 1:
-            raise ValueError(f"sites must be >= 1, got {self.sites}")
+    __slots__ = ()
+
+    def __new__(cls, rank: int, sites: int, mode: Mode) -> "AlgebraSignature":
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if sites < 1:
+            raise ValueError(f"sites must be >= 1, got {sites}")
+        return super().__new__(cls, rank, sites, mode)
 
     @property
     def is_quantum(self) -> bool:
@@ -346,7 +346,7 @@ class SparseSum:
 
     def _coerce(self, other):
         if type(other) is type(self):
-            if other.sig != self.sig:
+            if other.sig is not self.sig and other.sig != self.sig:
                 raise SignatureMismatchError(
                     f"operands over different signatures: {self.sig} vs {other.sig}")
             return other

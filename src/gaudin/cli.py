@@ -239,8 +239,9 @@ def _write_artifact(doc: dict, out_dir: str, name: str, fmt: str) -> Path:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{name}.json"
-    path.write_text(dumps_json(doc))
-    sys.stdout.write(_render(doc, fmt))
+    text = dumps_json(doc)
+    path.write_text(text)
+    sys.stdout.write(text if fmt == "json" else _render(doc, fmt))
     return path
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .algebra import (
     AlgebraSignature,
@@ -52,10 +51,10 @@ class PatternError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-@dataclass
 class PatternNode:
-    children: list["PatternNode | int"]
-    location: Fraction | None = None
+    def __init__(self, children: list[PatternNode | int], location: Fraction | None):
+        self.children = children
+        self.location = location
 
     def leaves(self) -> list[int]:
         out: list[int] = []
@@ -67,10 +66,10 @@ class PatternNode:
         return out
 
 
-@dataclass
 class GluingPattern:
-    root: PatternNode
-    n_leaves: int
+    def __init__(self, root: PatternNode, n_leaves: int):
+        self.root = root
+        self.n_leaves = n_leaves
 
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?")
@@ -137,9 +136,13 @@ class _Parser:
 
 
 def _parse_root(text: str) -> PatternNode:
-    """The whole of ``text`` as one pattern node; trailing input is an error."""
+    """The whole of ``text`` as one pattern node; trailing input is an error,
+    and so is a location on the root, which is not a collision."""
     parser = _Parser(text)
     root = parser.parse_node()
+    if root.location is not None:
+        raise PatternError("the root is not a collision and takes no location",
+                           text.rindex("@", 0, parser.pos))
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input after pattern")
@@ -152,9 +155,9 @@ def infer_sites(text: str) -> int:
 
 
 def parse_pattern(text: str, n: int) -> GluingPattern:
-    """Parse the bracket grammar  pattern := "[" item ("," item)* "]" ("@" rational)?
-    where an item is a leaf index or a nested pattern.  Leaves must be exactly
-    1..n, each used once."""
+    """Parse the bracket grammar  root := "[" item ("," item)* "]"  where an
+    item is a leaf index or a nested collision  root ("@" rational)?.
+    Leaves must be exactly 1..n, each used once."""
     root = _parse_root(text)
     leaves = root.leaves()
     seen: set[int] = set()
@@ -186,17 +189,25 @@ def left_comb_pattern(n: int, z1=0, z2=1) -> tuple[GluingPattern, list[Fraction]
     return pattern, poles
 
 
-@dataclass
 class LimitFamily:
-    """Ordered list of limit Lax matrices (one per elementary gluing step)."""
+    """Ordered list of limit Lax matrices (one per elementary gluing step).
 
-    sig: AlgebraSignature
-    matrices: list[LaxMatrix]
-    provenance: dict = field(default_factory=dict)
-    # invariant_family results per max_power; the matrices are never mutated
-    # once built, so the suites and checks share one computation.
-    _invariants: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    Two families are equal when their signature, matrices and provenance are;
+    the computed invariants take no part in equality."""
+
+    def __init__(self, sig: AlgebraSignature, matrices: list[LaxMatrix], provenance: dict):
+        self.sig = sig
+        self.matrices = matrices
+        self.provenance = provenance
+        # invariant_family results per max_power; the matrices are never
+        # mutated once built, so the suites and checks share one computation.
+        self._invariants: dict = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LimitFamily):
+            return NotImplemented
+        return ((self.sig, self.matrices, self.provenance)
+                == (other.sig, other.matrices, other.provenance))
 
     def invariant_family(self, max_power: int | None = None) -> InvariantFamily:
         family = self._invariants.get(max_power)

@@ -10,23 +10,23 @@ quantum machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .algebra import AlgebraSignature, ModeError, NCPoly
 from .linalg import power_traces
 from .ratfun import LaxEntry, RatFun
 
 
-@dataclass
 class LaxMatrix:
     """Square matrix of LaxEntry values with its declared pole set."""
 
-    sig: AlgebraSignature
-    entries: list[list[LaxEntry]]
-    poles: list[tuple[Fraction, int]]
-    label: str = "L"
+    def __init__(self, sig: AlgebraSignature, entries: list[list[LaxEntry]],
+                 poles: list[tuple[Fraction, int]], label: str):
+        self.sig = sig
+        self.entries = entries
+        self.poles = poles
+        self.label = label
 
     @property
     def size(self) -> int:
@@ -56,10 +56,10 @@ class LaxMatrix:
     __str__ = render
 
 
-@dataclass
 class InvariantMember:
-    expr: NCPoly
-    provenance: dict
+    def __init__(self, expr: NCPoly, provenance: dict):
+        self.expr = expr
+        self.provenance = provenance
 
     def to_json_dict(self) -> dict:
         out = dict(self.provenance)
@@ -67,12 +67,12 @@ class InvariantMember:
         return out
 
 
-@dataclass
 class InvariantFamily:
     """Spectral invariants tagged with where they came from."""
 
-    members: list[InvariantMember] = field(default_factory=list)
-    label: str = ""
+    def __init__(self, members: list[InvariantMember], label: str = ""):
+        self.members = members
+        self.label = label
 
     def exprs(self) -> list[NCPoly]:
         return [m.expr for m in self.members]

@@ -22,12 +22,12 @@ Python ints and builds no ``Fraction``.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import gcd, lcm
 from operator import add
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

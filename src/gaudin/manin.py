@@ -11,7 +11,6 @@ Hamiltonians, and traces of its powers give the quantum trace family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, combinations_with_replacement, islice, permutations, product
@@ -32,12 +31,17 @@ from .ratfun import DiffOpEntry, LaxEntry
 from .reports import CheckReport
 
 
-@dataclass
 class DiffOpMatrix:
-    """Square matrix of DiffOpEntry values; the Manin-candidate container."""
+    """Square matrix of DiffOpEntry values; the Manin-candidate container.
 
-    sig: AlgebraSignature
-    entries: list[list[DiffOpEntry]]
+    The column determinants of its principal submatrices are computed once
+    per matrix (``principal_det``), so its entries must not change after the
+    first of them is read."""
+
+    def __init__(self, sig: AlgebraSignature, entries: list[list[DiffOpEntry]]):
+        self.sig = sig
+        self.entries = entries
+        self._principal_dets: dict[tuple[int, ...], DiffOpEntry] = {}
 
     @property
     def size(self) -> int:
@@ -92,6 +96,35 @@ class DiffOpMatrix:
     def principal(self, keep: tuple[int, ...]) -> "DiffOpMatrix":
         """The submatrix on rows and columns ``keep``, in that order."""
         return DiffOpMatrix(self.sig, [[self.entries[i][j] for j in keep] for i in keep])
+
+    def principal_det(self, keep: tuple[int, ...]) -> DiffOpEntry:
+        """det_col of the principal submatrix on the ascending indices
+        ``keep`` in the default column order, computed on first request;
+        all indices give the determinant of the matrix itself."""
+        det = self._principal_dets.get(keep)
+        if det is None:
+            sub = self if len(keep) == self.size else self.principal(keep)
+            det = self._principal_dets[keep] = col_det(sub)
+        return det
+
+    def det(self) -> DiffOpEntry:
+        """det_col of the matrix in the default column order, computed once."""
+        return self.principal_det(tuple(range(self.size)))
+
+    @cached_property
+    def minor_sums(self) -> list[DiffOpEntry]:
+        """sigma_0 = 1, sigma_1, ..., sigma_n with det_col(t + M) = sum_k sigma_k t^(n-k).
+
+        For a central variable t, expanding the column determinant column by
+        column gives  det_col(t + M) = sum over index sets S of t^(n-|S|) det_col(M_S)
+        for any matrix, M_S being the principal submatrix with its column
+        order kept; so sigma_k sums the column determinants of the k x k ones.
+        """
+        n = self.size
+        return [DiffOpEntry.one(self.sig)] + [
+            reduce(add, (self.principal_det(keep) for keep in combinations(range(n), k)))
+            for k in range(1, n + 1)
+        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOpMatrix):
@@ -168,7 +201,7 @@ def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
     n = M.size
     if n > 4:
         raise ValueError("column-order sweep is limited to n <= 4")
-    reference = col_det(M)
+    reference = M.det()
     witnesses = []
     for order in islice(permutations(range(n)), 1, None):    # skip the identity
         other = col_det(M, order)
@@ -186,31 +219,20 @@ def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
 
 
 def adjugate(M: DiffOpMatrix) -> DiffOpMatrix:
-    """Adjugate via column determinants of minors, as in the commutative case."""
+    """Adjugate via column determinants of minors, as in the commutative case;
+    a diagonal minor is a principal submatrix, whose determinant ``M`` keeps."""
     n = M.size
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            cof = col_det(M.minor(j, i))
+            if i == j:
+                cof = M.principal_det(tuple(k for k in range(n) if k != i))
+            else:
+                cof = col_det(M.minor(j, i))
             row.append(-cof if (i + j) % 2 else cof)
         out.append(row)
     return DiffOpMatrix(M.sig, out)
-
-
-def _principal_minor_sums(M: DiffOpMatrix) -> list[DiffOpEntry]:
-    """sigma_0 = 1, sigma_1, ..., sigma_n with det_col(t + M) = sum_k sigma_k t^(n-k).
-
-    For a central variable t, expanding the column determinant column by
-    column gives  det_col(t + M) = sum over index sets S of t^(n-|S|) det_col(M_S)
-    for any matrix, M_S being the principal submatrix with its column order
-    kept; so sigma_k sums the column determinants of the k x k ones.
-    """
-    n = M.size
-    return [DiffOpEntry.one(M.sig)] + [
-        reduce(add, (col_det(M.principal(keep)) for keep in combinations(range(n), k)))
-        for k in range(1, n + 1)
-    ]
 
 
 def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
@@ -226,7 +248,7 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     sig = M.sig
 
     # Left Cramer formula: adj(M) M = det_col(M) Id.
-    det = col_det(M)
+    det = M.det()
     prod = adjugate(M) * M
     witnesses = []
     for i in range(n):
@@ -242,7 +264,7 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     # Cayley-Hamilton with coefficients substituted on the left:  the
     # t^k coefficient of det_col(t - M) is (-1)^(n-k) sigma_(n-k).
     if M.is_diff_free():
-        sigma = _principal_minor_sums(M)
+        sigma = M.minor_sums
         acc = DiffOpMatrix(sig, [[DiffOpEntry.zero(sig)] * n for _ in range(n)])
         power = DiffOpMatrix.identity(sig, n)
         for k in range(n + 1):
@@ -346,7 +368,7 @@ def newton_check(M: DiffOpMatrix) -> CheckReport:
     """
     n = M.size
     sig = M.sig
-    sigma = _principal_minor_sums(M)       # det_col(t + M) = sum sigma_k t^(n-k)
+    sigma = M.minor_sums                   # det_col(t + M) = sum sigma_k t^(n-k)
     tau = [None, *linalg.power_traces(M.entries, n)]
     witnesses = []
     for k in range(1, n + 1):
@@ -374,13 +396,14 @@ def quantum_powers(L: LaxMatrix, m: int) -> list[DiffOpMatrix]:
     return out
 
 
-@dataclass
 class TalalaevOutput:
     """Coefficients of det_col(d/dz - L) and of the quantum trace powers."""
 
-    lax: LaxMatrix
-    qh: list[LaxEntry]                       # index = power of d/dz, 0..r
-    qtr: dict[tuple[int, int], LaxEntry]     # (k, j) from Tr (d/dz - L)^k
+    def __init__(self, lax: LaxMatrix, qh: list[LaxEntry],
+                 qtr: dict[tuple[int, int], LaxEntry]):
+        self.lax = lax
+        self.qh = qh            # index = power of d/dz, 0..r
+        self.qtr = qtr          # (k, j) from Tr (d/dz - L)^k
 
     @property
     def rank(self) -> int:

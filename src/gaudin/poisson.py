@@ -36,11 +36,10 @@ checks are diagnostics only.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
-from typing import Mapping, Sequence
 
 from .algebra import (
     AlgebraSignature,
@@ -56,7 +55,6 @@ from .reports import CheckReport
 Block = dict[int, Fraction]
 
 
-@dataclass(frozen=True)
 class PoissonOperator:
     """N x N block operator; block (i,j) is a combination sum_k c_k ad(X_k).
 
@@ -64,16 +62,21 @@ class PoissonOperator:
     A block key or coefficient site outside 1..sites is refused, so every
     block reaches the letter table that the certificates examine."""
 
-    sites: int
-    blocks: Mapping[tuple[int, int], Block]
-    name: str = field(default="operator", compare=False)
-
-    def __post_init__(self):
-        for (i, j), combo in self.blocks.items():
+    def __init__(self, sites: int, blocks: Mapping[tuple[int, int], Block],
+                 name: str = "operator"):
+        for (i, j), combo in blocks.items():
             for s in (i, j, *combo):
-                if not 1 <= s <= self.sites:
+                if not 1 <= s <= sites:
                     raise ValueError(f"block ({i},{j}) names site {s}, "
-                                     f"outside 1..{self.sites}")
+                                     f"outside 1..{sites}")
+        self.sites = sites
+        self.blocks = blocks
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PoissonOperator):
+            return NotImplemented
+        return self.sites == other.sites and self.blocks == other.blocks
 
     def block(self, i: int, j: int) -> Block:
         return self.blocks.get((i, j), {})

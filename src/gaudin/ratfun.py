@@ -34,10 +34,10 @@ to LaxEntry coefficients, multiplying by the exact Leibniz rule
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Iterable
 
 from .algebra import AlgebraSignature, NCPoly, SparseSum, _acc
 

@@ -8,17 +8,18 @@ configuration and seed reproduce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckReport:
-    check: str
-    passed: bool | None          # None marks a diagnostic or skipped check
-    params: dict = field(default_factory=dict)
-    trials: int | None = None
-    witnesses: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    def __init__(self, check: str, passed: bool | None, params: dict | None = None,
+                 trials: int | None = None, witnesses: list | None = None,
+                 info: dict | None = None):
+        self.check = check
+        self.passed = passed    # None marks a diagnostic or skipped check
+        self.params = {} if params is None else params
+        self.trials = trials
+        self.witnesses = [] if witnesses is None else witnesses
+        self.info = {} if info is None else info
 
     @property
     def gating(self) -> bool:

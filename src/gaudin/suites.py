@@ -8,7 +8,7 @@ drawn from the configured seed, which is recorded in the emitted report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (
@@ -61,19 +61,26 @@ from .reports import CheckReport
 SUITES = ("quadratic", "glue", "bending", "talalaev", "manin", "poisson")
 
 
-@dataclass
 class RunConfig:
-    rank: int = 2
-    sites: int = 3
-    mode: str = "classical"
-    poles: list[Fraction] = field(default_factory=list)
-    pattern: str = ""
-    eval_points: list[Fraction] = field(default_factory=lambda: [Fraction(5), Fraction(7)])
-    seed: int = 12345
-    k: int = 1
-    z1: Fraction = Fraction(0)
-    z2: Fraction = Fraction(1)
-    unsafe_scale: bool = False
+    """One suite run's settings.  ``cli`` reads the defaults off
+    ``vars(RunConfig())`` in this order, one flag per attribute."""
+
+    def __init__(self, rank: int = 2, sites: int = 3, mode: str = "classical",
+                 poles: Sequence[Fraction] = (), pattern: str = "",
+                 eval_points: Sequence[Fraction] = (Fraction(5), Fraction(7)),
+                 seed: int = 12345, k: int = 1, z1: Fraction = Fraction(0),
+                 z2: Fraction = Fraction(1), unsafe_scale: bool = False):
+        self.rank = rank
+        self.sites = sites
+        self.mode = mode
+        self.poles = list(poles)
+        self.pattern = pattern
+        self.eval_points = list(eval_points)
+        self.seed = seed
+        self.k = k
+        self.z1 = z1
+        self.z2 = z2
+        self.unsafe_scale = unsafe_scale
 
     def signature(self, mode: str | None = None) -> AlgebraSignature:
         m = Mode.QUANTUM if (mode or self.mode) == "quantum" else Mode.CLASSICAL

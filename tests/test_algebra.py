@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -62,6 +63,50 @@ def test_multiply_distinct_sites_commute(q2):
 def test_multiply_rejects_signature_mismatch(q2, q3):
     with pytest.raises(SignatureMismatchError):
         q2.gen(1, 1, 1) * q3.gen(1, 1, 1)
+
+
+class TestSignatureValue:
+    def test_equality_and_hash_read_rank_sites_mode(self):
+        sig = AlgebraSignature(2, 3, Mode.QUANTUM)
+        same = AlgebraSignature(rank=2, sites=3, mode=Mode.QUANTUM)
+        assert sig == same and not sig != same and hash(sig) == hash(same)
+        assert {sig: 1}[same] == 1
+        for other in (AlgebraSignature(3, 3, Mode.QUANTUM), AlgebraSignature(2, 2, Mode.QUANTUM),
+                      sig.as_mode(Mode.CLASSICAL)):
+            assert sig != other and not sig == other
+
+    def test_deepcopy_is_an_equal_signature(self):
+        sig = AlgebraSignature(2, 3, Mode.CLASSICAL)
+        clone = copy.deepcopy(sig)
+        assert type(clone) is AlgebraSignature and clone == sig
+        assert clone.mode is Mode.CLASSICAL
+        assert clone.gen(3, 2, 1) == sig.gen(3, 2, 1)
+
+    def test_fields_are_read_only(self):
+        sig = AlgebraSignature(2, 3, Mode.CLASSICAL)
+        with pytest.raises(AttributeError):
+            sig.rank = 4
+
+    @pytest.mark.parametrize("rank, sites, message", [
+        (0, 1, "rank must be >= 1, got 0"),
+        (1, -2, "sites must be >= 1, got -2"),
+    ])
+    def test_bad_shapes_refused(self, rank, sites, message):
+        with pytest.raises(ValueError, match=message):
+            AlgebraSignature(rank, sites, Mode.QUANTUM)
+
+    def test_mismatch_error_names_both_signatures(self, q2, q3, c2, c3):
+        with pytest.raises(SignatureMismatchError) as err:
+            q2.gen(1, 1, 1) + q3.gen(1, 1, 1)
+        assert str(err.value) == (
+            "operands over different signatures: "
+            "AlgebraSignature(rank=2, sites=2, mode=<Mode.QUANTUM: 'quantum'>) vs "
+            "AlgebraSignature(rank=2, sites=3, mode=<Mode.QUANTUM: 'quantum'>)")
+        with pytest.raises(SignatureMismatchError) as err:
+            poisson_bracket(c2.gen(1, 1, 2), c3.gen(1, 2, 1))
+        assert str(err.value) == (
+            "AlgebraSignature(rank=2, sites=2, mode=<Mode.CLASSICAL: 'classical'>) vs "
+            "AlgebraSignature(rank=2, sites=3, mode=<Mode.CLASSICAL: 'classical'>)")
 
 
 def test_classical_multiply_commutative(c3, rng):

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaudin.cli
 from gaudin.cli import main
 
 
@@ -106,6 +110,20 @@ def test_verify_glue_gates_the_quantum_algebra_of_a_left_comb(tmp_path, capsys):
     quantum = checks["quantum_limit_algebra"]
     assert quantum["pass"] is True
     assert quantum["spec"]["count"] == 16
+
+
+@pytest.mark.parametrize("pattern, position", [
+    ("[1,[2,3]@3]@4", 11),
+    ("[1, [2,3]@3] @ 1/2", 13),
+])
+@pytest.mark.parametrize("sites", [[], ["--sites", "3"]], ids=["inferred", "given"])
+def test_verify_glue_refuses_a_root_location(pattern, position, sites, tmp_path, capsys):
+    # the root is not a collision, so a location there would be silently dropped
+    code, out, err = run_cli(["verify", "glue", "--pattern", pattern, *sites,
+                              "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: the root is not a collision and takes no location "
+                   f"(at position {position})\n")
 
 
 def test_verify_glue_checks_the_pole_count(tmp_path, capsys):
@@ -384,3 +402,30 @@ def test_bad_rationals_name_the_flag(flag, value, bad, tmp_path, capsys):
     code, _, err = run_cli(["verify", "manin", flag, value, "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err == f"error: {flag}: bad rational {bad!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "quadratic", "--r", "1", "--sites", "2"],
+    ["build", "--what", "gaudin"],
+])
+def test_json_report_is_rendered_once(argv, tmp_path, capsys, monkeypatch):
+    rendered = []
+    inner = gaudin.cli.dumps_json
+    monkeypatch.setattr(gaudin.cli, "dumps_json",
+                        lambda doc: rendered.append(doc) or inner(doc))
+    code, out, _ = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0 and len(rendered) == 1
+    [artifact] = tmp_path.glob("*.json")
+    assert out.encode() == artifact.read_bytes()
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps the interpreter's site hooks, which may preload typing, out of
+    # the check: only what importing the package itself loads is counted
+    code = ("import sys, gaudin.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"

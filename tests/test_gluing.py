@@ -8,6 +8,7 @@ from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, commutator, integer_gradient, poisson_bracket,
 )
 from gaudin.gluing import (
+    LimitFamily,
     PatternError,
     PatternNode,
     _jacobian_rows,
@@ -65,6 +66,13 @@ class TestParsePattern:
     def test_single_child_node(self):
         with pytest.raises(PatternError, match="at least 2 children"):
             parse_pattern("[1,[2]]", 2)
+
+    @pytest.mark.parametrize("text, position", [("[1,2]@0", 5), ("[[1,2]@3,3] @3", 12)])
+    def test_root_location_refused(self, text, position):
+        for parse in (infer_sites, lambda t: parse_pattern(t, 3)):
+            with pytest.raises(PatternError, match="root is not a collision") as err:
+                parse(text)
+            assert err.value.position == position
 
     def test_malformed_location_reports_position(self):
         with pytest.raises(PatternError) as err:
@@ -157,6 +165,16 @@ class TestIteratePattern:
         assert fam.invariant_family(1).exprs() == [m.expr for m in full.members
                                                    if m.provenance["power"] == 1]
         assert fam == iterate_pattern(c3, parse_pattern("[1,[2,3]@7]", 3))
+
+    def test_equality_ignores_the_computed_outputs(self, q3):
+        pattern = parse_pattern("[1,[2,3]@7]", 3)
+        fam = iterate_pattern(q3, pattern)
+        assert fam.talalaev_outputs is fam.talalaev_outputs
+        fresh = iterate_pattern(q3, pattern)
+        assert fam == fresh and fresh == fam
+        assert fam != iterate_pattern(q3, parse_pattern("[[1,2]@7,3]", 3))
+        assert fam != LimitFamily(q3, fam.matrices, {"label": "other"})
+        assert fam == LimitFamily(q3, list(fam.matrices), {"label": "pattern"})
 
     def test_four_site_elementary_family_commutes(self):
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb, factorial
 from operator import add
 
@@ -337,6 +338,54 @@ class TestNewton:
         assert rep.passed is False
         assert rep.witnesses == [
             {"k": 2, "residual": "((-1) * e[1,1]@1 + (1) * e[2,2]@1)"}]
+
+
+class TestDeterminantCache:
+    """Each principal column minor is computed once per matrix and shared by
+    the column-order sweep, Cramer, Cayley-Hamilton and Newton."""
+
+    @staticmethod
+    def count_determinants(monkeypatch) -> list[int]:
+        sizes = []
+        inner = manin.col_det
+        monkeypatch.setattr(manin, "col_det",
+                            lambda M, order=None: sizes.append(M.size) or inner(M, order))
+        return sizes
+
+    def test_checks_share_the_principal_minors(self, monkeypatch):
+        M = const_matrix([[2, -1, 0, 3], [1, 1, 2, 0], [0, 4, -2, 1], [1, 0, 1, 1]])
+        sizes = self.count_determinants(monkeypatch)
+        assert column_order_invariance(M).passed
+        assert all(r.passed for r in manin_property_suite(M))
+        assert newton_check(M).passed
+        # 4! orders, the 16 cofactors (the 4 diagonal ones are the 3x3
+        # principal minors), then the 1x1 and 2x2 principal minors; the
+        # determinant itself and Newton's sums come from the cache
+        assert sizes == [4] * 24 + [3] * 16 + [1] * 4 + [2] * 6
+
+    def test_cached_values_match_fresh_determinants(self):
+        M = manin_case("gaudin-gl3")
+        n = M.size
+        assert M.det() == col_det(DiffOpMatrix(M.sig, M.entries))
+        fresh = [DiffOpEntry.one(M.sig)] + [
+            reduce(add, (col_det(M.principal(keep)) for keep in combinations(range(n), k)))
+            for k in range(1, n + 1)]
+        assert M.minor_sums == fresh
+        assert M.minor_sums is M.minor_sums and M.minor_sums[n] is M.det()
+        adj = adjugate(M)
+        for i in range(n):
+            assert adj.entries[i][i] == col_det(M.minor(i, i))
+
+    def test_manin_suite_determinant_count(self, monkeypatch):
+        sizes = self.count_determinants(monkeypatch)
+        reports = run_suite("manin", RunConfig(rank=3))
+        assert all(rep.passed is not False for rep in reports)
+        # d/dz-Gaudin 3x3: 3! orders and 9 cofactors (15); each 3x3 property
+        # suite: the determinant, 9 cofactors and 3 1x1 minors (13), on the
+        # cross-site matrix and four commutative draws (two of them redrawn
+        # for a singular Schur block); the 4x4 draw: 1 + 16 + 4 + 6 (27).
+        # Newton reuses every sum.  Without the cache the suite made 169.
+        assert len(sizes) == 15 + 13 * 5 + 27 == 107
 
 
 class TestQuantumPowers:

@@ -77,6 +77,14 @@ class TestOperators:
         assert PoissonOperator(3, dict(std.blocks)) == std
         assert pencil(1, std, 0, limit_rijk_operator(3)) == std
 
+    def test_equality_reads_sites_and_blocks(self):
+        blocks = {(1, 1): {1: Fraction(1)}, (2, 1): {1: Fraction(-2)}}
+        op = PoissonOperator(2, blocks, "first")
+        assert op == PoissonOperator(2, dict(blocks), "second")
+        assert op != PoissonOperator(3, blocks, "first")
+        assert op != op.with_block(2, 1, {1: Fraction(2)})
+        assert op != standard_operator(2)
+
     def test_pencil_combines_blocks(self):
         combined = pencil(2, standard_operator(4), Fraction(-1, 3), limit_rijk_operator(4))
         assert combined.block(1, 1) == {1: 2}
