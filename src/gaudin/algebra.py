@@ -33,10 +33,12 @@ produced anywhere.  Inside the z-layer (``ratfun``) a coefficient or pole is
 kept as a Python ``int`` where it is integral and every value leaving it is a
 ``Fraction`` again, so ``NCPoly`` coefficients are always Fractions.  The two
 bracket engines (``commutator`` and ``poisson_bracket``) scale each operand
-once to integer numerators over one common denominator, run their loops on
-Python ints and divide by the product of the denominators at the end, so a
-bracket builds one ``Fraction`` per output term.  An exact zero is the only
-accepted "commutes" verdict anywhere downstream.
+once to integer numerators over one common denominator
+(``linalg.integer_form``), run their loops on Python ints and divide by the
+product of the denominators at the end, so a bracket builds one ``Fraction``
+per output term.  A letter table arrives in the same form, one denominator
+and integer rules.  An exact zero is the only accepted "commutes" verdict
+anywhere downstream.
 
 Inside ``poisson_bracket`` a classical word is a packed monomial: one int
 holding its exponent vector, with a field of (deg p + deg q - 1).bit_length()
@@ -54,12 +56,14 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+
+from .linalg import integer_form
 
 Letter = tuple[int, int, int]
 Word = tuple[Letter, ...]
-# A classical bracket's values on coordinate pairs: (g, h) -> [(letter, coeff)].
-LetterTable = Mapping[tuple[Letter, Letter], Sequence[tuple[Letter, Fraction]]]
+# A classical bracket's values on coordinate pairs over one denominator d:
+# (d, (g, h) -> [(letter, integer numerator)]), {g, h} = sum numerator/d * letter.
+LetterTable = tuple[int, Mapping[tuple[Letter, Letter], Sequence[tuple[Letter, int]]]]
 
 
 class Mode(Enum):
@@ -515,18 +519,6 @@ class NCPoly(SparseSum):
         return " ".join(parts)
 
 
-def _integer_terms(p: NCPoly) -> tuple[int, dict[Word, int]]:
-    """(d, numerators): p's terms times d, the lcm of its denominators."""
-    d = 1
-    for c in p.terms.values():
-        d = lcm(d, c.denominator)
-    return d, {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}
-
-
-def _from_integer_terms(sig: AlgebraSignature, terms: dict[Word, int], d: int) -> NCPoly:
-    return NCPoly(sig, {w: Fraction(c, d) for w, c in terms.items() if c})
-
-
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     """pq - qp in normal form.  Quantum mode only.
 
@@ -538,8 +530,8 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     if p.sig != q.sig:
         raise SignatureMismatchError(
             f"operands over different signatures: {p.sig} vs {q.sig}")
-    dp, ip = _integer_terms(p)
-    dq, iq = _integer_terms(q)
+    dp, ip = integer_form(p.terms)
+    dq, iq = integer_form(q.terms)
     n = p.sig.sites
     split_q = [(*_site_blocks(w, n), c) for w, c in iq.items()]
     terms: dict[Word, int] = {}
@@ -551,7 +543,8 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
                 c = c1 * c2
                 for w, k in _word_commutator(b1, b2):
                     terms[w] = get(w, 0) + c * k
-    return _from_integer_terms(p.sig, terms, dp * dq)
+    d = dp * dq
+    return NCPoly(p.sig, {w: Fraction(c, d) for w, c in terms.items() if c})
 
 
 def _packed_gradient(p: NCPoly, unit: dict[Letter, int]
@@ -559,7 +552,7 @@ def _packed_gradient(p: NCPoly, unit: dict[Letter, int]
     """(d, letter -> {packed word with one copy of letter removed:
     numerator * multiplicity}), the numerators taken over p's common
     denominator d."""
-    d, terms = _integer_terms(p)
+    d, terms = integer_form(p.terms)
     grad: dict[Letter, dict[int, int]] = {}
     for w, c in terms.items():
         m = sum(unit[g] for g in w)
@@ -573,9 +566,10 @@ def _packed_gradient(p: NCPoly, unit: dict[Letter, int]
 def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
     """Biderivation fixed by its values on coordinate pairs, extended by Leibniz.
 
-    Without a table this is the site-wise Lie-Poisson bracket; a table maps
-    each letter pair (g, h) to the (letter, coefficient) expansion of {g, h},
-    absent pairs bracketing to zero.  Classical mode only.
+    Without a table this is the site-wise Lie-Poisson bracket; a table
+    (d, rules) maps each letter pair (g, h) to the (letter, integer
+    numerator) expansion of d{g, h}, absent pairs bracketing to zero.
+    Classical mode only.
 
     {p, q} = sum_h X_h * dq/dh with X_h = sum_g {g, h} * dp/dg, each X_h
     formed once over packed monomials (see the module docstring).
@@ -591,16 +585,14 @@ def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> N
     unit = {g: 1 << (bits * i) for i, g in enumerate(letters)}
     dp, grad_p = _packed_gradient(p, unit)
     dq, grad_q = _packed_gradient(q, unit)
+    dt, letter_rules = (1, None) if table is None else table
     rules = []
-    dt = 1
     for h, right in grad_q.items():
         rule = []
         for g, left in grad_p.items():
-            br = _letter_bracket(g, h) if table is None else table.get((g, h))
+            br = _letter_bracket(g, h) if letter_rules is None else letter_rules.get((g, h))
             if br:
                 rule.append((left, br))
-                for _, k in br:
-                    dt = lcm(dt, k.denominator)
         if rule:
             rules.append((right, rule))
     terms: dict[int, int] = {}
@@ -610,7 +602,7 @@ def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> N
         xget = x.get
         for left, br in rule:
             for letter, k in br:
-                u, k = unit[letter], k.numerator * (dt // k.denominator)
+                u = unit[letter]
                 for r, c in left.items():
                     key = r + u
                     x[key] = xget(key, 0) + c * k
@@ -679,7 +671,7 @@ def integer_gradient(p: NCPoly) -> tuple[int, dict[Letter, list[tuple[Word, int]
     distinct rest words, so nothing needs accumulating."""
     if p.sig.is_quantum:
         raise ModeError("partial derivatives are defined in Classical mode only")
-    d, terms = _integer_terms(p)
+    d, terms = integer_form(p.terms)
     grad: dict[Letter, list[tuple[Word, int]]] = {}
     for w, c in terms.items():
         for g in dict.fromkeys(w):

@@ -34,7 +34,6 @@ from .algebra import (
 )
 from .lax import (
     InvariantFamily,
-    InvariantMember,
     LaxMatrix,
     lax_from_groups,
     physical_hamiltonian,
@@ -79,6 +78,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.leaves: list[tuple[int, int]] = []  # (leaf, offset in text)
 
     def error(self, message: str) -> PatternError:
         return PatternError(message, self.pos)
@@ -118,8 +118,10 @@ class _Parser:
         m = re.match(r"\d+", self.text[self.pos:])
         if not m:
             raise self.error("expected a leaf index or a nested pattern")
+        leaf = int(m.group(0))
+        self.leaves.append((leaf, self.pos))
         self.pos += len(m.group(0))
-        return int(m.group(0))
+        return leaf
 
     def parse_rational(self) -> Fraction:
         self.skip_ws()
@@ -135,9 +137,10 @@ class _Parser:
         return location
 
 
-def _parse_root(text: str) -> PatternNode:
-    """The whole of ``text`` as one pattern node; trailing input is an error,
-    and so is a location on the root, which is not a collision."""
+def _parse_root(text: str) -> tuple[PatternNode, list[tuple[int, int]]]:
+    """The whole of ``text`` as one pattern node, with its (leaf, offset)
+    pairs in leaf order; trailing input is an error, and so is a location on
+    the root, which is not a collision."""
     parser = _Parser(text)
     root = parser.parse_node()
     if root.location is not None:
@@ -146,30 +149,30 @@ def _parse_root(text: str) -> PatternNode:
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input after pattern")
-    return root
+    return root, parser.leaves
 
 
 def infer_sites(text: str) -> int:
     """Leaf count of a pattern, for configurations that omit the site count."""
-    return len(_parse_root(text).leaves())
+    return len(_parse_root(text)[1])
 
 
 def parse_pattern(text: str, n: int) -> GluingPattern:
     """Parse the bracket grammar  root := "[" item ("," item)* "]"  where an
     item is a leaf index or a nested collision  root ("@" rational)?.
-    Leaves must be exactly 1..n, each used once."""
-    root = _parse_root(text)
-    leaves = root.leaves()
+    Leaves must be exactly 1..n, each used once; a bad leaf is reported at
+    its offset, missing leaves at the end of the text."""
+    root, leaves = _parse_root(text)
     seen: set[int] = set()
-    for leaf in leaves:
+    for leaf, position in leaves:
         if leaf < 1 or leaf > n:
-            raise PatternError(f"leaf {leaf} out of range 1..{n}", 0)
+            raise PatternError(f"leaf {leaf} out of range 1..{n}", position)
         if leaf in seen:
-            raise PatternError(f"duplicate leaf {leaf}", 0)
+            raise PatternError(f"duplicate leaf {leaf}", position)
         seen.add(leaf)
     missing = set(range(1, n + 1)) - seen
     if missing:
-        raise PatternError(f"missing leaves {sorted(missing)}", 0)
+        raise PatternError(f"missing leaves {sorted(missing)}", len(text))
     return GluingPattern(root, n)
 
 
@@ -180,6 +183,8 @@ def left_comb_pattern(n: int, z1=0, z2=1) -> tuple[GluingPattern, list[Fraction]
     if n < 2:
         raise ValueError("need at least 2 sites")
     z1, z2 = Fraction(z1), Fraction(z2)
+    if z1 == z2:
+        raise ValueError("the two pole locations must differ")
     node = PatternNode([1, 2], location=None)
     for leaf in range(3, n + 1):
         node.location = z1
@@ -199,9 +204,9 @@ class LimitFamily:
         self.sig = sig
         self.matrices = matrices
         self.provenance = provenance
-        # invariant_family results per max_power; the matrices are never
-        # mutated once built, so the suites and checks share one computation.
-        self._invariants: dict = {}
+        # the matrices are never mutated once built, so the suites and checks
+        # share one invariant family
+        self._invariants: InvariantFamily | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LimitFamily):
@@ -209,15 +214,14 @@ class LimitFamily:
         return ((self.sig, self.matrices, self.provenance)
                 == (other.sig, other.matrices, other.provenance))
 
-    def invariant_family(self, max_power: int | None = None) -> InvariantFamily:
-        family = self._invariants.get(max_power)
-        if family is None:
-            members: list[InvariantMember] = []
-            for matrix in self.matrices:
-                members.extend(spectral_invariants(matrix, max_power).members)
-            family = InvariantFamily(members, label=self.provenance.get("label", "limit"))
-            self._invariants[max_power] = family
-        return family
+    def invariant_family(self) -> InvariantFamily:
+        """The spectral invariants of every matrix, computed on the first call."""
+        if self._invariants is None:
+            members = [member for matrix in self.matrices
+                       for member in spectral_invariants(matrix).members]
+            self._invariants = InvariantFamily(
+                members, label=self.provenance.get("label", "limit"))
+        return self._invariants
 
     @cached_property
     def talalaev_outputs(self) -> list[TalalaevOutput]:

@@ -1,7 +1,9 @@
 """Exact linear algebra: the matrix product, power-trace loop and column
-determinant of the package, and its one elimination, which gives rank, the
+determinant of the package, its one elimination, which gives rank, the
 greedy independent subset of a sequence of sparse vectors and the expression
-of a target vector as a combination of given sparse vectors.
+of a target vector as a combination of given sparse vectors, and its one
+rational-to-integer scaling, ``integer_form``, which the elimination, the
+two bracket engines, the integer gradients and the Poisson letter table use.
 
 The matrix product, power traces and column determinant use only ``+``,
 ``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
@@ -10,14 +12,14 @@ qualify; products keep the factor order they are written in.
 
 The elimination takes sparse vectors (dicts key -> rational) and reduces
 them one at a time, sparse, fraction-free and incrementally.  Each vector
-is scaled to integers by the lcm of its denominators and reduced against
-the pivot rows kept so far, in the order they were kept: a row is replaced
-by a*row - b*pivot row, with a and b the two entries at the pivot key over
-their gcd, then divided by the gcd of its entries.  A kept row is zero at
-the pivot keys of the rows kept before it, so one pass clears every pivot
-key.  The vector is independent of those before it exactly when something
-is left, and what is left becomes the next pivot row.  The loop runs on
-Python ints and builds no ``Fraction``.
+is scaled to integers by ``integer_form``, its zeros are dropped, and it is
+reduced against the pivot rows kept so far, in the order they were kept: a
+row is replaced by a*row - b*pivot row, with a and b the two entries at the
+pivot key over their gcd, then divided by the gcd of its entries.  A kept
+row is zero at the pivot keys of the rows kept before it, so one pass clears
+every pivot key.  The vector is independent of those before it exactly when
+something is left, and what is left becomes the next pivot row.  The loop
+runs on Python ints and builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,16 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
     return total
 
 
+def integer_form(coeffs: Mapping[Hashable, Fraction]) -> tuple[int, dict[Hashable, int]]:
+    """(d, key -> integer numerator): the coefficients times d, the lcm of
+    their denominators.  Ints count as fractions over 1.  Zero coefficients
+    are kept, so a caller whose coefficients may vanish drops them itself."""
+    d = 1
+    for c in coeffs.values():
+        d = lcm(d, c.denominator)
+    return d, {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
+
+
 class _Tag:
     """A key that no caller's vector holds and that never becomes a pivot.
 
@@ -112,10 +124,7 @@ def _reduce(vectors: Iterable[Mapping]) -> Iterator[tuple[Hashable | None, dict]
     """
     kept: list[tuple[Hashable, int, dict]] = []
     for vec in vectors:
-        d = 1
-        for v in vec.values():
-            d = lcm(d, v.denominator)
-        row = {k: v.numerator * (d // v.denominator) for k, v in vec.items() if v}
+        row = {k: v for k, v in integer_form(vec)[1].items() if v}
         for key, a, prow in kept:
             b = row.get(key)
             if b:

@@ -12,7 +12,11 @@ and limit brackets, a tabulated operator and a pencil are all block operators,
 and since the bracket is linear in the blocks, ``pencil`` combines the blocks
 of two operators.  Each check compiles the operator to that letter table once
 (``letter_table``), and the table drives the same Leibniz loop as the standard
-bracket (``algebra.poisson_bracket``).
+bracket (``algebra.poisson_bracket``).  The table has one form, integer
+numerators over one denominator: the block coefficients are scaled once by
+``linalg.integer_form`` and the values on coordinate pairs are summed on
+ints, so the bracket, the certificates and ``manin.commutation_matrix`` all
+read the same integer rules.
 
 The same table makes the Poisson property a finite check: a biderivation is
 Poisson iff it is antisymmetric on every pair of coordinate letters and its
@@ -39,7 +43,7 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb
 
 from .algebra import (
     AlgebraSignature,
@@ -49,6 +53,7 @@ from .algebra import (
     poisson_bracket,
 )
 from .lax import InvariantFamily
+from .linalg import integer_form
 from .manin import commutation_matrix
 from .reports import CheckReport
 
@@ -181,21 +186,22 @@ def letter_table(op: PoissonOperator, sig: AlgebraSignature) -> LetterTable:
 
         {x[a,b]@i, x[c,d]@j} = sum_k c^ij_k (d_bc x[a,d]@k - d_ad x[c,b]@k),
 
-    read off Tr(grad_i F [P_ij, grad_j G]) on coordinate functions."""
+    read off Tr(grad_i F [P_ij, grad_j G]) on coordinate functions, as
+    (d, (g, h) -> [(letter, integer numerator)]): the block coefficients are
+    scaled once to integers over d, the lcm of their denominators."""
+    if sig.is_quantum:
+        raise ModeError("block-operator brackets are defined in Classical mode only")
     if op.sites != sig.sites:
         raise ValueError(f"operator is for {op.sites} sites, signature has {sig.sites}")
-    table: defaultdict = defaultdict(lambda: defaultdict(Fraction))
-    for (i, j), combo in op.blocks.items():
-        for k, coeff in combo.items():
-            for a, b, c in product(range(1, sig.rank + 1), repeat=3):
-                table[(i, a, b), (j, b, c)][k, a, c] += coeff  # the d_bc term
-                table[(i, a, b), (j, c, a)][k, c, b] -= coeff  # the d_ad term
-    out = {}
-    for pair, combo in table.items():
-        terms = [(letter, coeff) for letter, coeff in combo.items() if coeff]
-        if terms:
-            out[pair] = terms
-    return out
+    d, coeffs = integer_form({(i, j, k): c for (i, j), combo in op.blocks.items()
+                              for k, c in combo.items()})
+    table: defaultdict = defaultdict(lambda: defaultdict(int))
+    for (i, j, k), coeff in coeffs.items():
+        for a, b, c in product(range(1, sig.rank + 1), repeat=3):
+            table[(i, a, b), (j, b, c)][k, a, c] += coeff  # the d_bc term
+            table[(i, a, b), (j, c, a)][k, c, b] -= coeff  # the d_ad term
+    rules = {pair: [(g, c) for g, c in combo.items() if c] for pair, combo in table.items()}
+    return d, {pair: rule for pair, rule in rules.items() if rule}
 
 
 def bracket_eval(op: PoissonOperator, F: NCPoly, G: NCPoly) -> NCPoly:
@@ -204,23 +210,7 @@ def bracket_eval(op: PoissonOperator, F: NCPoly, G: NCPoly) -> NCPoly:
     Compiles the letter table on every call; checks that evaluate many
     brackets compile it once with ``letter_table``.
     """
-    if F.sig.is_quantum:
-        raise ModeError("bracket_eval works on Classical-mode elements")
     return poisson_bracket(F, G, letter_table(op, F.sig))
-
-
-def _scaled_table(op: PoissonOperator, sig: AlgebraSignature) -> tuple[int, dict]:
-    """(d, table): the letter table times d, the lcm of its denominators, as
-    (g, h) -> {letter: integer numerator}."""
-    if sig.is_quantum:
-        raise ModeError("Poisson certificates run in Classical mode")
-    table = letter_table(op, sig)
-    d = 1
-    for combo in table.values():
-        for _, c in combo:
-            d = lcm(d, c.denominator)
-    return d, {pair: {g: c.numerator * (d // c.denominator) for g, c in combo}
-               for pair, combo in table.items()}
 
 
 def _render_linear(sig: AlgebraSignature, combo: dict, d: int) -> str:
@@ -234,12 +224,12 @@ def _names(sig: AlgebraSignature, letters) -> list[str]:
 def antisymmetry_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     """{x, y} + {y, x} = 0 on every pair of coordinate letters, x = y
     included; the witness residual is {x, y} + {y, x}."""
-    d, table = _scaled_table(op, sig)
+    d, table = letter_table(op, sig)
     n = sig.sites * sig.rank ** 2
     witnesses = []
     for x, y in sorted({tuple(sorted(pair)) for pair in table}):
-        res = dict(table.get((x, y), {}))
-        for g, c in table.get((y, x), {}).items():
+        res = dict(table.get((x, y), ()))
+        for g, c in table.get((y, x), ()):
             res[g] = res.get(g, 0) + c
         if any(res.values()):
             witnesses.append({"pair": _names(sig, (x, y)),
@@ -264,15 +254,14 @@ def jacobi_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     a PASS here, with ``antisymmetry_check``, certifies the Jacobi identity on
     every polynomial.
     """
-    d, table = _scaled_table(op, sig)
+    d, table = letter_table(op, sig)
     letters = list(sig.letters())
-    empty: dict = {}
     witnesses = []
     for a, b, c in combinations(letters, 3):
         res: dict = {}
         for x, inner in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-            for w, k in table.get(inner, empty).items():
-                for g, m in table.get((x, w), empty).items():
+            for w, k in table.get(inner, ()):
+                for g, m in table.get((x, w), ()):
                     res[g] = res.get(g, 0) + k * m
         if any(res.values()):
             witnesses.append({"triple": _names(sig, (a, b, c)),
@@ -305,7 +294,7 @@ def family_commutes_under(op: PoissonOperator, family: InvariantFamily) -> Check
     """Whether the family members commute pairwise under the operator's
     bracket, certified by ``commutation_matrix`` on its letter table."""
     members = family.members
-    table = letter_table(op, members[0].expr.sig) if len(members) > 1 else {}
+    table = letter_table(op, members[0].expr.sig) if len(members) > 1 else (1, {})
     rep = commutation_matrix(family.exprs(), [m.provenance for m in members], table)
     rep.check = "family_commutes"
     rep.params = {"spec": op.name, "family": family.label, "members": len(members)}

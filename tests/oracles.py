@@ -14,6 +14,9 @@ every pair of matrix positions is the reference for ``manin.is_manin``, which
 states each relation once.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
 
+``fraction_letter_table`` compiles a block operator by summing its block
+formula in Fractions; it is the reference for the integer letter table.
+
 Three references are constructions rather than kernels.
 ``elementary_glue`` builds the pair of Lax matrices of one gluing step
 directly from the fixed poles and the collapsing sites; the tests compare
@@ -30,7 +33,9 @@ textbook Gaussian elimination kept apart from the sparse one in
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from gaudin.algebra import (
@@ -86,17 +91,19 @@ def leibniz_terms(f_terms: dict, g_terms: dict, table=None) -> dict:
     """{F,G} expanded term by term and position by position: each letter copy
     of each F word against each letter copy of each G word, the bracket of
     the two letters (``table`` or the Lie-Poisson rule) times the remaining
-    letters, every product sorted into a word."""
+    letters, every product sorted into a word.  A ``table`` is read in the
+    library's form (d, rules), each integer numerator divided by d."""
+    d, rules = (1, None) if table is None else table
     out: dict = {}
     for w1, c1 in f_terms.items():
         for w2, c2 in g_terms.items():
             for s, g in enumerate(w1):
                 for t, h in enumerate(w2):
-                    rule = _letter_bracket(g, h) if table is None else table.get((g, h), ())
+                    rule = _letter_bracket(g, h) if rules is None else rules.get((g, h), ())
                     for letter, k in rule:
                         word = tuple(sorted(w1[:s] + w1[s + 1:] + w2[:t] + w2[t + 1:]
                                             + (letter,)))
-                        out[word] = out.get(word, Fraction(0)) + c1 * c2 * k
+                        out[word] = out.get(word, Fraction(0)) + c1 * c2 * Fraction(k, d)
     return {w: c for w, c in out.items() if c}
 
 
@@ -238,6 +245,27 @@ def numeric_block_bracket(blocks: dict, rank: int, f_terms: dict, g_terms: dict,
         prod = matmul(grad_f, comm)
         total += sum((prod[u][u] for u in idx), Fraction(0))
     return total
+
+
+def fraction_letter_table(op, sig: AlgebraSignature) -> dict:
+    """(g, h) -> {letter: Fraction}: the block formula
+
+        {x[a,b]@i, x[c,d]@j} = sum_k c^ij_k (d_bc x[a,d]@k - d_ad x[c,b]@k)
+
+    accumulated in Fractions, zeros dropped; the reference for the integer
+    form of ``poisson.letter_table``."""
+    table: defaultdict = defaultdict(lambda: defaultdict(Fraction))
+    for (i, j), combo in op.blocks.items():
+        for k, coeff in combo.items():
+            for a, b, c in product(range(1, sig.rank + 1), repeat=3):
+                table[(i, a, b), (j, b, c)][k, a, c] += coeff
+                table[(i, a, b), (j, c, a)][k, c, b] -= coeff
+    out = {}
+    for pair, combo in table.items():
+        combo = {letter: coeff for letter, coeff in combo.items() if coeff}
+        if combo:
+            out[pair] = combo
+    return out
 
 
 def leibniz_jacobiator(table, f, g, h):

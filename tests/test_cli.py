@@ -146,6 +146,21 @@ def test_verify_glue_names_a_zero_denominator_location(pattern, bad, position,
     assert err == f"error: bad location {bad!r}: zero denominator (at position {position})\n"
 
 
+def test_verify_glue_names_the_offending_leaf(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "glue", "--pattern", "[1,[2,2]@3]",
+                              "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate leaf 2 (at position 6)\n"
+
+
+def test_verify_bending_refuses_coincident_poles(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "bending", "--z1", "1", "--z2", "1",
+                              "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the two pole locations must differ\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_exit_code_contract(tmp_path, capsys):
     # a collapse point on a remaining pole is a configuration error
     code, _, err = run_cli([

@@ -619,14 +619,14 @@ class TestCommutationMatrix:
     def test_letter_table_replaces_lie_poisson_rule(self, c2):
         gens = [c2.gen(1, 1, 1), c2.gen(1, 1, 2)]
         assert commutation_matrix(gens).passed is False
-        assert commutation_matrix(gens, table={}).passed
+        assert commutation_matrix(gens, table=(1, {})).passed
         # {x[1,1]@1, x[1,2]@1} = 3 x[2,2]@2 under a one-entry table
-        rep = commutation_matrix(gens, ["a", "b"], {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), Fraction(3))]})
+        rep = commutation_matrix(gens, ["a", "b"], (1, {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), 3)]}))
         assert rep.witnesses == [{"pair": ["a", "b"], "bracket": "3 * x[2,2]@2"}]
 
     def test_letter_table_rejected_in_quantum_mode(self, q2):
         with pytest.raises(ModeError):
-            commutation_matrix([q2.gen(1, 1, 1), q2.gen(1, 1, 2)], table={})
+            commutation_matrix([q2.gen(1, 1, 1), q2.gen(1, 1, 2)], table=(1, {}))
 
     def test_labels_must_match_the_inputs(self, q2):
         gens = [q2.gen(1, 1, 1), q2.gen(1, 1, 2)]
@@ -637,7 +637,7 @@ class TestCommutationMatrix:
     def test_letter_table_diagonal_is_bracketed(self, c2):
         # {x[1,1]@1, x[1,1]@1} = x[2,2]@2: only the diagonal pair fails
         rep = commutation_matrix([c2.gen(1, 1, 1)], ["a"],
-                                 {((1, 1, 1), (1, 1, 1)): [((2, 2, 2), Fraction(1))]})
+                                 (1, {((1, 1, 1), (1, 1, 1)): [((2, 2, 2), 1)]}))
         assert rep.witnesses == [{"pair": ["a", "a"], "bracket": "x[2,2]@2"}]
         assert rep.info == {"central": 0, "basis": 1, "pairs": 1}
 
@@ -680,13 +680,13 @@ class TestCommutationCertificate:
     def test_verdict_equals_the_full_table_under_non_antisymmetric_tables(self, c2, rng):
         verdicts = set()
         for _ in range(20):
-            table = {}
+            rules = {}
             for _ in range(3):
                 g = random_letter(rng, c2)
                 h = g if rng.random() < 0.3 else random_letter(rng, c2)
-                table[(g, h)] = [(random_letter(rng, c2), Fraction(rng.choice([-2, -1, 1, 3])))]
+                rules[(g, h)] = [(random_letter(rng, c2), rng.choice([-2, -1, 1, 3]))]
             gens = [random_ncpoly(rng, c2, max_degree=2, terms=2) for _ in range(3)]
-            verdicts.add(self.assert_matches_oracle(gens, table).passed)
+            verdicts.add(self.assert_matches_oracle(gens, (1, rules)).passed)
         assert verdicts == {True, False}
 
     @staticmethod
@@ -818,9 +818,9 @@ class TestCommutationCertificate:
         site1 = [(1, a, b) for a in (1, 2) for b in (1, 2)]
         verdicts = set()
         for _ in range(20):
-            table = {(rng.choice(site1), rng.choice(site1)):
-                     [(random_letter(rng, c2), Fraction(rng.choice([-2, -1, 1, 3])))]
-                     for _ in range(2)}
+            table = (1, {(rng.choice(site1), rng.choice(site1)):
+                         [(random_letter(rng, c2), rng.choice([-2, -1, 1, 3]))]
+                         for _ in range(2)})
             central = [NCPoly(c2, {tuple(sorted((2, a, b) for _, a, b in w)): v
                                    for w, v in random_ncpoly(rng, c2, terms=2).terms.items()})
                        for _ in range(3)]

@@ -24,7 +24,8 @@ from gaudin.poisson import (
 from gaudin.suites import RunConfig, run_suite
 
 from oracles import (
-    eval_terms, leibniz_jacobiator, numeric_block_bracket, random_ncpoly, sampled_jacobi,
+    eval_terms, fraction_letter_table, leibniz_jacobiator, numeric_block_bracket,
+    random_ncpoly, sampled_jacobi,
 )
 
 
@@ -95,7 +96,7 @@ class TestOperators:
         sig = AlgebraSignature(2, 4, Mode.CLASSICAL)
         op = limit_rijk_operator(4)
         zero = pencil(1, op, -1, op)
-        assert zero.blocks == {} and letter_table(zero, sig) == {}
+        assert zero.blocks == {} and letter_table(zero, sig) == (1, {})
         anti, jac = antisymmetry_check(zero, sig), jacobi_check(zero, sig)
         assert anti.passed and anti.info["failed"] == 0
         assert jac.passed and jac.info["failed"] == 0
@@ -307,8 +308,8 @@ class TestCertificates:
         # poles 0, 1, 5/2, 3, 7 give the table denominators 2 and 4
         sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
         spec = fivesite_operator([0, 1, Fraction(5, 2), 3, 7])
-        assert any(c.denominator > 1 for combo in letter_table(spec, sig).values()
-                   for _, c in combo)
+        d, rules = letter_table(spec, sig)
+        assert any(Fraction(c, d).denominator > 1 for combo in rules.values() for _, c in combo)
         rep = jacobi_check(spec, sig)
         assert rep.passed is False
         for w in rep.witnesses[:5]:
@@ -320,7 +321,7 @@ class TestCertificates:
         table = letter_table(spec, sig)
         rep = antisymmetry_check(spec, sig)
         assert rep.passed is False
-        assert rep.info == {"pairs": 36, "failed": len(table)}
+        assert rep.info == {"pairs": 36, "failed": len(table[1])}
         assert rep.witnesses[0] == {"pair": ["x[1,1]@1", "x[1,2]@2"],
                                     "residual": "x[1,2]@1"}
         by_name = {sig.gen(*g).render(): g for g in sig.letters()}
@@ -333,7 +334,7 @@ class TestCertificates:
         # no block operator gives {x, x} != 0, so the table is planted
         x = (1, 1, 2)
         monkeypatch.setattr(poisson, "letter_table",
-                            lambda op, sig: {(x, x): [((1, 1, 1), Fraction(1, 3))]})
+                            lambda op, sig: (3, {(x, x): [((1, 1, 1), 1)]}))
         rep = antisymmetry_check(standard_operator(2), c2)
         assert rep.passed is False
         assert rep.witnesses == [{"pair": ["x[1,2]@1", "x[1,2]@1"],
@@ -352,6 +353,42 @@ class TestCertificates:
         for check in (antisymmetry_check, jacobi_check):
             with pytest.raises(ModeError):
                 check(standard_operator(2), q2)
+
+
+class TestLetterTableOracle:
+    """The integer letter table against the block formula summed in Fractions."""
+
+    @staticmethod
+    def assert_matches(op, sig):
+        d, rules = letter_table(op, sig)
+        want = fraction_letter_table(op, sig)
+        assert all(type(n) is int for rule in rules.values() for _, n in rule)
+        assert rules.keys() == want.keys()
+        for pair, rule in rules.items():
+            assert len(rule) == len(want[pair])
+            assert {g: Fraction(n, d) for g, n in rule} == want[pair]
+
+    @pytest.mark.parametrize("rank, sites", [(2, 3), (2, 5), (3, 4)])
+    def test_standard_and_limit(self, rank, sites):
+        sig = AlgebraSignature(rank, sites, Mode.CLASSICAL)
+        for op in (standard_operator(sites), limit_rijk_operator(sites)):
+            self.assert_matches(op, sig)
+
+    def test_fivesite_operator(self):
+        sig = AlgebraSignature(2, 5, Mode.CLASSICAL)
+        self.assert_matches(fivesite_operator([0, 1, Fraction(5, 2), 3, 7]), sig)
+
+    def test_random_fractional_pencils(self, rng):
+        sig = AlgebraSignature(2, 3, Mode.CLASSICAL)
+        for _ in range(6):
+            blocks = {(i, j): {k: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                               for k in range(1, 4)}
+                      for i in range(1, 4) for j in range(1, 4)}
+            lam = Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+            mu = Fraction(rng.choice([-2, 1, 3]), rng.choice([5, 7]))
+            op = pencil(lam, limit_rijk_operator(3), mu, PoissonOperator(3, blocks))
+            assert letter_table(op, sig)[0] > 1
+            self.assert_matches(op, sig)
 
 
 class TestBlockFormulaOracle:
