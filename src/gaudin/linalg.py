@@ -5,10 +5,11 @@ of a target vector as a combination of given sparse vectors, and its one
 rational-to-integer scaling, ``integer_form``, which the elimination, the
 two bracket engines, the integer gradients and the Poisson letter table use.
 
-The matrix product, power traces and column determinant use only ``+``,
-``-``, ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
+The matrix product, power traces and column minors use only ``+``, ``-``,
+``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
 noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` all
-qualify; products keep the factor order they are written in.
+qualify; products keep the factor order they are written in.  ``col_minor``
+is the one column-determinant expansion, memoized; ``col_det`` reads it.
 
 The elimination takes sparse vectors (dicts key -> rational) and reduces
 them one at a time, sparse, fraction-free and incrementally.  Each vector
@@ -27,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
 from math import gcd, lcm
 from operator import add
 
@@ -66,12 +66,42 @@ def power_traces(a: Sequence[Sequence], max_power: int) -> Iterator:
             power = matmul(power, a)
 
 
-def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = None):
+def col_minor(entries: Sequence[Sequence], rows: tuple[int, ...],
+              cols: tuple[int, ...], memo: dict):
+    """Column determinant of the submatrix on the ascending ``rows`` and the
+    equally long column sequence ``cols``, in which a column may repeat.
+
+    Expanded along the last column with its factor written last, so exact in
+    any associative ring: with k = len(cols) - 1, the sum over p of
+    (-1)^(p+k) minor(rows without rows[p], cols[:k]) * entries[rows[p]][cols[k]].
+    Every minor of two or more columns is kept in ``memo`` (one per matrix)
+    under (rows, cols).
+    """
+    if len(cols) == 1:
+        return entries[rows[0]][cols[0]]
+    key = (rows, cols)
+    minor = memo.get(key)
+    if minor is None:
+        k = len(cols) - 1
+        for p, r in enumerate(rows):
+            sub = col_minor(entries, rows[:p] + rows[p + 1:], cols[:k], memo)
+            term = sub * entries[r][cols[k]]
+            if p == 0:
+                minor = -term if k % 2 else term
+            else:
+                minor = minor - term if (p + k) % 2 else minor + term
+        memo[key] = minor
+    return minor
+
+
+def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = None,
+            memo: dict | None = None):
     """Column determinant of a nonempty square matrix.
 
     The signed sum over permutations s of the products of the entries
     (s(c), c), taken column by column in ``column_order`` (default 0..n-1),
-    the first column's factor written first.
+    the first column's factor written first: the order's sign times
+    ``col_minor`` on all rows, with its ``memo``.
     """
     n = len(entries)
     if n == 0:
@@ -79,18 +109,9 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
     cols = tuple(range(n)) if column_order is None else tuple(column_order)
     if sorted(cols) != list(range(n)):
         raise ValueError(f"column order must be a permutation of 0..{n - 1}")
-    total = None
-    for perm in permutations(range(n)):
-        prod = entries[perm[cols[0]]][cols[0]]
-        for c in cols[1:]:
-            prod = prod * entries[perm[c]][c]
-        if total is None:                   # the identity, which comes first
-            total = prod
-        elif sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2:
-            total = total - prod
-        else:
-            total = total + prod
-    return total
+    det = col_minor(entries, tuple(range(n)), cols, {} if memo is None else memo)
+    odd = sum(cols[i] > cols[j] for i in range(n) for j in range(i + 1, n)) % 2
+    return -det if odd else det
 
 
 def integer_form(coeffs: Mapping[Hashable, Fraction]) -> tuple[int, dict[Hashable, int]]:

@@ -34,14 +34,13 @@ from .reports import CheckReport
 class DiffOpMatrix:
     """Square matrix of DiffOpEntry values; the Manin-candidate container.
 
-    The column determinants of its principal submatrices are computed once
-    per matrix (``principal_det``), so its entries must not change after the
-    first of them is read."""
+    Every determinant check reads one table of column minors
+    (``linalg.col_minor``), so its entries must not change once one is read."""
 
     def __init__(self, sig: AlgebraSignature, entries: list[list[DiffOpEntry]]):
         self.sig = sig
         self.entries = entries
-        self._principal_dets: dict[tuple[int, ...], DiffOpEntry] = {}
+        self._minors: dict = {}
 
     @property
     def size(self) -> int:
@@ -86,30 +85,14 @@ class DiffOpMatrix:
     def is_diff_free(self) -> bool:
         return all(e.order <= 0 for row in self.entries for e in row)
 
-    def minor(self, drop_row: int, drop_col: int) -> "DiffOpMatrix":
-        ents = [
-            [e for j, e in enumerate(row) if j != drop_col]
-            for i, row in enumerate(self.entries) if i != drop_row
-        ]
-        return DiffOpMatrix(self.sig, ents)
-
-    def principal(self, keep: tuple[int, ...]) -> "DiffOpMatrix":
-        """The submatrix on rows and columns ``keep``, in that order."""
-        return DiffOpMatrix(self.sig, [[self.entries[i][j] for j in keep] for i in keep])
-
-    def principal_det(self, keep: tuple[int, ...]) -> DiffOpEntry:
-        """det_col of the principal submatrix on the ascending indices
-        ``keep`` in the default column order, computed on first request;
-        all indices give the determinant of the matrix itself."""
-        det = self._principal_dets.get(keep)
-        if det is None:
-            sub = self if len(keep) == self.size else self.principal(keep)
-            det = self._principal_dets[keep] = col_det(sub)
-        return det
+    def col_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> DiffOpEntry:
+        """The column minor on the ascending ``rows`` and the column sequence
+        ``cols``, read from the matrix's table (see ``linalg.col_minor``)."""
+        return linalg.col_minor(self.entries, rows, cols, self._minors)
 
     def det(self) -> DiffOpEntry:
-        """det_col of the matrix in the default column order, computed once."""
-        return self.principal_det(tuple(range(self.size)))
+        """det_col of the matrix in the default column order."""
+        return col_det(self)
 
     @cached_property
     def minor_sums(self) -> list[DiffOpEntry]:
@@ -122,7 +105,7 @@ class DiffOpMatrix:
         """
         n = self.size
         return [DiffOpEntry.one(self.sig)] + [
-            reduce(add, (self.principal_det(keep) for keep in combinations(range(n), k)))
+            reduce(add, (self.col_minor(keep, keep) for keep in combinations(range(n), k)))
             for k in range(1, n + 1)
         ]
 
@@ -147,21 +130,18 @@ def partial_minus(L: LaxMatrix) -> DiffOpMatrix:
     return DiffOpMatrix(sig, out)
 
 
-def _entry_commutator(a: DiffOpEntry, b: DiffOpEntry) -> DiffOpEntry:
-    return a * b - b * a
-
-
 def is_manin(M: DiffOpMatrix) -> CheckReport:
     """Column Manin test: for every pair of rows i < k,
 
     - ``column``: [M_ij, M_kj] = 0 for every column j;
     - ``cross``: [M_ij, M_kl] = [M_kj, M_il] for every pair of columns j < l.
 
-    That is C(n,2) n^2 entry commutators.  Each violated relation gives one
-    witness naming its positions (1-based) and rendering the residual.
+    The residuals are 2x2 column minors on rows (i, k), read from the
+    matrix's table: the minor on columns (j, j), and the sum of those on
+    (j, l) and (l, j).  Each violated relation gives one witness naming its
+    positions (1-based) and rendering the residual.
     """
     n = M.size
-    E = M.entries
     witnesses = []
 
     def record(kind, res, i, j, k, l):
@@ -174,10 +154,10 @@ def is_manin(M: DiffOpMatrix) -> CheckReport:
 
     for i, k in combinations(range(n), 2):
         for j in range(n):
-            record("column", _entry_commutator(E[i][j], E[k][j]), i, j, k, j)
+            record("column", M.col_minor((i, k), (j, j)), i, j, k, j)
         for j, l in combinations(range(n), 2):
-            record("cross", _entry_commutator(E[i][j], E[k][l])
-                   - _entry_commutator(E[k][j], E[i][l]), i, j, k, l)
+            record("cross", M.col_minor((i, k), (j, l)) + M.col_minor((i, k), (l, j)),
+                   i, j, k, l)
     return CheckReport(
         check="is_manin",
         passed=not witnesses,
@@ -189,10 +169,11 @@ def is_manin(M: DiffOpMatrix) -> CheckReport:
 def col_det(M: DiffOpMatrix, column_order: tuple[int, ...] | None = None) -> DiffOpEntry:
     """Column determinant: signed sum over permutations with factors taken
     column by column, the first column's factor written first (see
-    ``linalg.col_det``).  The empty matrix has determinant 1."""
+    ``linalg.col_det``), read from the matrix's table of minors.  The empty
+    matrix has determinant 1."""
     if not M.entries:
         return DiffOpEntry.one(M.sig)
-    return linalg.col_det(M.entries, column_order)
+    return linalg.col_det(M.entries, column_order, M._minors)
 
 
 def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
@@ -218,23 +199,6 @@ def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
     )
 
 
-def adjugate(M: DiffOpMatrix) -> DiffOpMatrix:
-    """Adjugate via column determinants of minors, as in the commutative case;
-    a diagonal minor is a principal submatrix, whose determinant ``M`` keeps."""
-    n = M.size
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                cof = M.principal_det(tuple(k for k in range(n) if k != i))
-            else:
-                cof = col_det(M.minor(j, i))
-            row.append(-cof if (i + j) % 2 else cof)
-        out.append(row)
-    return DiffOpMatrix(M.sig, out)
-
-
 def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     """Cramer, Cayley-Hamilton and Schur checks for a Manin candidate.
 
@@ -247,14 +211,23 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     n = M.size
     sig = M.sig
 
-    # Left Cramer formula: adj(M) M = det_col(M) Id.
+    # Left Cramer formula: adj(M) M = det_col(M) Id.  (adj(M) M)_ij is the
+    # last-column expansion of the minor on all rows and the columns other
+    # than i followed by j.  For i = j that is det_col in another column
+    # order, as large as det_col(M); read once unless the sweep kept it.
     det = M.det()
-    prod = adjugate(M) * M
+    rows = tuple(range(n))
     witnesses = []
     for i in range(n):
+        others = rows[:i] + rows[i + 1:]
         for j in range(n):
-            want = det if i == j else DiffOpEntry.zero(sig)
-            res = prod.entries[i][j] - want
+            key = (rows, others + (j,))
+            read_once = i == j and key not in M._minors
+            entry = M.col_minor(*key)
+            if read_once:
+                M._minors.pop(key, None)     # a 1x1 matrix keeps no minors
+            entry = -entry if (i + n - 1) % 2 else entry
+            res = entry - det if i == j else entry
             if not res.is_zero():
                 witnesses.append({"position": [i + 1, j + 1], "residual": res.render()})
     reports.append(CheckReport(
@@ -397,11 +370,13 @@ def quantum_powers(L: LaxMatrix, m: int) -> list[DiffOpMatrix]:
 
 
 class TalalaevOutput:
-    """Coefficients of det_col(d/dz - L) and of the quantum trace powers."""
+    """Coefficients of det_col(d/dz - L) and of the quantum trace powers;
+    ``operator`` is d/dz - L, whose table of minors holds the determinant."""
 
-    def __init__(self, lax: LaxMatrix, qh: list[LaxEntry],
+    def __init__(self, lax: LaxMatrix, operator: DiffOpMatrix, qh: list[LaxEntry],
                  qtr: dict[tuple[int, int], LaxEntry]):
         self.lax = lax
+        self.operator = operator
         self.qh = qh            # index = power of d/dz, 0..r
         self.qtr = qtr          # (k, j) from Tr (d/dz - L)^k
 
@@ -465,7 +440,7 @@ def talalaev_generators(L: LaxMatrix) -> TalalaevOutput:
     for k, tr in enumerate(linalg.power_traces(M.entries, r), start=1):
         for j in range(k + 1):
             qtr[(k, j)] = tr.entry(k - j)
-    return TalalaevOutput(lax=L, qh=qh, qtr=qtr)
+    return TalalaevOutput(lax=L, operator=M, qh=qh, qtr=qtr)
 
 
 def talalaev_coefficients(out: TalalaevOutput) -> list[tuple[str, NCPoly]]:

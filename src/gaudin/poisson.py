@@ -65,18 +65,23 @@ class PoissonOperator:
 
     ``name`` labels the bracket in reports and takes no part in equality.
     A block key or coefficient site outside 1..sites is refused, so every
-    block reaches the letter table that the certificates examine."""
+    block reaches the letter table that the certificates examine.  Zero
+    coefficients and the blocks they leave empty are dropped, so two
+    operators with the same bracket are equal."""
 
     def __init__(self, sites: int, blocks: Mapping[tuple[int, int], Block],
                  name: str = "operator"):
+        self.sites = sites
+        self.blocks: dict[tuple[int, int], Block] = {}
+        self.name = name
         for (i, j), combo in blocks.items():
             for s in (i, j, *combo):
                 if not 1 <= s <= sites:
                     raise ValueError(f"block ({i},{j}) names site {s}, "
                                      f"outside 1..{sites}")
-        self.sites = sites
-        self.blocks = blocks
-        self.name = name
+            combo = {k: c for k, c in combo.items() if c}
+            if combo:
+                self.blocks[i, j] = combo
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoissonOperator):
@@ -87,9 +92,7 @@ class PoissonOperator:
         return self.blocks.get((i, j), {})
 
     def with_block(self, i: int, j: int, block: Block) -> "PoissonOperator":
-        blocks = {k: dict(v) for k, v in self.blocks.items()}
-        blocks[(i, j)] = dict(block)
-        return PoissonOperator(self.sites, blocks)
+        return PoissonOperator(self.sites, {**self.blocks, (i, j): block})
 
 
 def pencil(lam, first: PoissonOperator, mu, second: PoissonOperator) -> PoissonOperator:
@@ -103,18 +106,8 @@ def pencil(lam, first: PoissonOperator, mu, second: PoissonOperator) -> PoissonO
             acc = blocks.setdefault(key, {})
             for k, c in combo.items():
                 acc[k] = acc.get(k, 0) + scale * c
-    return PoissonOperator(first.sites, _pruned(blocks),
+    return PoissonOperator(first.sites, blocks,
                            f"pencil({lam}*{first.name} + {mu}*{second.name})")
-
-
-def _pruned(blocks: Mapping[tuple[int, int], Block]) -> dict[tuple[int, int], Block]:
-    """The blocks without zero coefficients and without the blocks left empty."""
-    out = {}
-    for key, combo in blocks.items():
-        combo = {k: c for k, c in combo.items() if c}
-        if combo:
-            out[key] = combo
-    return out
 
 
 def standard_operator(sites: int) -> PoissonOperator:
@@ -139,7 +132,7 @@ def limit_coefficient(i: int, j: int, k: int) -> Fraction:
 def limit_rijk_operator(sites: int) -> PoissonOperator:
     ids = range(1, sites + 1)
     blocks = {(i, j): {k: limit_coefficient(i, j, k) for k in ids} for i in ids for j in ids}
-    return PoissonOperator(sites, _pruned(blocks), "limit_rijk")
+    return PoissonOperator(sites, blocks, "limit_rijk")
 
 
 def fivesite_operator(z: Sequence) -> PoissonOperator:
@@ -160,7 +153,7 @@ def fivesite_operator(z: Sequence) -> PoissonOperator:
     c44 = z13 * z34 / z45
     p45 = z13 / (z45 * z45)
     c55 = -z13 * z35 / z45
-    return PoissonOperator(5, _pruned({
+    return PoissonOperator(5, {
         (1, 2): {1: z23},
         (2, 1): {1: z23},
         (2, 2): {2: z23, 1: -z23, 3: z12, 4: z12, 5: z12},
@@ -178,7 +171,7 @@ def fivesite_operator(z: Sequence) -> PoissonOperator:
         (4, 5): {4: p45 * z35 * z35, 5: p45 * z34 * z34},
         (5, 4): {4: p45 * z35 * z35, 5: p45 * z34 * z34},
         (5, 5): {3: c55, 4: c55 * z35 / z45, 5: c55 * (z34 - z45) / z45},
-    }))
+    })
 
 
 def letter_table(op: PoissonOperator, sig: AlgebraSignature) -> LetterTable:

@@ -11,7 +11,12 @@ on random polynomials instead of summing table entries, and the full
 ordered-pair bracket table is the reference for the centre-and-basis
 certificate of ``manin.commutation_matrix``.  The Manin test that brackets
 every pair of matrix positions is the reference for ``manin.is_manin``, which
-states each relation once.  The seeded random letters, words, polynomials and
+states each relation once, and ``commutator_manin`` states each relation by
+entry commutators, where ``is_manin`` reads 2x2 column minors.  The
+permutation-sum column determinant ``permutation_col_det`` and the adjugate
+``minor_adjugate`` built from it on minor copies are the references for the
+memoized Laplace expansion ``linalg.col_minor`` and for the Cramer check that
+reads its entries from it.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
 
 ``fraction_letter_table`` compiles a block operator by summing its block
@@ -35,7 +40,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from gaudin.algebra import (
@@ -365,6 +370,85 @@ def all_position_pairs_manin(M: DiffOpMatrix) -> list[dict]:
                                           "positions": [[i + 1, j + 1], [k + 1, l + 1]],
                                           "residual": res.render()})
     return witnesses
+
+
+def commutator_manin(M: DiffOpMatrix) -> list[dict]:
+    """``manin.is_manin``'s witnesses, in its order, from entry commutators:
+    [M_ij, M_kj] for the column relation and [M_ij, M_kl] - [M_kj, M_il] for
+    the cross relation, for rows i < k and columns j < l."""
+    n = M.size
+    E = M.entries
+
+    def comm(a, b):
+        return a * b - b * a
+
+    witnesses = []
+    for i in range(n):
+        for k in range(i + 1, n):
+            relations = [("column", comm(E[i][j], E[k][j]), j, j) for j in range(n)]
+            relations += [("cross", comm(E[i][j], E[k][l]) - comm(E[k][j], E[i][l]), j, l)
+                          for j in range(n) for l in range(j + 1, n)]
+            for kind, res, j, l in relations:
+                if not res.is_zero():
+                    witnesses.append({"kind": kind,
+                                      "positions": [[i + 1, j + 1], [k + 1, l + 1]],
+                                      "residual": res.render()})
+    return witnesses
+
+
+def permutation_col_det(entries, column_order=None):
+    """Column determinant of a nonempty square matrix as the signed sum over
+    permutations s of the products entries[s(c)][c], the factors taken column
+    by column in ``column_order`` (default 0..n-1), the first written first."""
+    n = len(entries)
+    cols = list(range(n)) if column_order is None else list(column_order)
+    total = None
+    for perm in permutations(range(n)):
+        prod = entries[perm[cols[0]]][cols[0]]
+        for c in cols[1:]:
+            prod = prod * entries[perm[c]][c]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        if total is None:
+            total = -prod if inversions % 2 else prod
+        else:
+            total = total - prod if inversions % 2 else total + prod
+    return total
+
+
+def minor_adjugate(M: DiffOpMatrix) -> list[list]:
+    """adj(M)_ij = (-1)^(i+j) times the column determinant of the copy of M
+    without row j and column i (1 for a 1x1 matrix)."""
+    n = M.size
+    E = M.entries
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sub = [[e for c, e in enumerate(r) if c != i] for k, r in enumerate(E) if k != j]
+            cof = permutation_col_det(sub) if sub else DiffOpEntry.one(M.sig)
+            row.append(-cof if (i + j) % 2 else cof)
+        out.append(row)
+    return out
+
+
+def cramer_residuals(M: DiffOpMatrix) -> list[dict]:
+    """The nonzero entries of adj(M) M - det_col(M) Id, from ``minor_adjugate``
+    and ``permutation_col_det``, as ``cramer`` witnesses in row-major order."""
+    n = M.size
+    E = M.entries
+    adj = minor_adjugate(M)
+    det = permutation_col_det(E)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = adj[i][0] * E[0][j]
+            for k in range(1, n):
+                acc = acc + adj[i][k] * E[k][j]
+            if i == j:
+                acc = acc - det
+            if not acc.is_zero():
+                out.append({"position": [i + 1, j + 1], "residual": acc.render()})
+    return out
 
 
 def manin_relation(witness: dict) -> tuple:

@@ -6,6 +6,7 @@ import pytest
 from gaudin.algebra import AlgebraSignature, Mode
 from gaudin.linalg import (
     col_det,
+    col_minor,
     independent_columns,
     matmul,
     power_traces,
@@ -235,6 +236,20 @@ def test_col_det_takes_factors_column_by_column():
     # M00 M11 - M10 M01 = d z - z d = 1; the other column order gives -1.
     assert col_det(M) == M[0][0] * M[1][1] - M[1][0] * M[0][1] == DiffOpEntry.one(sig)
     assert col_det(M, (1, 0)) == -DiffOpEntry.one(sig)
+
+
+def test_col_minor_of_commuting_entries_is_alternating_in_its_columns():
+    M = [[F(2), F(-1), F(3)], [F(1), F(4), F(0)], [F(5), F(2), F(1)]]
+    memo: dict = {}
+    rows = (0, 1, 2)
+    # a repeated column gives zero and a swap of two columns flips the sign
+    assert col_minor(M, rows, (0, 2, 0), memo) == 0
+    assert col_minor(M, (0, 2), (1, 1), memo) == 0
+    assert col_minor(M, rows, (1, 0, 2), memo) == -col_minor(M, rows, (0, 1, 2), memo)
+    assert col_minor(M, (1, 2), (2, 0), memo) == M[1][2] * M[2][0] - M[2][2] * M[1][0]
+    assert memo[rows, (0, 1, 2)] == col_det(M) == F(-45)
+    # one entry per minor of two or more columns, none for single entries
+    assert all(len(cols) >= 2 and len(r) == len(cols) for r, cols in memo)
 
 
 @pytest.mark.parametrize("order", [(0, 0), (0,), (0, 2), (1, 0, 2)])

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 from operator import add
 
 import pytest
 
-from gaudin import manin
+from gaudin import linalg, manin
 from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, classical_limit, commutator,
 )
@@ -17,7 +17,6 @@ from gaudin.lax import (
 )
 from gaudin.manin import (
     DiffOpMatrix,
-    adjugate,
     col_det,
     column_order_invariance,
     commutation_matrix,
@@ -34,14 +33,27 @@ from gaudin.suites import RunConfig, run_suite
 
 from oracles import (
     all_position_pairs_manin,
+    commutator_manin,
+    cramer_residuals,
     elementary_glue,
     manin_relation,
+    minor_adjugate,
     ordered_pair_brackets,
+    permutation_col_det,
     random_diffop_matrix,
     random_letter,
     random_ncpoly,
     span_dimension,
 )
+
+
+def count_products(monkeypatch) -> list[int]:
+    """A list that grows by one at each DiffOpEntry product from now on."""
+    seen = []
+    inner = DiffOpEntry.__mul__
+    monkeypatch.setattr(DiffOpEntry, "__mul__",
+                        lambda a, b: seen.append(1) or inner(a, b))
+    return seen
 
 
 def scalar_sig():
@@ -157,12 +169,14 @@ class TestIsManinOracle:
 
     @pytest.mark.parametrize("n, calls", [(2, 4), (3, 27), (4, 96)])
     def test_one_commutator_per_relation_term(self, monkeypatch, n, calls):
-        seen = []
-        inner = manin._entry_commutator
-        monkeypatch.setattr(manin, "_entry_commutator",
-                            lambda a, b: seen.append(1) or inner(a, b))
-        is_manin(manin_case(f"random-{n}"))
-        assert len(seen) == calls == comb(n, 2) * n * n
+        # each relation term is one 2x2 column minor on rows i < k and
+        # columns (j, l), j = l allowed, computed once with two products
+        M = manin_case(f"random-{n}")
+        products = count_products(monkeypatch)
+        is_manin(M)
+        assert len(M._minors) == calls == comb(n, 2) * n * n
+        assert {(len(rows), len(cols)) for rows, cols in M._minors} == {(2, 2)}
+        assert len(products) == 2 * calls
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_determinant_per_column_order(self, monkeypatch, n):
@@ -250,9 +264,9 @@ class TestPropertySuite:
 
     def test_cramer_adjugate_shape(self):
         M = const_matrix([[1, 2], [3, 4]])
-        adj = adjugate(M)
-        assert adj.entries[0][0] == M.entries[1][1]
-        assert adj.entries[0][1] == -M.entries[0][1]
+        adj = minor_adjugate(M)
+        assert adj[0][0] == M.entries[1][1]
+        assert adj[0][1] == -M.entries[0][1]
 
     def test_cramer_on_rank_three_candidates(self):
         for sites in (1, 2):
@@ -260,6 +274,12 @@ class TestPropertySuite:
             M = partial_minus(gaudin_lax(sig, list(range(sites))))
             reports = {r.check: r for r in manin_property_suite(M)}
             assert reports["cramer"].passed
+
+    def test_one_by_one_matrix(self):
+        M = partial_minus(gaudin_lax(AlgebraSignature(1, 2, Mode.QUANTUM), [0, 1]))
+        reports = {r.check: r for r in manin_property_suite(M)}
+        assert reports["is_manin"].passed and reports["cramer"].passed
+        assert M._minors == {}
 
     def test_cayley_hamilton_cross_site(self):
         reports = {r.check: r for r in manin_property_suite(cross_site_matrix(2))}
@@ -341,51 +361,97 @@ class TestNewton:
 
 
 class TestDeterminantCache:
-    """Each principal column minor is computed once per matrix and shared by
-    the column-order sweep, Cramer, Cayley-Hamilton and Newton."""
+    """Each column minor is computed once per matrix and shared by the
+    column-order sweep, is_manin, Cramer, Cayley-Hamilton and Newton."""
 
     @staticmethod
-    def count_determinants(monkeypatch) -> list[int]:
-        sizes = []
-        inner = manin.col_det
-        monkeypatch.setattr(manin, "col_det",
-                            lambda M, order=None: sizes.append(M.size) or inner(M, order))
-        return sizes
+    def gaudin_gl3_n3() -> DiffOpMatrix:
+        return partial_minus(gaudin_lax(AlgebraSignature(3, 3, Mode.QUANTUM), [0, 1, 2]))
 
     def test_checks_share_the_principal_minors(self, monkeypatch):
-        M = const_matrix([[2, -1, 0, 3], [1, 1, 2, 0], [0, 4, -2, 1], [1, 0, 1, 1]])
-        sizes = self.count_determinants(monkeypatch)
+        M = self.gaudin_gl3_n3()
+        products = count_products(monkeypatch)
         assert column_order_invariance(M).passed
-        assert all(r.passed for r in manin_property_suite(M))
-        assert newton_check(M).passed
-        # 4! orders, the 16 cofactors (the 4 diagonal ones are the 3x3
-        # principal minors), then the 1x1 and 2x2 principal minors; the
-        # determinant itself and Newton's sums come from the cache
-        assert sizes == [4] * 24 + [3] * 16 + [1] * 4 + [2] * 6
+        assert all(r.passed is not False for r in manin_property_suite(M))
+        # the sweep: 6 orders of 3 products and the 18 minors on two rows and
+        # two distinct columns (36); is_manin: the 9 minors on a repeated
+        # column (18); Cramer: the 6 off-diagonal entries (18).  Without the
+        # table the same checks made 171.
+        assert len(products) == 36 + 18 + 18 + 18 == 90
+
+    def test_second_sweep_reads_the_table(self, monkeypatch):
+        M = self.gaudin_gl3_n3()
+        first = [column_order_invariance(M), *manin_property_suite(M)]
+        products = count_products(monkeypatch)
+        again = [column_order_invariance(M), *manin_property_suite(M)]
+        sums = M.minor_sums        # Newton's characteristic sums
+        assert products == []
+        assert sums[M.size] is M.det()
+        assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
+
+    def test_cramer_keeps_no_other_column_order(self):
+        # without a sweep, the diagonal Cramer entries in column orders
+        # other than the default are read once and not kept
+        M = self.gaudin_gl3_n3()
+        manin_property_suite(M)
+        orders = {cols for rows, cols in M._minors
+                  if len(rows) == M.size and len(set(cols)) == M.size}
+        assert orders == {(0, 1, 2)}
 
     def test_cached_values_match_fresh_determinants(self):
         M = manin_case("gaudin-gl3")
         n = M.size
-        assert M.det() == col_det(DiffOpMatrix(M.sig, M.entries))
+        E = M.entries
+        assert M.det() == permutation_col_det(E)
         fresh = [DiffOpEntry.one(M.sig)] + [
-            reduce(add, (col_det(M.principal(keep)) for keep in combinations(range(n), k)))
+            reduce(add, (permutation_col_det([[E[i][j] for j in keep] for i in keep])
+                         for keep in combinations(range(n), k)))
             for k in range(1, n + 1)]
         assert M.minor_sums == fresh
         assert M.minor_sums is M.minor_sums and M.minor_sums[n] is M.det()
-        adj = adjugate(M)
-        for i in range(n):
-            assert adj.entries[i][i] == col_det(M.minor(i, i))
+        column_order_invariance(M)
+        manin_property_suite(M)
+        for (rows, cols), value in M._minors.items():
+            assert value == permutation_col_det([[E[r][c] for c in cols] for r in rows])
 
-    def test_manin_suite_determinant_count(self, monkeypatch):
-        sizes = self.count_determinants(monkeypatch)
-        reports = run_suite("manin", RunConfig(rank=3))
-        assert all(rep.passed is not False for rep in reports)
-        # d/dz-Gaudin 3x3: 3! orders and 9 cofactors (15); each 3x3 property
-        # suite: the determinant, 9 cofactors and 3 1x1 minors (13), on the
-        # cross-site matrix and four commutative draws (two of them redrawn
-        # for a singular Schur block); the 4x4 draw: 1 + 16 + 4 + 6 (27).
-        # Newton reuses every sum.  Without the cache the suite made 169.
-        assert len(sizes) == 15 + 13 * 5 + 27 == 107
+
+def noncommuting_operator_matrix(n: int) -> DiffOpMatrix:
+    """A seeded n x n matrix whose entries are one letter of any site times
+    a + b/(z - p), plus c d/dz: entries of one column do not commute, and
+    d/dz does not commute with the coefficients.  One letter per entry keeps
+    the 4! x 4! products of the permutation oracle cheap."""
+    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+    rng = random.Random(n)
+
+    def entry():
+        f = RatFun.const(rng.randint(-2, 2)) + RatFun.one_over_z_minus(
+            rng.randint(0, 1)).scale(rng.randint(1, 2))
+        lax = LaxEntry.from_terms(sig, [((random_letter(rng, sig),), f)])
+        return DiffOpEntry(sig, {0: lax, 1: LaxEntry.one(sig).scale(rng.randint(1, 2))})
+
+    return DiffOpMatrix(sig, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+class TestMinorTableOracle:
+    """On random non-Manin matrices with noncommuting entries and d/dz parts,
+    the memoized expansion agrees with the permutation sum and the minor-copy
+    adjugate, witnesses included."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_col_det_in_every_column_order(self, n):
+        E = noncommuting_operator_matrix(n).entries
+        memo: dict = {}
+        for order in permutations(range(n)):
+            assert linalg.col_det(E, order, memo) == permutation_col_det(E, order)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_witnesses_match_the_commutator_and_adjugate_formulas(self, n):
+        M = noncommuting_operator_matrix(n)
+        reports = {r.check: r for r in manin_property_suite(M)}
+        assert reports["is_manin"].passed is False
+        assert reports["is_manin"].witnesses == commutator_manin(M)
+        assert reports["cramer"].passed is False
+        assert reports["cramer"].witnesses == cramer_residuals(M)
 
 
 class TestQuantumPowers:

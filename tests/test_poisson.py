@@ -86,6 +86,12 @@ class TestOperators:
         assert op != op.with_block(2, 1, {1: Fraction(2)})
         assert op != standard_operator(2)
 
+    def test_zero_coefficients_take_no_part_in_equality(self):
+        a = PoissonOperator(2, {(1, 1): {1: 1, 2: 0}})
+        assert a == PoissonOperator(2, {(1, 1): {1: 1}})
+        assert PoissonOperator(2, {(1, 2): {1: 0}}) == PoissonOperator(2, {})
+        assert pencil(1, a, 0, standard_operator(2)) == a
+
     def test_pencil_combines_blocks(self):
         combined = pencil(2, standard_operator(4), Fraction(-1, 3), limit_rijk_operator(4))
         assert combined.block(1, 1) == {1: 2}
