@@ -1,9 +1,9 @@
 """Exact linear algebra: the matrix product, power-trace loop and column
-determinant of the package, its one elimination, which gives rank, the
-greedy independent subset of a sequence of sparse vectors and the expression
-of a target vector as a combination of given sparse vectors, and its one
-rational-to-integer scaling, ``integer_form``, which the elimination, the
-two bracket engines, the integer gradients and the Poisson letter table use.
+determinant of the package, its one elimination, ``Eliminator``, which gives
+rank and the expression of a target vector as a combination of given sparse
+vectors, and its one rational-to-integer scaling, ``integer_form``, which
+the elimination, the two bracket engines, the integer gradients and the
+Poisson letter table use.
 
 The matrix product, power traces and column minors use only ``+``, ``-``,
 ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
@@ -11,21 +11,20 @@ noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` all
 qualify; products keep the factor order they are written in.  ``col_minor``
 is the one column-determinant expansion, memoized; ``col_det`` reads it.
 
-The elimination takes sparse vectors (dicts key -> rational) and reduces
-them one at a time, sparse, fraction-free and incrementally.  Each vector
-is scaled to integers by ``integer_form``, its zeros are dropped, and it is
-reduced against the pivot rows kept so far, in the order they were kept: a
+``Eliminator`` takes sparse vectors (dicts key -> rational), fraction-free.
+A vector is scaled to integers by ``integer_form``, its zeros are dropped,
+and it is reduced against the pivot rows kept so far, in the order kept: a
 row is replaced by a*row - b*pivot row, with a and b the two entries at the
 pivot key over their gcd, then divided by the gcd of its entries.  A kept
 row is zero at the pivot keys of the rows kept before it, so one pass clears
-every pivot key.  The vector is independent of those before it exactly when
-something is left, and what is left becomes the next pivot row.  The loop
-runs on Python ints and builds no ``Fraction``.
+every pivot key; the vector is in their span exactly when nothing but
+``_Tag`` keys is left.  The loop runs on Python ints and builds no
+``Fraction``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -136,17 +135,20 @@ class _Tag:
     __slots__ = ()
 
 
-def _reduce(vectors: Iterable[Mapping]) -> Iterator[tuple[Hashable | None, dict]]:
-    """Each vector reduced against the pivot rows kept from those before it.
+class Eliminator:
+    """``rows``: (pivot key, entry there, integer row) per vector kept, in
+    order; the pivot key is the row's first key that is not a ``_Tag``."""
 
-    Yields (pivot key, integer row) per vector; the pivot key is the row's
-    first key that is not a ``_Tag``, or None when no such key is left,
-    in which case the row is not kept.
-    """
-    kept: list[tuple[Hashable, int, dict]] = []
-    for vec in vectors:
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[tuple[Hashable, int, dict]] = []
+
+    def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
+        """The integer remainder of ``vec`` against the rows, left as they
+        are; without ``_Tag`` keys it is empty exactly on their span."""
         row = {k: v for k, v in integer_form(vec)[1].items() if v}
-        for key, a, prow in kept:
+        for key, a, prow in self.rows:
             b = row.get(key)
             if b:
                 g = gcd(a, b)
@@ -159,21 +161,23 @@ def _reduce(vectors: Iterable[Mapping]) -> Iterator[tuple[Hashable | None, dict]
                 g = gcd(*row.values())
                 if g > 1:
                     row = {k: v // g for k, v in row.items()}
+        return row
+
+    def add(self, vec: Mapping[Hashable, Fraction]) -> bool:
+        """Whether the remainder of ``vec`` keeps a key that is not a
+        ``_Tag``; if so it is kept as the next pivot row."""
+        row = self.reduce(vec)
         key = next((k for k in row if type(k) is not _Tag), None)
-        if key is not None:
-            kept.append((key, row[key], row))
-        yield key, row
+        if key is None:
+            return False
+        self.rows.append((key, row[key], row))
+        return True
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Row rank: the number of rows outside the span of the rows before them."""
-    return len(independent_columns(dict(enumerate(row)) for row in rows))
-
-
-def independent_columns(vectors: Iterable[Mapping[Hashable, Fraction]]) -> list[int]:
-    """Indices of the vectors outside the span of the vectors before them:
-    the pivot columns of the matrix whose columns are the vectors."""
-    return [i for i, (key, _) in enumerate(_reduce(vectors)) if key is not None]
+    span = Eliminator()
+    return sum(span.add(dict(enumerate(row))) for row in rows)
 
 
 def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],
@@ -188,10 +192,11 @@ def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],
     its coefficient (a free variable) is zero and the combination is unique.
     """
     tags = [_Tag() for _ in range(len(vectors) + 1)]
-    rows = [{**vec, tag: 1} for vec, tag in zip(vectors, tags)]
-    rows.append({**target, tags[-1]: -1})
-    *_, (key, row) = _reduce(rows)
-    if key is not None:
+    span = Eliminator()
+    for vec, tag in zip(vectors, tags):
+        span.add({**vec, tag: 1})
+    row = span.reduce({**target, tags[-1]: -1})
+    if any(type(k) is not _Tag for k in row):
         return None
     scale = row[tags[-1]]
     return [Fraction(row.get(tag, 0), scale) for tag in tags[:-1]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, combinations_with_replacement, islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 from operator import add
 
@@ -493,64 +493,54 @@ def _centre_letters(sig: AlgebraSignature, table: LetterTable | None) -> list[NC
     return out
 
 
-def _module_basis(gens: list[NCPoly], central: list[int], rest: list[int]) -> list[int]:
-    """The inputs of ``rest`` that are pivots of one column sequence:
-
-    1. the central inputs;
-    2. the products c*c' of central inputs of degree >= 1;
-    3. each input g of ``rest`` in turn, followed at once by its products
-       c*g with central c of degree >= 1.
-
-    Products of degree above the largest input degree are skipped.
-    """
-    degree = [g.degree for g in gens]
-    top = max(degree)
-    multipliers = [i for i in central if degree[i] >= 1]
-    columns: list[tuple[int | None, NCPoly]] = [(None, gens[i]) for i in central]
-    columns += [(None, gens[i] * gens[j])
-                for i, j in combinations_with_replacement(multipliers, 2)
-                if degree[i] + degree[j] <= top]
-    for g in rest:
-        columns.append((g, gens[g]))
-        columns += [(None, gens[c] * gens[g]) for c in multipliers
-                    if degree[c] + degree[g] <= top]
-    pivots = linalg.independent_columns([x.terms for _, x in columns])
-    return sorted(columns[k][0] for k in pivots if columns[k][0] is not None)
+def _generating_set(gens: list[NCPoly], central: list[int], rest: list[int]) -> list[int]:
+    """The generating set S: from the span of 1, walk ``central`` and then
+    ``rest``, skip an input g in the span, and otherwise put x*g, x*g^2, ...
+    in it for every product x kept so far (1 included) while the degree sum
+    stays within the top input degree.  S is the inputs of ``rest`` kept."""
+    top = max(g.degree for g in gens)
+    span = linalg.Eliminator()
+    one = NCPoly.one(gens[0].sig)
+    span.add(one.terms)
+    kept = [(0, one)]
+    generators = []
+    for i in central + rest:
+        g = gens[i]
+        if not span.reduce(g.terms):
+            continue
+        if i in rest:
+            generators.append(i)
+        for degree, x in list(kept):
+            while degree + g.degree <= top:
+                x, degree = x * g, degree + g.degree
+                if span.add(x.terms):
+                    kept.append((degree, x))
+    return sorted(generators)
 
 
 def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
                        table: LetterTable | None = None) -> CheckReport:
     """PASS iff every bracket of two inputs vanishes, certified on the
-    centre and a basis of a module over it instead of on every pair.
+    centre and a generating set instead of on every pair.
 
     1. An input whose brackets with the letters of ``_centre_letters`` all
-       vanish (in both orders under a table) is central.  The bracket is a
-       biderivation, so by Leibniz a central input brackets to zero with
-       every polynomial, on either side, and so does every product of
-       central inputs.
-    2. The basis B is chosen by ``_module_basis``: one incremental
-       elimination (``linalg.independent_columns``) over the central
-       inputs, their products, and the other inputs in (degree, term
-       count, index) order, each followed by its products with the central
-       inputs.  B is the set of those inputs that are pivots.
-    3. The pairs i < j of B, in input order, are bracketed; under a table,
-       which need not be antisymmetric, every ordered pair of B, the
+       vanish (in both orders under a table) is central.
+    2. The generating set S is chosen by ``_generating_set``: one
+       ``linalg.Eliminator`` over the products of the central inputs and
+       S, each input tested before its own products join.
+    3. The pairs i < j of S, in input order, are bracketed; under a table,
+       which need not be antisymmetric, every ordered pair of S, the
        diagonal included.
 
-    Why a PASS proves that every pair of inputs commutes.  Let A be the
-    algebra generated by the central inputs and W = A + A*B.  Every column
-    of the sequence lies in W, by induction along it: a central input or a
-    product of two is in A, a pivot input is in B, a non-pivot input is in
-    the span of earlier columns, and a product c*g has g earlier and
-    c*W in W.  For central c and c', [c*b, c'*b'] = c*c'*[b, b'] for the
-    commutator and for every biderivation, letter tables included, and A
-    brackets to zero with everything.  So W commutes as soon as the pairs
-    of B do, and every input lies in W.
+    Why a PASS proves that every pair of inputs commutes.  Every input is a
+    polynomial in the central inputs and S.  The commutator and every
+    biderivation, letter tables included, vanish on two such polynomials
+    once they vanish on every pair of their generators, by Leibniz.
 
-    A witness is a failing basis pair, both of them inputs, with its
-    bracket.  ``info`` records the central inputs, the basis size and the
-    basis-pair brackets made.  A classical letter ``table`` replaces the
-    Lie-Poisson rule (see ``algebra.poisson_bracket``).
+    A witness is a failing pair of S, both of them inputs, with its
+    bracket.  ``info`` records the central inputs, the size of S and the
+    pairs bracketed.  A classical letter ``table`` replaces the Lie-Poisson
+    rule (see ``algebra.poisson_bracket``).
     """
     if labels is not None and len(labels) != len(gens):
         raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
@@ -571,7 +561,7 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     central = [i for i, g in enumerate(gens) if all(commutes(g, x) for x in letters)]
     rest = sorted(set(range(len(gens))) - set(central),
                   key=lambda i: (gens[i].degree, len(gens[i].terms), i))
-    basis = _module_basis(gens, central, rest) if rest else []
+    basis = _generating_set(gens, central, rest) if rest else []
     pairs = list(product(basis, repeat=2) if table is not None
                  else combinations(basis, 2))
     witnesses = []

@@ -5,9 +5,10 @@ import pytest
 
 from gaudin.algebra import AlgebraSignature, Mode
 from gaudin.linalg import (
+    Eliminator,
+    _Tag,
     col_det,
     col_minor,
-    independent_columns,
     matmul,
     power_traces,
     rank,
@@ -52,12 +53,18 @@ def test_solve_combination_exact():
     assert coeffs == [F(3), F(2)]
 
 
-def test_independent_columns_keeps_the_first_of_each_dependency():
+def kept(vectors):
+    """Indices of the vectors that one Eliminator keeps as pivot rows."""
+    e = Eliminator()
+    return [i for i, v in enumerate(vectors) if e.add(v)]
+
+
+def test_eliminator_keeps_the_first_of_each_dependency():
     vectors = [{"u": F(1), "v": F(2)}, {}, {"u": F(2), "v": F(4)}, {"w": Fraction(1, 3)},
                {"u": F(1), "v": F(2), "w": F(5)}, {"v": F(1)}]
-    assert independent_columns(vectors) == [0, 3, 5]
-    assert independent_columns([]) == []
-    assert independent_columns([{}, {}]) == []
+    assert kept(vectors) == [0, 3, 5]
+    assert kept([]) == []
+    assert kept([{}, {}]) == []
 
 
 def _greedy_independent(vectors):
@@ -70,25 +77,69 @@ def _greedy_independent(vectors):
     return out
 
 
-def test_independent_columns_matches_a_greedy_span_dimension_oracle():
+def _random_vectors(rng, keys):
+    """Up to 8 sparse vectors over ``keys``, with duplicates, scaled copies
+    and zero vectors among them."""
+    vectors = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if vectors and roll < 0.2:              # a duplicate
+            vectors.append(dict(rng.choice(vectors)))
+        elif vectors and roll < 0.4:            # a scaled copy
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+            vectors.append({k: c * v for k, v in rng.choice(vectors).items()})
+        elif roll < 0.5:                        # a zero vector, possibly with zero entries
+            vectors.append({k: Fraction(0) for k in rng.sample(keys, rng.randint(0, 2))})
+        else:
+            vectors.append({k: Fraction(rng.choice([-4, -1, 1, 2, 3]), rng.choice([1, 1, 3, 4]))
+                            for k in rng.sample(keys, rng.randint(1, 4))})
+    return vectors
+
+
+def test_eliminator_matches_a_greedy_span_dimension_oracle():
     rng = random.Random(2718)
     keys = ["a", "b", "c", "d", "e", "f", "g"]
     for _ in range(200):
-        vectors = []
-        for _ in range(rng.randint(0, 8)):
-            roll = rng.random()
-            if vectors and roll < 0.2:              # a duplicate
-                vectors.append(dict(rng.choice(vectors)))
-            elif vectors and roll < 0.4:            # a scaled copy
-                c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
-                vectors.append({k: c * v for k, v in rng.choice(vectors).items()})
-            elif roll < 0.5:                        # a zero vector, possibly with zero entries
-                vectors.append({k: Fraction(0) for k in rng.sample(keys, rng.randint(0, 2))})
-            else:
-                vectors.append({k: Fraction(rng.choice([-4, -1, 1, 2, 3]), rng.choice([1, 1, 3, 4]))
-                                for k in rng.sample(keys, rng.randint(1, 4))})
-        assert independent_columns(vectors) == _greedy_independent(vectors)
-    assert independent_columns(iter([{"a": F(1)}, {"a": F(2)}, {"b": F(1)}])) == [0, 2]
+        vectors = _random_vectors(rng, keys)
+        assert kept(vectors) == _greedy_independent(vectors)
+    assert kept(iter([{"a": F(1)}, {"a": F(2)}, {"b": F(1)}])) == [0, 2]
+
+
+def test_reduce_keeps_no_state_and_add_agrees_with_it():
+    rng = random.Random(2719)
+    tags = [_Tag(), _Tag()]
+    keys = ["a", "b", "c", "d", "e", *tags]
+    for _ in range(200):
+        e = Eliminator()
+        vectors = _random_vectors(rng, keys)
+        for vec in vectors + _random_vectors(rng, keys):
+            rows = [(key, a, dict(row)) for key, a, row in e.rows]
+            remainder = e.reduce(vec)
+            assert e.reduce(vec) == remainder
+            assert [(key, a, dict(row)) for key, a, row in e.rows] == rows
+            expected = any(type(k) is not _Tag for k in remainder)
+            assert e.add(vec) is expected
+            assert len(e.rows) == len(rows) + expected
+            if expected:
+                assert e.rows[-1][2] == remainder
+        # a tag key never becomes a pivot, and without tags the remainder
+        # is empty exactly on the span of the vectors kept so far
+        assert all(type(key) is not _Tag and row[key] == a for key, a, row in e.rows)
+        plain = [{k: v for k, v in vec.items() if type(k) is not _Tag} for vec in vectors]
+        e = Eliminator()
+        for i, vec in enumerate(plain):
+            assert (not e.reduce(vec)) is (span_dimension(plain[:i + 1]) == span_dimension(plain[:i]))
+            e.add(vec)
+
+
+def test_a_tag_only_vector_is_never_kept():
+    tag = _Tag()
+    e = Eliminator()
+    assert e.add({tag: F(2)}) is False
+    assert e.add({tag: F(1), "a": F(3)}) is True
+    assert e.rows == [("a", 3, {tag: 1, "a": 3})]
+    assert e.reduce({"a": F(1)}) == {tag: -1}
+    assert e.add({"a": F(1)}) is False
 
 
 def test_mixed_key_types_need_no_key_order():
@@ -131,7 +182,7 @@ def test_int_keys_do_not_meet_the_internal_tags():
     target = {0: F(6), 1: F(3), 2: F(1), 3: F(2), 4: F(4)}        # 2 v0 - v1 + 4 v3
     assert solve_combination(vectors, target) == [F(2), F(-1), F(0), F(4)]
     assert solve_combination(vectors, {**target, 4: F(5)}) is None
-    assert independent_columns(vectors) == [0, 1, 3]
+    assert kept(vectors) == [0, 1, 3]
     assert rank([[vec.get(k, 0) for k in range(5)] for vec in vectors]) == 3
 
 
@@ -155,13 +206,13 @@ def _sympy_rref(rows):
              for i in range(reduced.rows)], list(pivots))
 
 
-def test_independent_columns_match_sympy_rref_pivots():
+def test_eliminator_matches_sympy_rref_pivots():
     rng = random.Random(1410)
     for _ in range(40):
         rows = _random_rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         _, expected_pivots = _sympy_rref(rows)
         columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(len(rows[0]))]
-        assert independent_columns(columns) == expected_pivots
+        assert kept(columns) == expected_pivots
         assert rank(rows) == len(expected_pivots)
 
 

@@ -720,7 +720,8 @@ def _glued_family(rank):
 
 
 class TestCommutationCertificate:
-    """The centre-and-basis certificate against the full ordered-pair table."""
+    """The centre-and-generating-set certificate against the full ordered-pair
+    table."""
 
     @staticmethod
     def assert_matches_oracle(gens, table=None):
@@ -762,27 +763,32 @@ class TestCommutationCertificate:
         return [i for i, g in enumerate(gens) if not any(commutator(g, x) for x in letters)]
 
     @staticmethod
-    def module_basis(gens, central):
-        """The basis recomputed rank by rank along the column sequence: the
-        central inputs, their products, then each other input in (degree,
-        term count, index) order followed by its central multiples, every
-        product of degree above the top input degree skipped."""
+    def generating_set(gens, central):
+        """The generating set recomputed rank by rank: from the span of 1,
+        walk the central inputs, then the others in (degree, term count,
+        index) order; an input outside the span of the products kept so far
+        joins S if it is not central, and then x*g, x*g^2, ... join for every
+        kept product x (1 included) while the degree sum stays within the
+        top input degree."""
         top = max(g.degree for g in gens)
-        mult = [gens[i] for i in central if gens[i].degree >= 1]
         rest = sorted(set(range(len(gens))) - set(central),
                       key=lambda i: (gens[i].degree, len(gens[i].terms), i))
-        seq = [(None, gens[i]) for i in central]
-        seq += [(None, c * d) for k, c in enumerate(mult) for d in mult[k:]
-                if c.degree + d.degree <= top]
-        for i in rest:
-            seq.append((i, gens[i]))
-            seq += [(None, c * gens[i]) for c in mult if c.degree + gens[i].degree <= top]
-        span, basis = [], []
-        for i, x in seq:
-            if span_dimension(span + [x.terms]) > span_dimension(span):
-                span.append(x.terms)
-                if i is not None:
-                    basis.append(i)
+        one = NCPoly.one(gens[0].sig)
+        span, products, basis = [one.terms], [(0, one)], []
+        for i in central + rest:
+            g = gens[i]
+            if span_dimension(span + [g.terms]) == span_dimension(span):
+                continue
+            if i not in central:
+                basis.append(i)
+            for degree, x in list(products):
+                for power in range(1, top + 1):
+                    if degree + power * g.degree > top:
+                        break
+                    y = x * g ** power
+                    if span_dimension(span + [y.terms]) > span_dimension(span):
+                        span.append(y.terms)
+                        products.append((degree + power * g.degree, y))
         return sorted(basis)
 
     @staticmethod
@@ -804,7 +810,7 @@ class TestCommutationCertificate:
         coeffs = _talalaev_coefficients(2, 3)
         gens = [c for _, c in coeffs]
         central = self.central(gens)
-        basis = self.module_basis(gens, central)
+        basis = self.generating_set(gens, central)
         assert commutation_matrix(gens).info["basis"] == len(basis)
         outside = [i for i in range(len(gens)) if i not in basis + central]
         assert outside
@@ -812,8 +818,7 @@ class TestCommutationCertificate:
 
     def test_corrupted_coefficient_outside_the_linear_span_fails(self):
         # QTr3's order-1 residue at z=0 is independent of the inputs before
-        # it in the column sequence, so only product columns take it out of
-        # the basis
+        # it in the walk, so only products take it out of the generating set
         coeffs = _talalaev_coefficients(3, 2)
         gens = [c for _, c in coeffs]
         k = [label for label, _ in coeffs].index("QTr3[z=0,order 1]")
@@ -821,13 +826,13 @@ class TestCommutationCertificate:
         before = [g.terms for i, g in enumerate(gens) if i in central
                   or (g.degree, len(g.terms), i) < (gens[k].degree, len(gens[k].terms), k)]
         assert span_dimension(before + [gens[k].terms]) == span_dimension(before) + 1
-        assert k not in self.module_basis(gens, central)
+        assert k not in self.generating_set(gens, central)
         self.assert_corruption_fails(coeffs, k)
 
     def test_products_of_non_central_inputs_certify_nothing(self, q1):
-        # e12 + e21 = (e12 + e21)(e11 + 1) - (e12 + e21) e11, but e11 is not
-        # central, so neither product is a column and e12 + e21 stays in the
-        # basis
+        # e12 + e21 = (e12 + e21)(e11 + 1) - (e12 + e21) e11, but both
+        # products have e12 + e21 as a factor, so they join the span only
+        # after it is tested and e12 + e21 stays in the generating set
         e11 = q1.gen(1, 1, 1)
         gens = [e11, e11 * e11, e11 + NCPoly.one(q1), q1.gen(1, 1, 2) + q1.gen(1, 2, 1)]
         rep = self.assert_matches_oracle(gens)
@@ -836,12 +841,28 @@ class TestCommutationCertificate:
 
     def test_a_product_column_follows_its_factor(self, q1):
         # with C and C + 1 central, g = (C + 1) g - C g for every g, so the
-        # products of g must not enter before g itself
+        # products of g must not join the span before g itself is tested
         c = q1.gen(1, 1, 1) + q1.gen(1, 2, 2)
         gens = [c, c + NCPoly.one(q1), c * c, q1.gen(1, 1, 2), q1.gen(1, 1, 1)]
         rep = self.assert_matches_oracle(gens)
         assert rep.passed is False
         assert rep.info == {"central": 3, "basis": 2, "pairs": 1}
+
+    def test_a_product_of_two_generators_is_not_a_generator(self, q2):
+        # a*b is a polynomial in a and b, so S = {a, b} and one pair is
+        # bracketed; a module over the (empty) centre would need all three.
+        # Adding e[1,2]@1 to the product takes it out of the span of the
+        # products of a and b, so it joins S and fails.
+        a, b = q2.gen(1, 1, 1), q2.gen(1, 2, 2)
+        gens = [a, b, a * b]
+        rep = self.assert_matches_oracle(gens)
+        assert rep.passed
+        assert rep.info == {"central": 0, "basis": 2, "pairs": 1}
+        assert self.generating_set(gens, []) == [0, 1]
+        rep = self.assert_matches_oracle([a, b, a * b + q2.gen(1, 1, 2)])
+        assert rep.passed is False
+        assert rep.witnesses
+        assert all("g2" in w["pair"] for w in rep.witnesses)
 
     @staticmethod
     def random_module_family(rng, central, others, spoiler):
