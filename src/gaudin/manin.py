@@ -34,8 +34,10 @@ from .reports import CheckReport
 class DiffOpMatrix:
     """Square matrix of DiffOpEntry values; the Manin-candidate container.
 
-    Every determinant check reads one table of column minors
-    (``linalg.col_minor``), so its entries must not change once one is read."""
+    It keeps the entries and one table of column minors
+    (``linalg.col_minor``) that every determinant check reads, so its
+    entries must not change once one is read.  Matrix arithmetic runs on
+    the entry lists (``linalg.matmul``)."""
 
     def __init__(self, sig: AlgebraSignature, entries: list[list[DiffOpEntry]]):
         self.sig = sig
@@ -47,40 +49,8 @@ class DiffOpMatrix:
         return len(self.entries)
 
     @staticmethod
-    def identity(sig: AlgebraSignature, n: int) -> "DiffOpMatrix":
-        return DiffOpMatrix(sig, [
-            [DiffOpEntry.one(sig) if i == j else DiffOpEntry.zero(sig)
-             for j in range(n)]
-            for i in range(n)
-        ])
-
-    @staticmethod
     def from_lax_entries(entries: list[list[LaxEntry]], sig: AlgebraSignature) -> "DiffOpMatrix":
         return DiffOpMatrix(sig, [[DiffOpEntry.from_entry(e) for e in row] for row in entries])
-
-    def __mul__(self, other: "DiffOpMatrix") -> "DiffOpMatrix":
-        return DiffOpMatrix(self.sig, linalg.matmul(self.entries, other.entries))
-
-    def __add__(self, other: "DiffOpMatrix") -> "DiffOpMatrix":
-        return DiffOpMatrix(self.sig, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
-
-    def __sub__(self, other: "DiffOpMatrix") -> "DiffOpMatrix":
-        return DiffOpMatrix(self.sig, [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
-
-    def trace(self) -> DiffOpEntry:
-        acc = DiffOpEntry.zero(self.sig)
-        for i in range(self.size):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def z_derivative(self) -> "DiffOpMatrix":
-        return DiffOpMatrix(self.sig, [[e.z_derivative() for e in row] for row in self.entries])
 
     def is_diff_free(self) -> bool:
         return all(e.order <= 0 for row in self.entries for e in row)
@@ -209,7 +179,6 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     """
     reports = [is_manin(M)]
     n = M.size
-    sig = M.sig
 
     # Left Cramer formula: adj(M) M = det_col(M) Id.  (adj(M) M)_ij is the
     # last-column expansion of the minor on all rows and the columns other
@@ -235,22 +204,23 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     ))
 
     # Cayley-Hamilton with coefficients substituted on the left:  the
-    # t^k coefficient of det_col(t - M) is (-1)^(n-k) sigma_(n-k).
+    # t^k coefficient of det_col(t - M) is c_k = (-1)^(n-k) sigma_(n-k), and
+    # sum_k c_k M^k is summed by Horner, ((M + c_(n-1)) M + c_(n-2)) M + ...,
+    # step k adding c_(n-k) = (-1)^k sigma_k; each c stays on the left, since
+    # (A + c) M = A M + c M.
     if M.is_diff_free():
         sigma = M.minor_sums
-        acc = DiffOpMatrix(sig, [[DiffOpEntry.zero(sig)] * n for _ in range(n)])
-        power = DiffOpMatrix.identity(sig, n)
-        for k in range(n + 1):
-            if k:
-                power = M if k == 1 else power * M
-            coeff = -sigma[n - k] if (n - k) % 2 else sigma[n - k]
-            acc = acc + DiffOpMatrix(sig, [
-                [coeff * e for e in row] for row in power.entries
-            ])
+        acc = M.entries
+        for k in range(1, n + 1):
+            if k > 1:
+                acc = linalg.matmul(acc, M.entries)
+            coeff = -sigma[k] if k % 2 else sigma[k]
+            acc = [[e + coeff if i == j else e for j, e in enumerate(row)]
+                   for i, row in enumerate(acc)]
         witnesses = [
-            {"position": [i + 1, j + 1], "residual": acc.entries[i][j].render()}
+            {"position": [i + 1, j + 1], "residual": acc[i][j].render()}
             for i in range(n) for j in range(n)
-            if not acc.entries[i][j].is_zero()
+            if not acc[i][j].is_zero()
         ]
         reports.append(CheckReport(
             check="cayley_hamilton", passed=not witnesses,
@@ -359,13 +329,17 @@ def newton_check(M: DiffOpMatrix) -> CheckReport:
 
 def quantum_powers(L: LaxMatrix, m: int) -> list[DiffOpMatrix]:
     """Iterated quantum powers  P_0 = Id,  P_i = P_{i-1} L - d/dz P_{i-1}."""
-    if not L.sig.is_quantum:
+    sig = L.sig
+    if not sig.is_quantum:
         raise ModeError("quantum powers require a Quantum-mode Lax matrix")
-    Lmat = DiffOpMatrix.from_lax_entries(L.entries, L.sig)
-    out = [DiffOpMatrix.identity(L.sig, L.size)]
+    Lmat = DiffOpMatrix.from_lax_entries(L.entries, sig).entries
+    power = [[DiffOpEntry.one(sig) if i == j else DiffOpEntry.zero(sig)
+              for j in range(L.size)] for i in range(L.size)]
+    out = [DiffOpMatrix(sig, power)]
     for _ in range(m):
-        prev = out[-1]
-        out.append(prev * Lmat - prev.z_derivative())
+        power = [[a - b.z_derivative() for a, b in zip(ra, rb)]
+                 for ra, rb in zip(linalg.matmul(power, Lmat), power)]
+        out.append(DiffOpMatrix(sig, power))
     return out
 
 
@@ -398,7 +372,7 @@ class TalalaevOutput:
                 constants[("qtr", k, j)] = self.qtr[(k, j)].proportionality(self.qtr[(j, j)])
         powers = quantum_powers(self.lax, r)
         for k in range(1, r + 1):
-            trk = powers[k].trace().entry(0)
+            trk = reduce(add, (powers[k].entries[i][i] for i in range(r))).entry(0)
             constants[("faadibruno", k, k)] = self.qtr[(k, k)].proportionality(trk)
         return constants
 

@@ -16,7 +16,10 @@ entry commutators, where ``is_manin`` reads 2x2 column minors.  The
 permutation-sum column determinant ``permutation_col_det`` and the adjugate
 ``minor_adjugate`` built from it on minor copies are the references for the
 memoized Laplace expansion ``linalg.col_minor`` and for the Cramer check that
-reads its entries from it.  The seeded random letters, words, polynomials and
+reads its entries from it.  ``cayley_hamilton_residual`` sums the
+characteristic polynomial of a matrix power by power, each coefficient
+written on the left of its power, and is the reference for the Horner sum
+of the Cayley-Hamilton check.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
 
 ``fraction_letter_table`` compiles a block operator by summing its block
@@ -40,7 +43,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from gaudin.algebra import (
@@ -449,6 +452,32 @@ def cramer_residuals(M: DiffOpMatrix) -> list[dict]:
             if not acc.is_zero():
                 out.append({"position": [i + 1, j + 1], "residual": acc.render()})
     return out
+
+
+def cayley_hamilton_residual(M: DiffOpMatrix) -> list[dict]:
+    """The nonzero entries of sum_k (-1)^(n-k) sigma_(n-k) M^k, k = 0..n,
+    as ``cayley_hamilton`` witnesses in row-major order.  sigma_j sums the
+    ``permutation_col_det`` of the j x j principal submatrices, M^k is
+    M^(k-1) M, and each coefficient is multiplied on the left of M^k."""
+    n = M.size
+    E = M.entries
+    one, zero = DiffOpEntry.one(M.sig), DiffOpEntry.zero(M.sig)
+    sigma = [one]
+    for j in range(1, n + 1):
+        total = zero
+        for keep in combinations(range(n), j):
+            total = total + permutation_col_det([[E[r][c] for c in keep] for r in keep])
+        sigma.append(total)
+    power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    acc = [[zero] * n for _ in range(n)]
+    for k in range(n + 1):
+        if k:
+            power = [[sum((power[i][l] * E[l][j] for l in range(n)), zero)
+                      for j in range(n)] for i in range(n)]
+        coeff = -sigma[n - k] if (n - k) % 2 else sigma[n - k]
+        acc = [[a + coeff * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
+    return [{"position": [i + 1, j + 1], "residual": acc[i][j].render()}
+            for i in range(n) for j in range(n) if not acc[i][j].is_zero()]
 
 
 def manin_relation(witness: dict) -> tuple:

@@ -7,7 +7,8 @@ command with ``--out tests/golden`` (``PYTHONPATH=src python -m gaudin.cli
 verify SUITE --out tests/golden``); a rank-3 report is written as
 ``verify-SUITE.json`` by ``verify SUITE --r 3`` and kept as
 ``verify-SUITE-r3.json``; the mixed-pole manin run is kept as
-``verify-manin-rational.json``.
+``verify-manin-rational.json`` and the seed-62 one as
+``verify-manin-r3-seed62.json``.
 """
 
 from pathlib import Path
@@ -28,7 +29,10 @@ CASES = [(suite, ("verify", suite), f"verify-{suite}.json") for suite in SUITES]
     for suite in ("glue", "manin")] + [
     # integral and non-integral poles together: both pole-key types of RatFun
     ("manin-rational-poles", ("verify", "manin", "--r", "2", "--poles", "1/2,-3/4,5"),
-     "verify-manin-rational.json")] + [
+     "verify-manin-rational.json"),
+    # the 4x4 random matrix is redrawn twice for a regular leading block
+    ("manin-r3-seed62", ("verify", "manin", "--r", "3", "--seed", "62"),
+     "verify-manin-r3-seed62.json")] + [
     (f"build-{what}",
      ("build", "--what", what, *(PATTERN_ARGS if what == "pattern" else ())),
      f"build-{what}.json")

@@ -29,10 +29,11 @@ from gaudin.manin import (
     talalaev_generators,
 )
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
-from gaudin.suites import RunConfig, run_suite
+from gaudin.suites import RunConfig, _cross_site_manin, run_suite
 
 from oracles import (
     all_position_pairs_manin,
+    cayley_hamilton_residual,
     commutator_manin,
     cramer_residuals,
     elementary_glue,
@@ -452,6 +453,53 @@ class TestMinorTableOracle:
         assert reports["is_manin"].witnesses == commutator_manin(M)
         assert reports["cramer"].passed is False
         assert reports["cramer"].witnesses == cramer_residuals(M)
+
+
+class TestCayleyHamiltonOracle:
+    """The Horner sum of the Cayley-Hamilton check agrees with the power-sum
+    formula, coefficients on the left, on d/dz-free matrices whose column
+    entries do not commute."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_witnesses_match_the_power_sum(self, n):
+        E = noncommuting_operator_matrix(n).entries
+        M = DiffOpMatrix(E[0][0].sig, [[DiffOpEntry.from_entry(e.entry(0)) for e in row]
+                                       for row in E])
+        assert M.is_diff_free()
+        reports = {r.check: r for r in manin_property_suite(M)}
+        ref = cayley_hamilton_residual(M)
+        assert reports["cayley_hamilton"].witnesses == ref
+        assert reports["cayley_hamilton"].passed is (n == 1)
+        assert reports["is_manin"].passed is (n == 1)
+
+
+class TestManinWork:
+    """DiffOpEntry products of the Manin checks: Cayley-Hamilton makes n - 1
+    matrix products and scales no matrix, and a random matrix with a singular
+    leading block is redrawn before any suite runs on it."""
+
+    @pytest.mark.parametrize("rank, calls", [(2, 16), (3, 135)])
+    def test_cross_site_suite(self, monkeypatch, rank, calls):
+        M = _cross_site_manin(rank)
+        products = count_products(monkeypatch)
+        assert all(r.passed is not False for r in manin_property_suite(M))
+        assert len(products) == calls
+
+    @pytest.mark.parametrize("rank, calls", [(2, 1100), (3, 1338)])
+    def test_manin_suite(self, monkeypatch, rank, calls):
+        products = count_products(monkeypatch)
+        assert all(r.passed is not False for r in run_suite("manin", RunConfig(rank=rank)))
+        assert len(products) == calls
+
+    def test_one_property_suite_per_kept_matrix(self, monkeypatch):
+        import gaudin.suites
+
+        seen = []
+        monkeypatch.setattr(gaudin.suites, "manin_property_suite",
+                            lambda M: seen.append(M.size) or manin_property_suite(M))
+        run_suite("manin", RunConfig(rank=3, seed=12345))
+        # d/dz - L, the cross-site matrix and the three random matrices
+        assert seen == [3, 3, 3, 4, 3]
 
 
 class TestQuantumPowers:
