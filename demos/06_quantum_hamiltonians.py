@@ -4,8 +4,9 @@ The matrix d/dz - L(z) has noncommutative entries, but its columns commute
 and its 2x2 cross commutators agree (the Manin property).  Its column
 determinant is therefore well defined, and the coefficients of the powers of
 d/dz commute for all evaluations of z: these are the higher quantum
-Hamiltonians.  Traces of quantum powers give an equivalent generating set,
-and both constructions transport through the gluing limits.
+Hamiltonians.  The d/dz-free coefficients of Tr (d/dz - L)^k give an
+equivalent generating set, and both constructions transport through the
+gluing limits.
 """
 
 from gaudin import (
@@ -40,11 +41,6 @@ print("\nCommutators vanish across evaluation points:")
 for (u, v) in [(5, 7), (7, 11), (5, 11)]:
     res = commutator(out.qh[0].eval_z(u), out.qh[0].eval_z(v))
     print(f"  [QH_0({u}), QH_0({v})] =", res)
-
-print("\nObserved proportionality constants among trace coefficients")
-print("(binomial pattern, and (-1)^k against the iterated quantum powers):")
-for key, val in sorted(out.recursion_constants.items()):
-    print(f"  {key}: {val}")
 
 print("\nClassical limit of QH_0 is the determinant-type invariant:")
 csig = sig.as_mode(Mode.CLASSICAL)

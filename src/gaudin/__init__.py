@@ -44,7 +44,6 @@ from .manin import (
     manin_property_suite,
     newton_check,
     partial_minus,
-    quantum_powers,
     talalaev_coefficients,
     talalaev_generators,
 )

@@ -48,10 +48,6 @@ class DiffOpMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    @staticmethod
-    def from_lax_entries(entries: list[list[LaxEntry]], sig: AlgebraSignature) -> "DiffOpMatrix":
-        return DiffOpMatrix(sig, [[DiffOpEntry.from_entry(e) for e in row] for row in entries])
-
     def is_diff_free(self) -> bool:
         return all(e.order <= 0 for row in self.entries for e in row)
 
@@ -327,22 +323,6 @@ def newton_check(M: DiffOpMatrix) -> CheckReport:
     )
 
 
-def quantum_powers(L: LaxMatrix, m: int) -> list[DiffOpMatrix]:
-    """Iterated quantum powers  P_0 = Id,  P_i = P_{i-1} L - d/dz P_{i-1}."""
-    sig = L.sig
-    if not sig.is_quantum:
-        raise ModeError("quantum powers require a Quantum-mode Lax matrix")
-    Lmat = DiffOpMatrix.from_lax_entries(L.entries, sig).entries
-    power = [[DiffOpEntry.one(sig) if i == j else DiffOpEntry.zero(sig)
-              for j in range(L.size)] for i in range(L.size)]
-    out = [DiffOpMatrix(sig, power)]
-    for _ in range(m):
-        power = [[a - b.z_derivative() for a, b in zip(ra, rb)]
-                 for ra, rb in zip(linalg.matmul(power, Lmat), power)]
-        out.append(DiffOpMatrix(sig, power))
-    return out
-
-
 class TalalaevOutput:
     """Coefficients of det_col(d/dz - L) and of the quantum trace powers;
     ``operator`` is d/dz - L, whose table of minors holds the determinant."""
@@ -358,24 +338,6 @@ class TalalaevOutput:
     def rank(self) -> int:
         return self.lax.size
 
-    @cached_property
-    def recursion_constants(self) -> dict[tuple, Fraction | None]:
-        """Observed relations between repeated trace coefficients, computed on
-        first read: Tr powers of different order reproduce each other's
-        coefficients up to binomial factors, so only the d/dz-free
-        coefficients are independent; and each d/dz-free one is a multiple of
-        the trace of the matching iterated quantum power."""
-        r = self.rank
-        constants: dict[tuple, Fraction | None] = {}
-        for k in range(1, r + 1):
-            for j in range(1, k):
-                constants[("qtr", k, j)] = self.qtr[(k, j)].proportionality(self.qtr[(j, j)])
-        powers = quantum_powers(self.lax, r)
-        for k in range(1, r + 1):
-            trk = reduce(add, (powers[k].entries[i][i] for i in range(r))).entry(0)
-            constants[("faadibruno", k, k)] = self.qtr[(k, k)].proportionality(trk)
-        return constants
-
     def qh_eval(self, point) -> list[NCPoly]:
         return [e.eval_z(point) for e in self.qh]
 
@@ -387,10 +349,6 @@ class TalalaevOutput:
             "matrix": self.lax.label,
             "qh": {str(i): e.render() for i, e in enumerate(self.qh)},
             "qtr": {f"{k},{j}": e.render() for (k, j), e in sorted(self.qtr.items())},
-            "recursion_constants": {
-                ",".join(str(part) for part in key): (str(c) if c is not None else None)
-                for key, c in sorted(self.recursion_constants.items())
-            },
         }
 
 

@@ -201,7 +201,8 @@ def bracket_eval(op: PoissonOperator, F: NCPoly, G: NCPoly) -> NCPoly:
     """Evaluate the operator's bracket on two classical polynomials.
 
     Compiles the letter table on every call; checks that evaluate many
-    brackets compile it once with ``letter_table``.
+    brackets compile it once with ``letter_table``.  No check calls this: it
+    stays only as a trace target of the benchmark (``perfbench/spans.py``).
     """
     return poisson_bracket(F, G, letter_table(op, F.sig))
 

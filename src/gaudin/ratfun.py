@@ -151,7 +151,8 @@ class Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm.  No arithmetic path of the package
-    takes one: ``RatFun`` is canonical without it."""
+    takes one: ``RatFun`` is canonical without it.  It stays only as a trace
+    target of the benchmark (``perfbench/spans.py``)."""
     while not b.is_zero():
         _, r = a.divmod(b)
         a, b = b, r.monic() if not r.is_zero() else r
@@ -425,10 +426,6 @@ class DiffOpEntry(SparseSum):
         if other is None:
             return NotImplemented
         return other * self
-
-    def z_derivative(self) -> "DiffOpEntry":
-        """Coefficient-wise d/dz (the commutator [d/dz, A])."""
-        return self.map(LaxEntry.derivative)
 
     def eval_z(self, point) -> list[NCPoly]:
         """Evaluated coefficients listed by d/dz power, constant term first."""

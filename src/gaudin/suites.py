@@ -119,7 +119,7 @@ class RunConfig:
 
 
 def suite_quadratic(cfg: RunConfig) -> list[CheckReport]:
-    cfg.check_scale()
+    cfg.check_scale("classical")
     poles = cfg.pole_list()
     reports = []
     for mode in ("quantum", "classical"):
@@ -197,7 +197,7 @@ def suite_glue(cfg: RunConfig) -> list[CheckReport]:
 
 
 def suite_bending(cfg: RunConfig) -> list[CheckReport]:
-    cfg.check_scale()
+    cfg.check_scale("classical")
     sig = cfg.signature("classical")
     pattern, poles = left_comb_pattern(cfg.sites, cfg.z1, cfg.z2)
     family = iterate_pattern(sig, pattern, poles)
@@ -322,7 +322,7 @@ def suite_manin(cfg: RunConfig) -> list[CheckReport]:
 
 
 def suite_poisson(cfg: RunConfig) -> list[CheckReport]:
-    cfg.check_scale()
+    cfg.check_scale("classical")
     sig = cfg.signature("classical")
     reports = []
 

@@ -19,7 +19,10 @@ memoized Laplace expansion ``linalg.col_minor`` and for the Cramer check that
 reads its entries from it.  ``cayley_hamilton_residual`` sums the
 characteristic polynomial of a matrix power by power, each coefficient
 written on the left of its power, and is the reference for the Horner sum
-of the Cayley-Hamilton check.  The seeded random letters, words, polynomials and
+of the Cayley-Hamilton check.  ``quantum_power_traces`` runs the
+recursion P_k = P_(k-1) L - d/dz P_(k-1) of the iterated quantum powers,
+whose traces the tests compare with the d/dz-free coefficients of
+Tr (d/dz - L)^k.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
 
 ``fraction_letter_table`` compiles a block operator by summing its block
@@ -46,6 +49,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
+from gaudin import linalg
 from gaudin.algebra import (
     AlgebraSignature,
     Letter,
@@ -55,7 +59,7 @@ from gaudin.algebra import (
     poisson_bracket,
 )
 from gaudin.gluing import LimitFamily
-from gaudin.lax import lax_from_groups
+from gaudin.lax import LaxMatrix, lax_from_groups
 from gaudin.manin import DiffOpMatrix
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
@@ -478,6 +482,22 @@ def cayley_hamilton_residual(M: DiffOpMatrix) -> list[dict]:
         acc = [[a + coeff * b for a, b in zip(ra, rb)] for ra, rb in zip(acc, power)]
     return [{"position": [i + 1, j + 1], "residual": acc[i][j].render()}
             for i in range(n) for j in range(n) if not acc[i][j].is_zero()]
+
+
+def quantum_power_traces(L: LaxMatrix) -> list[LaxEntry]:
+    """Tr P_k for k = 1..size, where P_0 = Id and P_k = P_(k-1) L - d/dz P_(k-1),
+    d/dz acting on each entry.  These are the iterated quantum powers of L;
+    Tr P_k is (-1)^k times the d/dz-free coefficient of Tr (d/dz - L)^k,
+    which ``linalg.power_traces`` expands instead."""
+    n = L.size
+    one, zero = LaxEntry.one(L.sig), LaxEntry.zero(L.sig)
+    power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    traces = []
+    for _ in range(n):
+        power = [[a - b.derivative() for a, b in zip(ra, rb)]
+                 for ra, rb in zip(linalg.matmul(power, L.entries), power)]
+        traces.append(sum((power[i][i] for i in range(n)), zero))
+    return traces
 
 
 def manin_relation(witness: dict) -> tuple:

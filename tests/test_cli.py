@@ -397,6 +397,19 @@ def test_quantum_builds_keep_the_quantum_scale_limit(rank, argv, tmp_path, capsy
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("suite", ["poisson", "bending", "quadratic"])
+def test_classical_scale_suites_ignore_the_mode_flag(suite, tmp_path, capsys):
+    # these never build a quantum algebra past three sites, so --mode quantum
+    # must neither tighten the scale limit nor change the checks
+    runs = []
+    for extra in ((), ("--mode", "quantum")):
+        code, out, _ = run_cli(["verify", suite, "--sites", "4", *extra,
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0, extra
+        runs.append(json.loads(out)["checks"])
+    assert runs[0] == runs[1]
+
+
 def test_quantum_scale_limit_leaves_the_config_block_alone(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "talalaev", "--r", "1", "--sites", "3",
                             "--out", str(tmp_path)], capsys)

@@ -24,7 +24,6 @@ from gaudin.manin import (
     manin_property_suite,
     newton_check,
     partial_minus,
-    quantum_powers,
     talalaev_coefficients,
     talalaev_generators,
 )
@@ -41,6 +40,7 @@ from oracles import (
     minor_adjugate,
     ordered_pair_brackets,
     permutation_col_det,
+    quantum_power_traces,
     random_diffop_matrix,
     random_letter,
     random_ncpoly,
@@ -502,36 +502,6 @@ class TestManinWork:
         assert seen == [3, 3, 3, 4, 3]
 
 
-class TestQuantumPowers:
-    def test_scalar_recursion(self):
-        # L = 1/z as a plain scalar: second quantum power is 2/z^2
-        sig = scalar_sig()
-        L = LaxMatrix(sig, [[LaxEntry.scalar(sig, RatFun.one_over_z_minus(0))]],
-                      [(Fraction(0), 1)], label="scalar")
-        powers = quantum_powers(L, 2)
-        assert powers[2].entries[0][0] == DiffOpEntry.from_entry(
-            LaxEntry.scalar(sig, RatFun.one_over_z_minus(0) * RatFun.one_over_z_minus(0) * 2))
-
-    def test_first_power_is_the_matrix(self):
-        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        L = gaudin_lax(sig, [0, 1])
-        powers = quantum_powers(L, 1)
-        assert powers[1] == DiffOpMatrix.from_lax_entries(L.entries, sig)
-
-    def test_trace_matches_diff_free_trace_coefficient(self):
-        # Tr L^[k] agrees with the d/dz-free coefficient of Tr (d/dz - L)^k
-        # up to the recorded sign (-1)^k
-        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        L = gaudin_lax(sig, [0, 1])
-        out = talalaev_generators(L)
-        assert out.recursion_constants[("faadibruno", 1, 1)] == -1
-        assert out.recursion_constants[("faadibruno", 2, 2)] == 1
-
-    def test_classical_mode_rejected(self, c2):
-        with pytest.raises(ModeError):
-            quantum_powers(gaudin_lax(c2, [0, 1]), 2)
-
-
 class TestTalalaev:
     def test_rank_one_coefficients(self):
         sig = AlgebraSignature(1, 2, Mode.QUANTUM)
@@ -568,10 +538,23 @@ class TestTalalaev:
         det_classical = E[0][0] * E[1][1] - E[0][1] * E[1][0]
         assert classical_limit(out.qh[0].eval_z(5)) == det_classical
 
-    def test_qtr_recursion_constants_are_binomial(self):
-        sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-        out = talalaev_generators(gaudin_lax(sig, [0, 1]))
-        assert out.recursion_constants[("qtr", 2, 1)] == 2
+    @pytest.mark.parametrize("rank,sites", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_trace_coefficients_are_binomial_in_the_diagonal(self, rank, sites):
+        # qtr(k, j) = C(k, j) qtr(j, j): only the d/dz-free coefficients are new
+        sig = AlgebraSignature(rank, sites, Mode.QUANTUM)
+        out = talalaev_generators(gaudin_lax(sig, list(range(sites))))
+        for k in range(2, rank + 1):
+            for j in range(1, k):
+                assert out.qtr[(k, j)] == out.qtr[(j, j)] * comb(k, j), (k, j)
+
+    @pytest.mark.parametrize("rank,sites", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_diagonal_traces_match_the_quantum_power_recursion(self, rank, sites):
+        # Tr P_k = (-1)^k qtr(k, k) for the iterated quantum powers P_k of L
+        sig = AlgebraSignature(rank, sites, Mode.QUANTUM)
+        L = gaudin_lax(sig, list(range(sites)))
+        out = talalaev_generators(L)
+        for k, tr in enumerate(quantum_power_traces(L), start=1):
+            assert tr == out.qtr[(k, k)] * (-1) ** k, k
 
     def test_non_gaudin_type_rejected(self):
         sig = AlgebraSignature(2, 1, Mode.QUANTUM)
@@ -630,19 +613,6 @@ class TestTalalaevCoefficients:
         out.lax.poles = out.lax.poles[:1]
         with pytest.raises(ValueError, match="pole outside"):
             talalaev_coefficients(out)
-
-    def test_verify_never_computes_recursion_constants(self, monkeypatch):
-        import gaudin.manin
-
-        def refuse(*args):
-            raise AssertionError("quantum_powers reached")
-
-        monkeypatch.setattr(gaudin.manin, "quantum_powers", refuse)
-        cfg = RunConfig(rank=2, sites=2)
-        assert all(r.passed is not False for r in run_suite("talalaev", cfg))
-        out = talalaev_generators(gaudin_lax(cfg.signature("quantum"), [0, 1]))
-        with pytest.raises(AssertionError, match="quantum_powers reached"):
-            out.recursion_constants
 
 
 def _pole_entry(sig, word, pole, k=1):

@@ -509,7 +509,6 @@ class TestSparseSum:
         p, e, d = _one_of_each(q1)
         assert p.scale(0).is_zero() and e.scale(0).is_zero() and d.scale(0).is_zero()
         assert LaxEntry.from_ncpoly(p).derivative().is_zero()
-        assert d.z_derivative() == DiffOpEntry.from_entry(e.derivative())
         assert e.eval_z(1) == p
         assert type(e.residue(0)) is NCPoly and e.residue(0) == p
         assert e.residue(1).is_zero()
