@@ -32,7 +32,7 @@ Coefficients are exact ``fractions.Fraction`` values at the API; no float is
 produced anywhere.  Inside the z-layer (``ratfun``) a coefficient or pole is
 kept as a Python ``int`` where it is integral and every value leaving it is a
 ``Fraction`` again, so ``NCPoly`` coefficients are always Fractions.  The two
-bracket engines (``commutator`` and ``poisson_bracket``) scale each operand
+bracket engines (``commutator`` and ``Packing.bracket``) scale each operand
 once to integer numerators over one common denominator
 (``linalg.integer_form``), run their loops on Python ints and divide by the
 product of the denominators at the end, so a bracket builds one ``Fraction``
@@ -40,22 +40,29 @@ per output term.  A letter table arrives in the same form, one denominator
 and integer rules.  An exact zero is the only accepted "commutes" verdict
 anywhere downstream.
 
-Inside ``poisson_bracket`` a classical word is a packed monomial: one int
-holding its exponent vector, with a field of (deg p + deg q - 1).bit_length()
-bits per letter in ``sig.letters()`` order.  No exponent in the computation
-exceeds deg p + deg q - 1, so multiplying monomials is adding ints and never
-carries between fields.  The gradient of each operand maps a letter g to
-{packed dp/dg term: coefficient}; for each letter h of q the engine forms
-X_h = sum_g {g, h} dp/dg once, drops its zeros and multiplies it by dq/dh.
-Only the nonzero output terms are decoded back to sorted words.
+A classical word is a packed monomial (``Packing``): one int holding its
+exponent vector, a field per letter in ``sig.letters()`` order, all fields
+of one width fixed per packing.  While no exponent exceeds what the width
+holds, multiplying monomials is adding ints and never carries between
+fields.  ``Packing.pack`` turns an operand into its packed numerators
+(``PackedPoly``, whose product is that addition) and its gradient, which
+maps a letter g to {packed dp/dg term: numerator}.  ``Packing.bracket`` is
+the one classical bracket engine: for each letter h of q it forms
+X_h = sum_g {g, h} dp/dg once, drops its zeros and multiplies it by dq/dh,
+and it decodes only the nonzero output terms back to sorted words.
+``poisson_bracket`` packs its two operands at the width that
+deg p + deg q - 1 needs; ``manin.commutation_matrix`` packs each input and
+centre letter once at one width for the whole certificate, and
+``lax.spectral_invariants`` packs formal z-variables beside the letters.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from operator import index
 
 from .linalg import integer_form
 
@@ -547,20 +554,125 @@ def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
     return NCPoly(p.sig, {w: Fraction(c, d) for w, c in terms.items() if c})
 
 
-def _packed_gradient(p: NCPoly, unit: dict[Letter, int]
-                     ) -> tuple[int, dict[Letter, dict[int, int]]]:
-    """(d, letter -> {packed word with one copy of letter removed:
-    numerator * multiplicity}), the numerators taken over p's common
-    denominator d."""
-    d, terms = integer_form(p.terms)
-    grad: dict[Letter, dict[int, int]] = {}
-    for w, c in terms.items():
-        m = sum(unit[g] for g in w)
-        for s, g in enumerate(w):
-            if s and w[s - 1] == g:
-                continue
-            grad.setdefault(g, {})[m - unit[g]] = c * w.count(g)
-    return d, grad
+class PackedPoly(SparseSum):
+    """Commutative polynomial with integer coefficients whose keys are
+    packed monomials (see ``Packing``): a monomial product is an int
+    addition.  Its signature only tags it; the packing gives keys their
+    meaning."""
+
+    __slots__ = ()
+    _scalars = (int,)
+    _unit = 0
+
+    @staticmethod
+    def _coeff(sig: AlgebraSignature, c) -> int:
+        return index(c)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms: dict[int, int] = {}
+        get = terms.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        return PackedPoly(self.sig, {key: c for key, c in terms.items() if c})
+
+
+# A classical operand in packed form: (d, its numerators over its common
+# denominator d, letter g -> {packed word with one g removed: numerator *
+# multiplicity of g}).
+Packed = tuple[int, PackedPoly, dict[Letter, dict[int, int]]]
+
+
+class Packing:
+    """Packed monomials over ``sig``'s letters followed by the ``extra``
+    formal variables: a monomial is one int holding its exponent vector, a
+    field of max_exponent.bit_length() bits per variable in that order.
+    While no exponent exceeds ``max_exponent``, multiplying monomials is
+    adding ints and never carries between fields."""
+
+    __slots__ = ("sig", "variables", "bits", "unit")
+
+    def __init__(self, sig: AlgebraSignature, max_exponent: int, extra: Iterable = ()):
+        self.sig = sig
+        self.variables = [*sig.letters(), *extra]
+        self.bits = max(max_exponent, 1).bit_length()
+        self.unit = {v: 1 << (self.bits * i) for i, v in enumerate(self.variables)}
+
+    def monomial(self, word) -> int:
+        unit = self.unit
+        return sum(unit[v] for v in word)
+
+    def word(self, m: int) -> tuple:
+        """The variables of the monomial m in packing order, each repeated
+        by its exponent: a sorted word when m holds letters only."""
+        bits = self.bits
+        mask = (1 << bits) - 1
+        w = []
+        for v in self.variables:
+            if not m:
+                break
+            w += [v] * (m & mask)
+            m >>= bits
+        return tuple(w)
+
+    def pack(self, p: NCPoly) -> Packed:
+        """p in packed form, with its gradient (see ``Packed``)."""
+        d, terms = integer_form(p.terms)
+        unit = self.unit
+        packed: dict[int, int] = {}
+        grad: dict[Letter, dict[int, int]] = {}
+        for w, c in terms.items():
+            m = self.monomial(w)
+            packed[m] = c
+            for s, g in enumerate(w):
+                if s and w[s - 1] == g:
+                    continue
+                grad.setdefault(g, {})[m - unit[g]] = c * w.count(g)
+        return d, PackedPoly(p.sig, packed), grad
+
+    def bracket(self, p: Packed, q: Packed, table: LetterTable | None = None) -> NCPoly:
+        """The classical bracket engine: {p, q} of two packed operands, the
+        Lie-Poisson bracket without a table (see ``poisson_bracket``).
+
+        {p, q} = sum_h X_h * dq/dh with X_h = sum_g {g, h} * dp/dg, each
+        X_h formed once, its zeros dropped.  Every exponent of the result is
+        at most deg p + deg q - 1, which the packing must hold.  Only the
+        nonzero output terms are decoded back to sorted words."""
+        dp, _, grad_p = p
+        dq, _, grad_q = q
+        unit = self.unit
+        dt, letter_rules = (1, None) if table is None else table
+        rules = []
+        for h, right in grad_q.items():
+            rule = []
+            for g, left in grad_p.items():
+                br = _letter_bracket(g, h) if letter_rules is None else letter_rules.get((g, h))
+                if br:
+                    rule.append((left, br))
+            if rule:
+                rules.append((right, rule))
+        terms: dict[int, int] = {}
+        get = terms.get
+        for right, rule in rules:
+            x: dict[int, int] = {}
+            xget = x.get
+            for left, br in rule:
+                for letter, k in br:
+                    u = unit[letter]
+                    for r, c in left.items():
+                        key = r + u
+                        x[key] = xget(key, 0) + c * k
+            x = [(r, c) for r, c in x.items() if c]
+            for r2, c2 in right.items():
+                for r1, c1 in x:
+                    key = r1 + r2
+                    terms[key] = get(key, 0) + c1 * c2
+        d = dp * dq * dt
+        return NCPoly(self.sig, {self.word(m): Fraction(c, d) for m, c in terms.items() if c})
 
 
 def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
@@ -571,8 +683,8 @@ def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> N
     numerator) expansion of d{g, h}, absent pairs bracketing to zero.
     Classical mode only.
 
-    {p, q} = sum_h X_h * dq/dh with X_h = sum_g {g, h} * dp/dg, each X_h
-    formed once over packed monomials (see the module docstring).
+    Both operands are packed at the width that deg p + deg q - 1 needs and
+    bracketed by ``Packing.bracket``.
     """
     if p.sig.is_quantum:
         raise ModeError("poisson_bracket requires Classical mode; use commutator")
@@ -580,50 +692,8 @@ def poisson_bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> N
         raise SignatureMismatchError(f"{p.sig} vs {q.sig}")
     if p.degree < 1 or q.degree < 1:
         return p.sig.zero()
-    letters = list(p.sig.letters())
-    bits = (p.degree + q.degree - 1).bit_length()
-    unit = {g: 1 << (bits * i) for i, g in enumerate(letters)}
-    dp, grad_p = _packed_gradient(p, unit)
-    dq, grad_q = _packed_gradient(q, unit)
-    dt, letter_rules = (1, None) if table is None else table
-    rules = []
-    for h, right in grad_q.items():
-        rule = []
-        for g, left in grad_p.items():
-            br = _letter_bracket(g, h) if letter_rules is None else letter_rules.get((g, h))
-            if br:
-                rule.append((left, br))
-        if rule:
-            rules.append((right, rule))
-    terms: dict[int, int] = {}
-    get = terms.get
-    for right, rule in rules:
-        x: dict[int, int] = {}
-        xget = x.get
-        for left, br in rule:
-            for letter, k in br:
-                u = unit[letter]
-                for r, c in left.items():
-                    key = r + u
-                    x[key] = xget(key, 0) + c * k
-        x = [(r, c) for r, c in x.items() if c]
-        for r2, c2 in right.items():
-            for r1, c1 in x:
-                key = r1 + r2
-                terms[key] = get(key, 0) + c1 * c2
-    mask = (1 << bits) - 1
-    d = dp * dq * dt
-    out: dict[Word, Fraction] = {}
-    for m, c in terms.items():
-        if c:
-            w = []
-            for g in letters:
-                if not m:
-                    break
-                w += [g] * (m & mask)
-                m >>= bits
-            out[tuple(w)] = Fraction(c, d)
-    return NCPoly(p.sig, out)
+    packing = Packing(p.sig, p.degree + q.degree - 1)
+    return packing.bracket(packing.pack(p), packing.pack(q), table)
 
 
 def classical_limit(p: NCPoly) -> NCPoly:

@@ -298,16 +298,22 @@ def random_point(rng: random.Random, sig: AlgebraSignature) -> dict[Letter, int]
 
 
 def _jacobian_rows(gradients: list[dict], point: dict[Letter, int]) -> list[list[int]]:
-    """Rows of ``integer_gradient``s at an integer point, a column per coordinate."""
+    """Rows of ``integer_gradient``s at an integer point, a column per
+    coordinate.  Each distinct rest word is evaluated once."""
+    values: dict[tuple, int] = {}
     rows = []
     for grad in gradients:
         row = []
         for g in point:
             total = 0
             for rest, c in grad.get(g, ()):
-                for x in rest:
-                    c *= point[x]
-                total += c
+                v = values.get(rest)
+                if v is None:
+                    v = 1
+                    for x in rest:
+                        v *= point[x]
+                    values[rest] = v
+                total += c * v
             row.append(total)
         rows.append(row)
     return rows

@@ -6,15 +6,26 @@ at each pole is the site-group block itself.  Entry (a,b) carries e[a,b]: with
 this orientation the trace invariants reproduce the quadratic Hamiltonians
 literally, and d/dz - L satisfies the column-Manin property needed by the
 quantum machinery.
+
+The classical invariants are read off Tr L^m, which ``linalg.power_traces``
+forms over packed monomials (``algebra.PackedPoly``): each partial-fraction
+basis function of the entries' ``RatFun`` coefficients is a formal
+commuting variable beside the letters, so a trace is a sum of letter
+monomials times products of basis functions, with integer coefficients over
+one denominator.  Only the distinct products of basis functions are
+expanded into partial fractions, through ``RatFun``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import mul
 
-from .algebra import AlgebraSignature, ModeError, NCPoly
-from .linalg import power_traces
+from .algebra import AlgebraSignature, ModeError, NCPoly, PackedPoly, Packing
+from .linalg import integer_form, power_traces
 from .ratfun import LaxEntry, RatFun
 
 
@@ -161,6 +172,17 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
     Tr L^m; members that vanish are dropped rather than predicting the
     exponent set in advance.  Classical mode only: quantum invariants go
     through the Manin-matrix machinery instead.
+
+    The traces come from ``linalg.power_traces`` over ``PackedPoly``
+    entries.  Each partial-fraction basis function of an entry's
+    coefficients, z^k or (z-p)^-k, is a formal commuting variable packed
+    beside the letters (``Packing``), at a width that max_power times the
+    entries' top degree needs, and every coefficient is scaled to an
+    integer by d, the lcm of their denominators.  Each distinct product of
+    basis functions in a trace is expanded into partial fractions once,
+    through ``RatFun``, as integers over its own denominator.  With e the
+    lcm of those denominators in Tr L^m, a residue or z-coefficient is an
+    integer sum over the trace's terms, divided by d^m e.
     """
     sig = matrix.sig
     if sig.is_quantum:
@@ -168,27 +190,59 @@ def spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> Inva
                         "come from the column-determinant generators")
     if max_power is None:
         max_power = sig.rank
+    cells = [[[(w, key, c) for w, f in e.terms.items() for key, c in f.terms.items()]
+              for e in row] for row in matrix.entries]
+    items = [t for row in cells for cell in row for t in cell]
+    d = lcm(*(c.denominator for _, _, c in items))
+    keys = list(dict.fromkeys(key for _, key, _ in items))
+    top = max((len(w) for w, _, _ in items), default=0)
+    packing = Packing(sig, max_power * max(top, 1), keys)
+    unit = packing.unit
+    entries = [[PackedPoly(sig, {packing.monomial(w) + unit[key]: c.numerator * (d // c.denominator)
+                                 for w, key, c in cell})
+                for cell in row] for row in cells]
+    split = unit[keys[0]] if keys else 1    # monomials below it hold letters only
+    # product of basis functions -> integer form of its RatFun expansion
+    expansions: dict[int, tuple[int, dict]] = {}
+    words: dict[int, tuple] = {}            # letter monomial -> the one word the members share
     members: list[InvariantMember] = []
-    for m, tr in enumerate(power_traces(matrix.entries, max_power), start=1):
+    for m, tr in enumerate(power_traces(entries, max_power), start=1):
+        parts: dict[int, list] = {}         # product of basis functions -> its terms
+        for mono, c in tr.terms.items():
+            letters = mono % split
+            parts.setdefault(mono - letters, []).append((letters, c))
+        for basis in parts:
+            if basis not in expansions:
+                expansions[basis] = integer_form(reduce(
+                    mul, (RatFun(None, {key: 1}) for key in packing.word(basis))).terms)
+        e = lcm(*(expansions[basis][0] for basis in parts))
+        shares: dict = {}       # RatFun basis key -> {letter monomial: numerator}
+        for basis, group in parts.items():
+            eb, expansion = expansions[basis]
+            for key, v in expansion.items():
+                v *= e // eb
+                share = shares.setdefault(key, {})
+                for letters, c in group:
+                    share[letters] = share.get(letters, 0) + c * v
         if matrix.is_polynomial():
-            top = max((k for f in tr.terms.values() for k in f.terms if type(k) is int),
-                      default=-1)
-            for a in range(top + 1):
-                expr = tr.z_coefficient(a)
-                if expr.is_zero():
-                    continue
-                members.append(InvariantMember(expr, {
-                    "matrix": matrix.label, "power": m, "zpower": a,
-                }))
+            if any(type(key) is not int for key in shares):
+                raise ValueError("entry is not polynomial in z")
+            found = [(a, {"zpower": a}) for a in sorted(shares)]
         else:
-            for pole, order in matrix.poles:
-                for j, expr in enumerate(tr.principal_part(pole)[:m * order]):
-                    if expr.is_zero():
-                        continue
-                    members.append(InvariantMember(expr, {
-                        "matrix": matrix.label, "power": m,
-                        "pole": str(pole), "order": j,
-                    }))
+            found = [((pole, j + 1), {"pole": str(pole), "order": j})
+                     for pole, order in matrix.poles for j in range(m * order)]
+        scale = d ** m * e
+        for key, where in found:
+            terms = {}
+            for letters, c in shares.get(key, {}).items():
+                if c:
+                    word = words.get(letters)
+                    if word is None:
+                        word = words[letters] = packing.word(letters)
+                    terms[word] = Fraction(c, scale)
+            if terms:
+                members.append(InvariantMember(NCPoly(sig, terms), {
+                    "matrix": matrix.label, "power": m, **where}))
     return InvariantFamily(members, label=matrix.label)
 
 

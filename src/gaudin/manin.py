@@ -22,6 +22,7 @@ from .algebra import (
     LetterTable,
     ModeError,
     NCPoly,
+    Packing,
     SignatureMismatchError,
     bracket,
 )
@@ -425,26 +426,30 @@ def _centre_letters(sig: AlgebraSignature, table: LetterTable | None) -> list[NC
     return out
 
 
-def _generating_set(gens: list[NCPoly], central: list[int], rest: list[int]) -> list[int]:
+def _generating_set(forms: list, degrees: list[int], central: list[int],
+                    rest: list[int]) -> list[int]:
     """The generating set S: from the span of 1, walk ``central`` and then
     ``rest``, skip an input g in the span, and otherwise put x*g, x*g^2, ...
     in it for every product x kept so far (1 included) while the degree sum
-    stays within the top input degree.  S is the inputs of ``rest`` kept."""
-    top = max(g.degree for g in gens)
+    stays within the top input degree.  S is the inputs of ``rest`` kept.
+
+    ``forms`` are the inputs as ``NCPoly`` values or, in Classical mode,
+    their ``PackedPoly`` numerators; scaling an input keeps the span."""
+    top = max(degrees)
     span = linalg.Eliminator()
-    one = NCPoly.one(gens[0].sig)
+    one = type(forms[0]).one(forms[0].sig)
     span.add(one.terms)
     kept = [(0, one)]
     generators = []
     for i in central + rest:
-        g = gens[i]
+        g, dg = forms[i], degrees[i]
         if not span.reduce(g.terms):
             continue
         if i in rest:
             generators.append(i)
         for degree, x in list(kept):
-            while degree + g.degree <= top:
-                x, degree = x * g, degree + g.degree
+            while degree + dg <= top:
+                x, degree = x * g, degree + dg
                 if span.add(x.terms):
                     kept.append((degree, x))
     return sorted(generators)
@@ -469,6 +474,13 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     biderivation, letter tables included, vanish on two such polynomials
     once they vanish on every pair of their generators, by Leibniz.
 
+    In Classical mode every input and centre letter is packed once
+    (``algebra.Packing.pack``), at the one width that 2 * top degree - 1
+    needs: no bracket of two inputs and no product the generating set
+    keeps has a larger exponent.  The steps read those forms, and the
+    brackets run ``Packing.bracket``, the engine of
+    ``algebra.poisson_bracket``.
+
     A witness is a failing pair of S, both of them inputs, with its
     bracket.  ``info`` records the central inputs, the size of S and the
     pairs bracketed.  A classical letter ``table`` replaces the Lie-Poisson
@@ -486,19 +498,37 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
     letters = _centre_letters(sig, table)
+    # a zero input has degree -inf; it and the constants bracket to zero
+    degrees = [max(g.degree, 0) for g in gens]
+    if sig.is_quantum:
+        forms = products = gens
 
-    def commutes(g: NCPoly, x: NCPoly) -> bool:
-        return not bracket(g, x, table) and (table is None or not bracket(x, g, table))
+        def br(a, b) -> NCPoly:
+            return bracket(a, b, table)
+    else:
+        packing = Packing(sig, 2 * max(degrees) - 1)
+        forms = [packing.pack(g) for g in gens]
+        letters = [packing.pack(x) for x in letters]
+        products = [f[1] for f in forms]
 
-    central = [i for i, g in enumerate(gens) if all(commutes(g, x) for x in letters)]
+        def br(a, b) -> NCPoly:
+            return packing.bracket(a, b, table)
+
+    def commutes(a, x) -> bool:
+        return not br(a, x) and (table is None or not br(x, a))
+
+    central = [i for i, f in enumerate(forms) if all(commutes(f, x) for x in letters)]
     rest = sorted(set(range(len(gens))) - set(central),
-                  key=lambda i: (gens[i].degree, len(gens[i].terms), i))
-    basis = _generating_set(gens, central, rest) if rest else []
+                  key=lambda i: (degrees[i], len(gens[i].terms), i))
+    basis = _generating_set(products, degrees, central, rest) if rest else []
+    # the pairs read the forms of S only; the others are released first
+    forms = {i: forms[i] for i in basis}
+    del products
     pairs = list(product(basis, repeat=2) if table is not None
                  else combinations(basis, 2))
     witnesses = []
     for i, j in pairs:
-        res = bracket(gens[i], gens[j], table)
+        res = br(forms[i], forms[j])
         if not res.is_zero():
             witnesses.append({"pair": [labels[i], labels[j]], "bracket": res.render()})
     return CheckReport(

@@ -22,7 +22,10 @@ written on the left of its power, and is the reference for the Horner sum
 of the Cayley-Hamilton check.  ``quantum_power_traces`` runs the
 recursion P_k = P_(k-1) L - d/dz P_(k-1) of the iterated quantum powers,
 whose traces the tests compare with the d/dz-free coefficients of
-Tr (d/dz - L)^k.  The seeded random letters, words, polynomials and
+Tr (d/dz - L)^k.  ``ratfun_spectral_invariants`` reads the classical
+invariants off traces of ``LaxEntry`` powers with ``RatFun`` coefficients;
+it is the reference for ``lax.spectral_invariants``, which multiplies
+packed monomials.  The seeded random letters, words, polynomials and
 differential-operator matrices the tests draw are generated here as well.
 
 ``fraction_letter_table`` compiles a block operator by summing its block
@@ -59,7 +62,7 @@ from gaudin.algebra import (
     poisson_bracket,
 )
 from gaudin.gluing import LimitFamily
-from gaudin.lax import LaxMatrix, lax_from_groups
+from gaudin.lax import InvariantFamily, InvariantMember, LaxMatrix, lax_from_groups
 from gaudin.manin import DiffOpMatrix
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
@@ -498,6 +501,39 @@ def quantum_power_traces(L: LaxMatrix) -> list[LaxEntry]:
                  for ra, rb in zip(linalg.matmul(power, L.entries), power)]
         traces.append(sum((power[i][i] for i in range(n)), zero))
     return traces
+
+
+def ratfun_spectral_invariants(matrix: LaxMatrix, max_power: int | None = None) -> InvariantFamily:
+    """The spectral invariants read from Tr L^m over ``LaxEntry`` entries:
+    ``linalg.power_traces`` multiplies the entries with their ``RatFun``
+    coefficients, and the members are the nonzero ``principal_part``
+    coefficients of each trace at each declared pole, up to order m times
+    the pole's order, or, for a polynomial matrix, its nonzero
+    ``z_coefficient``s.  The reference for ``lax.spectral_invariants``,
+    which packs the basis functions as formal variables instead."""
+    sig = matrix.sig
+    if sig.is_quantum:
+        raise ModeError("spectral invariants are classical")
+    if max_power is None:
+        max_power = sig.rank
+    members = []
+    for m, tr in enumerate(linalg.power_traces(matrix.entries, max_power), start=1):
+        if matrix.is_polynomial():
+            top = max((k for f in tr.terms.values() for k in f.terms if type(k) is int),
+                      default=-1)
+            for a in range(top + 1):
+                expr = tr.z_coefficient(a)
+                if not expr.is_zero():
+                    members.append(InvariantMember(expr, {
+                        "matrix": matrix.label, "power": m, "zpower": a}))
+        else:
+            for pole, order in matrix.poles:
+                for j, expr in enumerate(tr.principal_part(pole)[:m * order]):
+                    if not expr.is_zero():
+                        members.append(InvariantMember(expr, {
+                            "matrix": matrix.label, "power": m,
+                            "pole": str(pole), "order": j}))
+    return InvariantFamily(members, label=matrix.label)
 
 
 def manin_relation(witness: dict) -> tuple:

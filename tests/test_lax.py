@@ -10,7 +10,9 @@ from gaudin.algebra import (
     diagonal_generators,
     poisson_bracket,
 )
+from gaudin.gluing import iterate_pattern, left_comb_pattern, parse_pattern
 from gaudin.lax import (
+    LaxMatrix,
     bending_lax,
     bending_lax_rational,
     gaudin_lax,
@@ -21,6 +23,8 @@ from gaudin.lax import (
 )
 from gaudin.linalg import matmul, power_traces
 from gaudin.ratfun import LaxEntry, RatFun
+
+from oracles import ratfun_spectral_invariants
 
 
 def tr_xx(sig, i, j, weight=1):
@@ -191,6 +195,95 @@ class TestSpectralInvariants:
         for d in diagonal_generators(c3):
             for expr in fam.exprs():
                 assert poisson_bracket(d, expr).is_zero()
+
+
+def _gaudin(rank, sites, poles):
+    return lambda: [gaudin_lax(AlgebraSignature(rank, sites, Mode.CLASSICAL), poles)]
+
+
+def _pattern(rank, text, sites, poles=None):
+    sig = AlgebraSignature(rank, sites, Mode.CLASSICAL)
+    return lambda: iterate_pattern(sig, parse_pattern(text, sites), poles).matrices
+
+
+def _left_comb(rank, sites):
+    sig = AlgebraSignature(rank, sites, Mode.CLASSICAL)
+    pattern, poles = left_comb_pattern(sites)
+    return lambda: iterate_pattern(sig, pattern, poles).matrices
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(-2, 3)
+
+
+class TestSpectralInvariantsReference:
+    """Packed-monomial traces against ``power_traces`` over ``LaxEntry``:
+    the same members, in the same order, with the same provenance."""
+
+    @staticmethod
+    def assert_matches_reference(L, max_power=None):
+        got = spectral_invariants(L, max_power)
+        want = ratfun_spectral_invariants(L, max_power)
+        assert got.label == want.label
+        assert ([list(m.provenance.items()) for m in got.members]
+                == [list(m.provenance.items()) for m in want.members])
+        assert got.exprs() == want.exprs()
+        assert all(type(c) is Fraction for e in got.exprs() for c in e.terms.values())
+        return got
+
+    @pytest.mark.parametrize("matrices", [
+        _gaudin(2, 3, [0, 1, 2]),
+        _gaudin(2, 3, [HALF, THIRD, 2]),
+        _gaudin(3, 3, [0, 1, 2]),
+        _gaudin(3, 3, [HALF, 5, THIRD]),
+        _gaudin(3, 2, [0, 1]),
+        _gaudin(3, 2, [THIRD, Fraction(7, 4)]),
+        _gaudin(2, 5, [0, 1, 2, 3, 4]),
+        _gaudin(2, 5, [HALF, -1, THIRD, 4, Fraction(9, 5)]),
+        lambda: [bending_lax(AlgebraSignature(2, 3, Mode.CLASSICAL), k) for k in (1, 2)],
+        lambda: [bending_lax(AlgebraSignature(3, 2, Mode.CLASSICAL), 1)],
+        lambda: [bending_lax_rational(AlgebraSignature(2, 3, Mode.CLASSICAL), k, HALF, THIRD)
+                 for k in (1, 2)],
+        _pattern(3, "[1,[2,3]@3]", 3, [0, 1, 2]),
+        _pattern(2, "[1,[2,3]@3]", 3, [HALF, THIRD, 1]),
+        _left_comb(2, 4),
+        _left_comb(3, 4),
+        _pattern(2, "[1,2,[3,4,5]@3]", 5),
+    ], ids=["gaudin-r2n3", "gaudin-r2n3-fractional", "gaudin-r3n3", "gaudin-r3n3-fractional",
+            "gaudin-r3n2", "gaudin-r3n2-fractional", "gaudin-r2n5", "gaudin-r2n5-fractional",
+            "bending-r2n3", "bending-r3n2", "bending-rational-r2n3", "pattern-r3",
+            "pattern-r2-fractional", "left-comb-r2n4", "left-comb-r3n4", "pattern-r2n5"])
+    def test_members_match_the_reference(self, matrices):
+        for L in matrices():
+            assert len(self.assert_matches_reference(L))
+
+    @pytest.mark.parametrize("matrix, powers", [
+        (lambda: gaudin_lax(AlgebraSignature(2, 3, Mode.CLASSICAL), [0, HALF, 2]), (1, 4)),
+        (lambda: gaudin_lax(AlgebraSignature(3, 2, Mode.CLASSICAL), [THIRD, 1]), (2, 5)),
+        (lambda: bending_lax(AlgebraSignature(2, 3, Mode.CLASSICAL), 1), (1, 4)),
+    ], ids=["gaudin-r2n3", "gaudin-r3n2", "bending-r2n3"])
+    def test_powers_below_and_above_the_rank(self, matrix, powers):
+        L = matrix()
+        for max_power in powers:
+            got = self.assert_matches_reference(L, max_power)
+            assert max(m.provenance["power"] for m in got.members) == max_power
+
+    def test_undeclared_poles_rejected(self, c2):
+        # the reference raises only once a trace also has a polynomial part;
+        # a matrix without one gave it an empty family
+        rational = gaudin_lax(c2, [0, HALF]).entries
+        polynomial = bending_lax(c2, 1).entries
+        mixed = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(rational, polynomial)]
+        for build in (spectral_invariants, ratfun_spectral_invariants):
+            with pytest.raises(ValueError, match="not polynomial in z"):
+                build(LaxMatrix(c2, mixed, [], "undeclared"))
+        with pytest.raises(ValueError, match="not polynomial in z"):
+            spectral_invariants(LaxMatrix(c2, rational, [], "undeclared"))
+
+    def test_quantum_mode_rejected_like_the_reference(self, q2):
+        L = gaudin_lax(q2, [0, HALF])
+        for build in (spectral_invariants, ratfun_spectral_invariants):
+            with pytest.raises(ModeError):
+                build(L)
 
 
 class TestQuadraticHamiltonians:

@@ -9,7 +9,7 @@ import pytest
 
 from gaudin import linalg, manin
 from gaudin.algebra import (
-    AlgebraSignature, Mode, ModeError, NCPoly, classical_limit, commutator,
+    AlgebraSignature, Mode, ModeError, NCPoly, Packing, classical_limit, commutator,
 )
 from gaudin.gluing import iterate_pattern, parse_pattern
 from gaudin.lax import (
@@ -933,6 +933,59 @@ class TestCommutationCertificate:
                                              c2.gen(1, 1, 2))
             verdicts.add(self.assert_matches_oracle(gens, table).passed)
         assert verdicts == {True, False}
+
+    def test_only_one_pair_of_top_degree_inputs_fails(self, c2):
+        # p = x12^3 and q = x12^2 x22 at site 1: {p, q} = 3 x12^5 reaches the
+        # exponent 2 * 3 - 1 that the certificate's one packing width holds;
+        # the other inputs are Casimirs, the cubic one of top degree too
+        e = [[c2.gen(1, a, b) for b in (1, 2)] for a in (1, 2)]
+        x12, x22 = e[0][1], e[1][1]
+        gens = [e[0][0] + e[1][1],
+                reduce(add, (e[a][b] * e[b][a] for a in (0, 1) for b in (0, 1))),
+                (c2.gen(2, 1, 1) + c2.gen(2, 2, 2)) ** 3,
+                x12 ** 3, x12 * x12 * x22]
+        rep = self.assert_matches_oracle(gens)
+        assert set(ordered_pair_brackets(gens)) == {(3, 4), (4, 3)}
+        assert rep.witnesses == [{"pair": ["g3", "g4"],
+                                  "bracket": "3 * " + " * ".join(["x[1,2]@1"] * 5)}]
+
+    @pytest.mark.parametrize("extra", [
+        lambda sig: [NCPoly.scalar(sig, Fraction(-5, 3)), sig.zero()],
+        lambda sig: [sig.zero(), NCPoly.one(sig)],
+    ], ids=["constant-then-zero", "zero-then-constant"])
+    def test_constant_and_zero_inputs(self, extra, rng):
+        gens = _glued_family(2)
+        sig = gens[0].sig
+        rep = self.assert_matches_oracle(gens + extra(sig))
+        assert rep.passed
+        assert rep.info["central"] == commutation_matrix(gens).info["central"] + 2
+        spoiled = gens + extra(sig) + [random_ncpoly(rng, sig, max_degree=2, terms=3)]
+        assert self.assert_matches_oracle(spoiled).passed is False
+        rep = self.assert_matches_oracle(extra(sig))
+        assert rep.passed
+        assert rep.info == {"central": 2, "basis": 0, "pairs": 0}
+
+    def test_non_antisymmetric_table_is_bracketed_in_both_orders(self, c2):
+        # {x11@1, x12@1} = x22@2 while {x12@1, x11@1} = 0
+        table = (1, {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), 1)]})
+        a, b = c2.gen(1, 1, 1), c2.gen(1, 1, 2)
+        for gens, pair in (([a, b], ["g0", "g1"]), ([b, a], ["g1", "g0"])):
+            rep = self.assert_matches_oracle(gens, table)
+            assert rep.witnesses == [{"pair": pair, "bracket": "x[2,2]@2"}]
+            assert rep.info == {"central": 0, "basis": 2, "pairs": 4}
+
+    def test_glue_r3_work_counters(self, monkeypatch):
+        """Each input and centre letter is packed once, and the invariants
+        expand each product of basis functions once through RatFun."""
+        packs, products = [], []
+        pack, mul = Packing.pack, RatFun.__mul__
+        monkeypatch.setattr(Packing, "pack", lambda *a: packs.append(1) or pack(*a))
+        monkeypatch.setattr(RatFun, "__mul__", lambda *a: products.append(1) or mul(*a))
+        rep, *_ = run_suite("glue", RunConfig(rank=3))
+        assert rep.passed
+        assert (rep.info["central"], rep.info["basis"], rep.info["pairs"]) == (10, 6, 15)
+        assert len(packs) == 24 + 12
+        assert len(products) <= 60
 
     @pytest.mark.parametrize("gens, info", [
         (lambda: [c for _, c in _talalaev_coefficients(3, 2)], (10, 3, 3)),
