@@ -16,7 +16,9 @@ commutator of two words telescopes over the sites where both hold letters
 single-site words are ever rewritten, so the one straightening cache,
 ``_STRAIGHTEN``, holds single-site words only, and its size is set by the
 rank and degree, not by the number of sites.  A product whose words are
-already in order is concatenated without consulting it.  The commutator also
+already in order is concatenated without consulting it, a one-letter word
+whose site holds no letter of the right word that sorts before it is
+inserted where it sorts, and a constant left factor scales the right one.  The commutator also
 memoizes, per pair of single-site words, the two local products and their
 difference (``_LOCAL_PAIRS``).
 
@@ -58,6 +60,7 @@ centre letter once at one width for the whole certificate, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
@@ -218,6 +221,16 @@ def _expand(factors) -> list[tuple[Word, int]]:
     if fixed:
         out = [(w + fixed, c) for w, c in out]
     return out
+
+
+def _letter_times(g: Letter, word: Word) -> Word | None:
+    """g·word as one PBW word, g inserted where it sorts, when the letters
+    sorting before it lie at other sites and so commute with it; else None.
+    ``word`` is nonempty and its first letter sorts before g."""
+    pos = bisect_left(word, g)
+    if word[pos - 1][0] == g[0]:
+        return None
+    return word[:pos] + (g,) + word[pos:]
 
 
 def _word_product(w1: Word, w2: Word, sites: int) -> list[tuple[Word, int]]:
@@ -474,6 +487,9 @@ class NCPoly(SparseSum):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(self.terms) == 1 and () in self.terms:    # a constant scales
+            c1 = self.terms[()]
+            return other if c1 == 1 else other.map(lambda c2: c1 * c2)
         quantum = self.sig.is_quantum
         terms: dict = {}
         for w1, c1 in self.terms.items():
@@ -483,6 +499,8 @@ class NCPoly(SparseSum):
                     _acc(terms, tuple(sorted(w1 + w2)), c)
                 elif not w1 or not w2 or w1[-1] <= w2[0]:  # already in order
                     _acc(terms, w1 + w2, c)
+                elif len(w1) == 1 and (w := _letter_times(w1[0], w2)):
+                    _acc(terms, w, c)
                 else:
                     for w, k in _word_product(w1, w2, self.sig.sites):
                         _acc(terms, w, c if k == 1 else c * k)

@@ -70,25 +70,25 @@ def col_minor(entries: Sequence[Sequence], rows: tuple[int, ...],
     """Column determinant of the submatrix on the ascending ``rows`` and the
     equally long column sequence ``cols``, in which a column may repeat.
 
-    Expanded along the last column with its factor written last, so exact in
-    any associative ring: with k = len(cols) - 1, the sum over p of
-    (-1)^(p+k) minor(rows without rows[p], cols[:k]) * entries[rows[p]][cols[k]].
-    Every minor of two or more columns is kept in ``memo`` (one per matrix)
-    under (rows, cols).
+    Expanded along the first column with its factor written first, so exact
+    in any associative ring: the sum over p of
+    (-1)^p * entries[rows[p]][cols[0]] * minor(rows without rows[p], cols[1:]).
+    That is the permutation sum grouped by the row of the first factor, so
+    the left factor of every product is an entry.  Every minor of two or
+    more columns is kept in ``memo`` (one per matrix) under (rows, cols).
     """
     if len(cols) == 1:
         return entries[rows[0]][cols[0]]
     key = (rows, cols)
     minor = memo.get(key)
     if minor is None:
-        k = len(cols) - 1
+        c, rest = cols[0], cols[1:]
         for p, r in enumerate(rows):
-            sub = col_minor(entries, rows[:p] + rows[p + 1:], cols[:k], memo)
-            term = sub * entries[r][cols[k]]
+            term = entries[r][c] * col_minor(entries, rows[:p] + rows[p + 1:], rest, memo)
             if p == 0:
-                minor = -term if k % 2 else term
+                minor = term
             else:
-                minor = minor - term if (p + k) % 2 else minor + term
+                minor = minor - term if p % 2 else minor + term
         memo[key] = minor
     return minor
 
@@ -100,7 +100,9 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
     The signed sum over permutations s of the products of the entries
     (s(c), c), taken column by column in ``column_order`` (default 0..n-1),
     the first column's factor written first: the order's sign times
-    ``col_minor`` on all rows, with its ``memo``.
+    ``col_minor`` on all rows, expanded along the order's first column, with
+    its ``memo``.  The memo then holds, for each order read, the minors on
+    the order's column suffixes.
     """
     n = len(entries)
     if n == 0:

@@ -24,6 +24,7 @@ from .algebra import (
     NCPoly,
     Packing,
     SignatureMismatchError,
+    SparseSum,
     bracket,
 )
 from . import linalg
@@ -33,14 +34,21 @@ from .reports import CheckReport
 
 
 class DiffOpMatrix:
-    """Square matrix of DiffOpEntry values; the Manin-candidate container.
+    """Square matrix over one entry ring; the Manin-candidate container.
+
+    The entries are ``DiffOpEntry`` values where d/dz occurs (d/dz - L and
+    the Weyl control); a matrix without d/dz holds the entries of its own
+    ring, ``NCPoly`` letters or ints, whose products are cheaper, and every
+    check runs the same code on all three.  ``sig`` is the algebra the
+    entries stand in; witnesses print each residual as the ``DiffOpEntry``
+    it stands for (``_render_entry``).
 
     It keeps the entries and one table of column minors
     (``linalg.col_minor``) that every determinant check reads, so its
     entries must not change once one is read.  Matrix arithmetic runs on
     the entry lists (``linalg.matmul``)."""
 
-    def __init__(self, sig: AlgebraSignature, entries: list[list[DiffOpEntry]]):
+    def __init__(self, sig: AlgebraSignature, entries: list[list]):
         self.sig = sig
         self.entries = entries
         self._minors: dict = {}
@@ -50,19 +58,20 @@ class DiffOpMatrix:
         return len(self.entries)
 
     def is_diff_free(self) -> bool:
-        return all(e.order <= 0 for row in self.entries for e in row)
+        return all(not isinstance(e, DiffOpEntry) or e.order <= 0
+                   for row in self.entries for e in row)
 
-    def col_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> DiffOpEntry:
+    def col_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]):
         """The column minor on the ascending ``rows`` and the column sequence
         ``cols``, read from the matrix's table (see ``linalg.col_minor``)."""
         return linalg.col_minor(self.entries, rows, cols, self._minors)
 
-    def det(self) -> DiffOpEntry:
+    def det(self):
         """det_col of the matrix in the default column order."""
         return col_det(self)
 
     @cached_property
-    def minor_sums(self) -> list[DiffOpEntry]:
+    def minor_sums(self) -> list:
         """sigma_0 = 1, sigma_1, ..., sigma_n with det_col(t + M) = sum_k sigma_k t^(n-k).
 
         For a central variable t, expanding the column determinant column by
@@ -71,7 +80,9 @@ class DiffOpMatrix:
         order kept; so sigma_k sums the column determinants of the k x k ones.
         """
         n = self.size
-        return [DiffOpEntry.one(self.sig)] + [
+        e = self.entries[0][0] if n else DiffOpEntry.zero(self.sig)
+        one = type(e).one(self.sig) if isinstance(e, SparseSum) else 1
+        return [one] + [
             reduce(add, (self.col_minor(keep, keep) for keep in combinations(range(n), k)))
             for k in range(1, n + 1)
         ]
@@ -97,6 +108,17 @@ def partial_minus(L: LaxMatrix) -> DiffOpMatrix:
     return DiffOpMatrix(sig, out)
 
 
+def _render_entry(sig: AlgebraSignature, value) -> str:
+    """``value`` rendered as the ``DiffOpEntry`` over ``sig`` that it
+    stands for: an int or ``NCPoly`` residual of a matrix without d/dz
+    prints as the d/dz-free operator it equals."""
+    if type(value) is NCPoly:
+        value = LaxEntry.from_ncpoly(value)
+    if not isinstance(value, DiffOpEntry):
+        value = DiffOpEntry.scalar(sig, value)
+    return value.render()
+
+
 def is_manin(M: DiffOpMatrix) -> CheckReport:
     """Column Manin test: for every pair of rows i < k,
 
@@ -112,11 +134,11 @@ def is_manin(M: DiffOpMatrix) -> CheckReport:
     witnesses = []
 
     def record(kind, res, i, j, k, l):
-        if not res.is_zero():
+        if res:
             witnesses.append({
                 "kind": kind,
                 "positions": [[i + 1, j + 1], [k + 1, l + 1]],
-                "residual": res.render(),
+                "residual": _render_entry(M.sig, res),
             })
 
     for i, k in combinations(range(n), 2):
@@ -133,7 +155,7 @@ def is_manin(M: DiffOpMatrix) -> CheckReport:
     )
 
 
-def col_det(M: DiffOpMatrix, column_order: tuple[int, ...] | None = None) -> DiffOpEntry:
+def col_det(M: DiffOpMatrix, column_order: tuple[int, ...] | None = None):
     """Column determinant: signed sum over permutations with factors taken
     column by column, the first column's factor written first (see
     ``linalg.col_det``), read from the matrix's table of minors.  The empty
@@ -156,7 +178,7 @@ def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
         if other != reference:
             witnesses.append({
                 "order": [c + 1 for c in order],
-                "difference": (other - reference).render(),
+                "difference": _render_entry(M.sig, other - reference),
             })
     return CheckReport(
         check="column_order_invariance",
@@ -178,9 +200,11 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     n = M.size
 
     # Left Cramer formula: adj(M) M = det_col(M) Id.  (adj(M) M)_ij is the
-    # last-column expansion of the minor on all rows and the columns other
-    # than i followed by j.  For i = j that is det_col in another column
-    # order, as large as det_col(M); read once unless the sweep kept it.
+    # minor on all rows and the columns other than i followed by j.  For
+    # i = j that is det_col in another column order, as large as det_col(M);
+    # read once unless the sweep kept it.  For j among the other columns the
+    # expansion along the first column ends in is_manin's minors on (j, j),
+    # zero on a Manin matrix.
     det = M.det()
     rows = tuple(range(n))
     witnesses = []
@@ -194,8 +218,9 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
                 M._minors.pop(key, None)     # a 1x1 matrix keeps no minors
             entry = -entry if (i + n - 1) % 2 else entry
             res = entry - det if i == j else entry
-            if not res.is_zero():
-                witnesses.append({"position": [i + 1, j + 1], "residual": res.render()})
+            if res:
+                witnesses.append({"position": [i + 1, j + 1],
+                                  "residual": _render_entry(M.sig, res)})
     reports.append(CheckReport(
         check="cramer", passed=not witnesses, params={"size": n}, witnesses=witnesses,
     ))
@@ -215,9 +240,9 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
             acc = [[e + coeff if i == j else e for j, e in enumerate(row)]
                    for i, row in enumerate(acc)]
         witnesses = [
-            {"position": [i + 1, j + 1], "residual": acc[i][j].render()}
+            {"position": [i + 1, j + 1], "residual": _render_entry(M.sig, acc[i][j])}
             for i in range(n) for j in range(n)
-            if not acc[i][j].is_zero()
+            if acc[i][j]
         ]
         reports.append(CheckReport(
             check="cayley_hamilton", passed=not witnesses,
@@ -234,16 +259,18 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
 
 
 def _scalar_matrix(M: DiffOpMatrix) -> list[list[Fraction]] | None:
-    """M's entries as rational numbers, or None unless every entry is one."""
+    """M's entries as rational numbers, or None unless every entry is one:
+    each sparse sum, and then its constant coefficient, down to a number,
+    must hold no term but its constant one."""
     out = []
     for row in M.entries:
         r = []
         for e in row:
-            lax = e.entry(0)
-            f = lax.constant_term()
-            if e.order > 0 or lax.terms.keys() - {()} or f.terms.keys() - {0}:
-                return None
-            r.append(Fraction(f.terms.get(0, 0)))
+            while isinstance(e, SparseSum):
+                if e.terms.keys() - {e._unit}:
+                    return None
+                e = e.terms.get(e._unit, 0)
+            r.append(Fraction(e))
         out.append(r)
     return out
 
@@ -307,17 +334,17 @@ def newton_check(M: DiffOpMatrix) -> CheckReport:
     determinants on both sides, so it holds for any matrix once t is central.
     """
     n = M.size
-    sig = M.sig
     sigma = M.minor_sums                   # det_col(t + M) = sum sigma_k t^(n-k)
     tau = [None, *linalg.power_traces(M.entries, n)]
     witnesses = []
     for k in range(1, n + 1):
-        lhs = sigma[k].scale(Fraction((-1) ** (k + 1) * k))
-        rhs = DiffOpEntry.zero(sig)
-        for i in range(k):
-            rhs = rhs + (sigma[i] * tau[k - i]).scale((-1) ** i)
+        lhs = (-1) ** (k + 1) * k * sigma[k]
+        rhs = tau[k]                       # the i = 0 term, sigma_0 = 1
+        for i in range(1, k):
+            term = sigma[i] * tau[k - i]
+            rhs = rhs - term if i % 2 else rhs + term
         if lhs != rhs:
-            witnesses.append({"k": k, "residual": (lhs - rhs).render()})
+            witnesses.append({"k": k, "residual": _render_entry(M.sig, lhs - rhs)})
     return CheckReport(
         check="newton_identities", passed=not witnesses,
         params={"size": n}, witnesses=witnesses,
@@ -479,7 +506,9 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     needs: no bracket of two inputs and no product the generating set
     keeps has a larger exponent.  The steps read those forms, and the
     brackets run ``Packing.bracket``, the engine of
-    ``algebra.poisson_bracket``.
+    ``algebra.poisson_bracket``.  An input is packed just before its
+    centre test; a central one keeps only its packed numerators, which the
+    generating set multiplies, and drops its gradient at once.
 
     A witness is a failing pair of S, both of them inputs, with its
     bracket.  ``info`` records the central inputs, the size of S and the
@@ -501,15 +530,18 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     # a zero input has degree -inf; it and the constants bracket to zero
     degrees = [max(g.degree, 0) for g in gens]
     if sig.is_quantum:
-        forms = products = gens
+        def pack(g) -> tuple:
+            return g, g
 
         def br(a, b) -> NCPoly:
             return bracket(a, b, table)
     else:
         packing = Packing(sig, 2 * max(degrees) - 1)
-        forms = [packing.pack(g) for g in gens]
         letters = [packing.pack(x) for x in letters]
-        products = [f[1] for f in forms]
+
+        def pack(g) -> tuple:
+            form = packing.pack(g)
+            return form, form[1]
 
         def br(a, b) -> NCPoly:
             return packing.bracket(a, b, table)
@@ -517,7 +549,16 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     def commutes(a, x) -> bool:
         return not br(a, x) and (table is None or not br(x, a))
 
-    central = [i for i, f in enumerate(forms) if all(commutes(f, x) for x in letters)]
+    # each input is packed just before its centre test; a central input
+    # keeps only the numerators that the generating set multiplies
+    central, forms, products = [], {}, []
+    for i, g in enumerate(gens):
+        form, numerators = pack(g)
+        products.append(numerators)
+        if all(commutes(form, x) for x in letters):
+            central.append(i)
+        else:
+            forms[i] = form
     rest = sorted(set(range(len(gens))) - set(central),
                   key=lambda i: (degrees[i], len(gens[i].terms), i))
     basis = _generating_set(products, degrees, central, rest) if rest else []

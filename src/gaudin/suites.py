@@ -245,16 +245,12 @@ def suite_talalaev(cfg: RunConfig) -> list[CheckReport]:
 
 
 def _cross_site_manin(rank: int) -> DiffOpMatrix:
-    """Row i drawn from site i: any such generator matrix is Manin."""
+    """Row i drawn from site i: any such generator matrix is Manin.  Its
+    entries are the ``NCPoly`` letters e[i,j]@i themselves; no d/dz or z
+    occurs, so the checks multiply letters without a RatFun coefficient."""
     sig = AlgebraSignature(rank, rank, Mode.QUANTUM)
-    entries = []
-    for i in range(1, rank + 1):
-        row = []
-        for j in range(1, rank + 1):
-            row.append(DiffOpEntry.from_entry(
-                LaxEntry.from_ncpoly(sig.gen(i, i, j))))
-        entries.append(row)
-    return DiffOpMatrix(sig, entries)
+    return DiffOpMatrix(sig, [[sig.gen(i, i, j) for j in range(1, rank + 1)]
+                              for i in range(1, rank + 1)])
 
 
 def _weyl_control() -> DiffOpMatrix:
@@ -268,17 +264,14 @@ def _weyl_control() -> DiffOpMatrix:
 def _random_commutative_matrix(rng: random.Random, n: int) -> DiffOpMatrix:
     """A random integer matrix, redrawn up to 10 times while its leading
     n//2 block is singular, so that the Schur identity is exercised rather
-    than skipped."""
+    than skipped.  Its entries are Python ints: the checks run on integer
+    arithmetic, and a witness prints as the constant operator it equals."""
     k = n // 2
     for _ in range(10):
         values = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         if linalg.rank([row[:k] for row in values[:k]]) == k:
             break
-    sig = AlgebraSignature(1, 1, Mode.QUANTUM)
-    return DiffOpMatrix(sig, [
-        [DiffOpEntry.from_entry(LaxEntry.scalar(sig, Fraction(v))) for v in row]
-        for row in values
-    ])
+    return DiffOpMatrix(AlgebraSignature(1, 1, Mode.QUANTUM), values)
 
 
 def suite_manin(cfg: RunConfig) -> list[CheckReport]:

@@ -400,6 +400,29 @@ def test_site_factored_kernel_matches_naive_reducer(q3):
     assert shared == {0, 1, 2, 3}
 
 
+def test_one_letter_and_constant_left_factors_match_naive_reducer(q3):
+    # a one-letter left word is inserted where it sorts when the letters
+    # sorting before it lie at other sites, and straightened site by site
+    # otherwise; a constant left factor scales the right one
+    rng = random.Random(20261020)
+    ways = set()
+    for _ in range(40):
+        g = (rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2))
+        p = NCPoly(q3, {(g,): Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 5)))})
+        q = _site_spread_ncpoly(rng, q3)
+        ways |= {algebra._letter_times(g, w) is None
+                 for w in q.terms if w and g > w[0]}
+        assert (p * q).terms == naive_mul(p.terms, q.terms)
+    assert ways == {True, False}
+    q = _site_spread_ncpoly(rng, q3)
+    for c in (Fraction(-2, 3), Fraction(1)):
+        p = NCPoly(q3, {(): c})
+        assert (p * q).terms == naive_mul(p.terms, q.terms)
+    a = LaxEntry(q3, {w: RatFun.one_over_z_minus(1) for w in q.terms})
+    for f in (RatFun.z() * 2, RatFun.const(1)):
+        assert LaxEntry.scalar(q3, f) * a == a.map(lambda h: f * h)
+
+
 def test_three_site_telescope_against_naive_reducer(q3):
     # every site holds noncommuting letters of both words, so each site's
     # local commutator and both its local products enter the telescope

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -48,12 +50,18 @@ from oracles import (
 )
 
 
-def count_products(monkeypatch) -> list[int]:
-    """A list that grows by one at each DiffOpEntry product from now on."""
+def count_products(monkeypatch, cls=DiffOpEntry) -> list[int]:
+    """A list that grows by one at each product whose left operand is a
+    ``cls`` (not a subclass) from now on."""
     seen = []
-    inner = DiffOpEntry.__mul__
-    monkeypatch.setattr(DiffOpEntry, "__mul__",
-                        lambda a, b: seen.append(1) or inner(a, b))
+    inner = cls.__mul__
+
+    def counted(a, b):
+        if type(a) is cls:
+            seen.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
     return seen
 
 
@@ -455,6 +463,154 @@ class TestMinorTableOracle:
         assert reports["cramer"].witnesses == cramer_residuals(M)
 
 
+def letter_matrix(n: int) -> list[list[NCPoly]]:
+    """A seeded n x n matrix of sums of two letters of any site of gl2 on two
+    sites, with small integer coefficients: entries of one column do not
+    commute, and no entry carries z or d/dz."""
+    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+    rng = random.Random(100 + n)
+    return [[NCPoly.from_terms(sig, [((random_letter(rng, sig),), rng.choice((-2, -1, 1, 3)))
+                                     for _ in range(2)])
+             for _ in range(n)] for _ in range(n)]
+
+
+def expansion_case(name: str) -> list[list]:
+    if name.startswith("letters-"):
+        return letter_matrix(int(name[-1]))
+    if name == "weyl":
+        return weyl_control().entries
+    rank, sites = {"gaudin-gl2-N3": (2, 3), "gaudin-gl3-N2": (3, 2)}[name]
+    sig = AlgebraSignature(rank, sites, Mode.QUANTUM)
+    return partial_minus(gaudin_lax(sig, list(range(sites)))).entries
+
+
+def submatrix_det(E, rows, cols):
+    """The permutation sum on the submatrix of ``rows`` and the column
+    sequence ``cols``, repeated columns copied."""
+    return permutation_col_det([[E[r][c] for c in cols] for r in rows])
+
+
+class TestFirstColumnExpansion:
+    """``linalg.col_minor`` expands along the first column, the entry
+    written first; the permutation sum on the submatrix is the reference,
+    in every column order, for every minor kept, and on column sequences
+    that repeat a column."""
+
+    CASES = ["letters-3", "letters-4", "gaudin-gl2-N3", "gaudin-gl3-N2", "weyl"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_column_order_and_kept_minor(self, name):
+        E = expansion_case(name)
+        n = len(E)
+        memo: dict = {}
+        for order in permutations(range(n)):
+            assert linalg.col_det(E, order, memo) == permutation_col_det(E, order)
+        # one suffix of each order and each set of rows below the top
+        assert len(memo) == sum(comb(n, k) * factorial(n) // factorial(n - k)
+                                for k in range(2, n + 1))
+        for (rows, cols), value in memo.items():
+            assert value == submatrix_det(E, rows, cols)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_repeated_columns(self, name):
+        E = expansion_case(name)
+        n = len(E)
+        seqs = [(a, b, a) for a, b in permutations(range(n), 2)]
+        seqs += [(a, b, b) for a, b in permutations(range(n), 2)]
+        if n == 2:
+            seqs = [(a, a) for a in range(n)]
+        memo: dict = {}
+        for cols in seqs:
+            for rows in combinations(range(n), len(cols)):
+                assert linalg.col_minor(E, rows, cols, memo) == submatrix_det(E, rows, cols)
+
+    def test_the_left_factor_of_every_product_is_an_entry(self, monkeypatch):
+        # on d/dz - L an entry has d-order at most 1, so each product's
+        # Leibniz sum stops at its first derivative
+        orders = []
+        inner = DiffOpEntry.__mul__
+        monkeypatch.setattr(DiffOpEntry, "__mul__",
+                            lambda a, b: orders.append(a.order) or inner(a, b))
+        M = partial_minus(gaudin_lax(AlgebraSignature(3, 3, Mode.QUANTUM), [0, 1, 2]))
+        column_order_invariance(M)
+        manin_property_suite(M)
+        assert orders and max(orders) == 1
+
+
+def moved_pole_operator() -> DiffOpMatrix:
+    """d/dz - L of gl3 on one site with its (1,2) entry replaced by
+    e[2,1]@1/(z - 1/2): not Manin, and no column order agrees with all
+    others."""
+    sig = AlgebraSignature(3, 1, Mode.QUANTUM)
+    M = partial_minus(gaudin_lax(sig, [0]))
+    M.entries[0][1] = DiffOpEntry.from_entry(LaxEntry.from_terms(
+        sig, [(((1, 2, 1),), RatFun.one_over_z_minus(Fraction(1, 2)))]))
+    return M
+
+
+class TestNonManinOperator:
+    """A d/dz matrix that is not Manin: the witnesses of ``is_manin``,
+    ``cramer`` and the column-order sweep equal the entry-commutator,
+    minor-adjugate and permutation-sum references, and their text is the
+    one the last-column expansion printed (sha256 of the three reports)."""
+
+    def test_witnesses_match_the_references(self):
+        M = moved_pole_operator()
+        E = M.entries
+        reports = {r.check: r for r in [column_order_invariance(M), *manin_property_suite(M)]}
+        assert reports["is_manin"].witnesses == commutator_manin(M)
+        assert reports["cramer"].witnesses == cramer_residuals(M)
+        reference = permutation_col_det(E)
+        differences = [{"order": [c + 1 for c in order],
+                        "difference": (permutation_col_det(E, order) - reference).render()}
+                       for order in permutations(range(3))]
+        assert reports["column_order_invariance"].witnesses == [
+            d for d in differences[1:] if d["difference"] != "0"]
+        text = json.dumps([reports[check].to_json_dict() for check in
+                           ("column_order_invariance", "is_manin", "cramer")], sort_keys=True)
+        assert all(reports[check].passed is False for check in
+                   ("column_order_invariance", "is_manin", "cramer"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9b1ae337040f42411dbd5a66a78d6e1afde05a5fc0b7cc638a7270707e24726f")
+
+
+class TestRenderEntry:
+    """Witnesses of a matrix of ints or NCPoly letters print each residual
+    as the DiffOpEntry it equals, as they did when the controls held
+    DiffOpEntry values."""
+
+    def test_int_and_ncpoly_residuals(self):
+        sig = AlgebraSignature(2, 1, Mode.QUANTUM)
+        assert manin._render_entry(scalar_sig(), -12) == "((-12))"
+        residual = sig.gen(1, 1, 1) - sig.gen(1, 2, 2) * Fraction(3, 2)
+        assert manin._render_entry(sig, residual) == "((1) * e[1,1]@1 + (-3/2) * e[2,2]@1)"
+        op = DiffOpEntry.from_entry(LaxEntry.from_ncpoly(residual))
+        assert manin._render_entry(sig, op) == op.render()
+
+    def test_a_failing_letter_matrix_reports_like_its_operator_copy(self):
+        sig = AlgebraSignature(2, 1, Mode.QUANTUM)
+        letters = [[sig.gen(1, a, b) for b in (1, 2)] for a in (1, 2)]
+        ops = [[DiffOpEntry.from_entry(LaxEntry.from_ncpoly(e)) for e in row]
+               for row in letters]
+
+        def reports(entries):
+            M = DiffOpMatrix(sig, entries)
+            return [r.to_json_dict() for r in
+                    [column_order_invariance(M), *manin_property_suite(M), newton_check(M)]]
+
+        got = reports(letters)
+        assert got == reports(ops) == reports(single_site_generator_matrix().entries)
+        assert sum(r["pass"] is False for r in got) == 5
+
+    def test_an_int_matrix_reports_like_its_operator_copy(self):
+        values = [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 1], [1, 0, 1, 5]]
+
+        def reports(M):
+            return [r.to_json_dict() for r in [*manin_property_suite(M), newton_check(M)]]
+
+        assert reports(DiffOpMatrix(scalar_sig(), values)) == reports(const_matrix(values))
+
+
 class TestCayleyHamiltonOracle:
     """The Horner sum of the Cayley-Hamilton check agrees with the power-sum
     formula, coefficients on the left, on d/dz-free matrices whose column
@@ -474,22 +630,26 @@ class TestCayleyHamiltonOracle:
 
 
 class TestManinWork:
-    """DiffOpEntry products of the Manin checks: Cayley-Hamilton makes n - 1
-    matrix products and scales no matrix, and a random matrix with a singular
-    leading block is redrawn before any suite runs on it."""
+    """Products of the Manin checks, each of its matrix's own entry type:
+    Cayley-Hamilton makes n - 1 matrix products and scales no matrix, a
+    random matrix with a singular leading block is redrawn before any suite
+    runs on it, the cross-site matrix multiplies NCPoly letters, and only
+    d/dz - L and the Weyl control hold DiffOpEntry values."""
 
     @pytest.mark.parametrize("rank, calls", [(2, 16), (3, 135)])
     def test_cross_site_suite(self, monkeypatch, rank, calls):
         M = _cross_site_manin(rank)
-        products = count_products(monkeypatch)
+        products = count_products(monkeypatch, NCPoly)
         assert all(r.passed is not False for r in manin_property_suite(M))
         assert len(products) == calls
 
-    @pytest.mark.parametrize("rank, calls", [(2, 1100), (3, 1338)])
-    def test_manin_suite(self, monkeypatch, rank, calls):
+    @pytest.mark.parametrize("rank, calls, lax_calls", [(2, 23, 59), (3, 98, 241)])
+    def test_manin_suite(self, monkeypatch, rank, calls, lax_calls):
         products = count_products(monkeypatch)
+        lax_products = count_products(monkeypatch, LaxEntry)
         assert all(r.passed is not False for r in run_suite("manin", RunConfig(rank=rank)))
         assert len(products) == calls
+        assert len(lax_products) == lax_calls
 
     def test_one_property_suite_per_kept_matrix(self, monkeypatch):
         import gaudin.suites
