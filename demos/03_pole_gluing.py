@@ -49,7 +49,7 @@ bad = sum(
 print(f"\n1. joint family of {len(exprs)} invariants: {bad} nonzero brackets")
 
 generic = spectral_invariants(gaudin_lax(small, [0, 1, 2]))
-rep = rank_completeness_check(small, glued, generic, trials=5, seed=11)
+rep = rank_completeness_check(small, glued, generic, seed=11)
 print("2. Jacobian ranks match the generic family:", rep.passed,
       rep.info["ranks"][0])
 

@@ -48,10 +48,13 @@ of one width fixed per packing.  While no exponent exceeds what the width
 holds, multiplying monomials is adding ints and never carries between
 fields.  ``Packing.pack`` turns an operand into its packed numerators
 (``PackedPoly``, whose product is that addition) and its gradient, which
-maps a letter g to {packed dp/dg term: numerator}.  ``Packing.bracket`` is
-the one classical bracket engine: for each letter h of q it forms
-X_h = sum_g {g, h} dp/dg once, drops its zeros and multiplies it by dq/dh,
-and it decodes only the nonzero output terms back to sorted words.
+maps a letter g to {packed dp/dg term: numerator}; it is the package's one
+classical gradient, which ``gluing.rank_completeness_check`` evaluates at
+points.  ``Packing.word`` decodes a packed monomial, visiting only its
+nonzero fields.  ``Packing.bracket`` is the one classical bracket engine:
+for each letter h of q it forms X_h = sum_g {g, h} dp/dg once, drops its
+zeros and multiplies it by dq/dh, and it decodes only the nonzero output
+terms back to sorted words.
 ``poisson_bracket`` packs its two operands at the width that
 deg p + deg q - 1 needs; ``manin.commutation_matrix`` packs each input and
 centre letter once at one width for the whole certificate, and
@@ -621,20 +624,22 @@ class Packing:
         self.unit = {v: 1 << (self.bits * i) for i, v in enumerate(self.variables)}
 
     def monomial(self, word) -> int:
-        unit = self.unit
-        return sum(unit[v] for v in word)
+        return sum(map(self.unit.__getitem__, word))
 
     def word(self, m: int) -> tuple:
         """The variables of the monomial m in packing order, each repeated
-        by its exponent: a sorted word when m holds letters only."""
+        by its exponent: a sorted word when m holds letters only.  Only the
+        nonzero fields are visited, each found by m's lowest set bit."""
         bits = self.bits
         mask = (1 << bits) - 1
+        variables = self.variables
         w = []
-        for v in self.variables:
-            if not m:
-                break
-            w += [v] * (m & mask)
-            m >>= bits
+        while m:
+            i = ((m & -m).bit_length() - 1) // bits
+            shift = i * bits
+            e = m >> shift & mask
+            w += [variables[i]] * e
+            m -= e << shift
         return tuple(w)
 
     def pack(self, p: NCPoly) -> Packed:
@@ -646,10 +651,11 @@ class Packing:
         for w, c in terms.items():
             m = self.monomial(w)
             packed[m] = c
-            for s, g in enumerate(w):
-                if s and w[s - 1] == g:
-                    continue
-                grad.setdefault(g, {})[m - unit[g]] = c * w.count(g)
+            prev = None
+            for g in w:     # each distinct letter once: w is sorted
+                if g != prev:
+                    grad.setdefault(g, {})[m - unit[g]] = c * w.count(g)
+                    prev = g
         return d, PackedPoly(p.sig, packed), grad
 
     def bracket(self, p: Packed, q: Packed, table: LetterTable | None = None) -> NCPoly:
@@ -752,17 +758,3 @@ def bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
         return commutator(p, q)
     return poisson_bracket(p, q, table)
 
-
-def integer_gradient(p: NCPoly) -> tuple[int, dict[Letter, list[tuple[Word, int]]]]:
-    """(d, letter g -> [(a word of p with one g removed, numerator * multiplicity
-    of g)]): p's gradient over its common denominator d.  Distinct words leave
-    distinct rest words, so nothing needs accumulating."""
-    if p.sig.is_quantum:
-        raise ModeError("partial derivatives are defined in Classical mode only")
-    d, terms = integer_form(p.terms)
-    grad: dict[Letter, list[tuple[Word, int]]] = {}
-    for w, c in terms.items():
-        for g in dict.fromkeys(w):
-            s = w.index(g)
-            grad.setdefault(g, []).append((w[:s] + w[s + 1:], c * w.count(g)))
-    return d, grad

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from .algebra import (
     AlgebraSignature,
     Letter,
     ModeError,
     NCPoly,
+    Packing,
     classical_limit,
-    integer_gradient,
 )
 from .lax import (
     InvariantFamily,
@@ -297,57 +298,61 @@ def random_point(rng: random.Random, sig: AlgebraSignature) -> dict[Letter, int]
     return {letter: rng.randint(-9, 9) for letter in sig.letters()}
 
 
-def _jacobian_rows(gradients: list[dict], point: dict[Letter, int]) -> list[list[int]]:
-    """Rows of ``integer_gradient``s at an integer point, a column per
-    coordinate.  Each distinct rest word is evaluated once."""
-    values: dict[tuple, int] = {}
-    rows = []
-    for grad in gradients:
-        row = []
-        for g in point:
-            total = 0
-            for rest, c in grad.get(g, ()):
-                v = values.get(rest)
-                if v is None:
-                    v = 1
-                    for x in rest:
-                        v *= point[x]
-                    values[rest] = v
-                total += c * v
-            row.append(total)
-        rows.append(row)
-    return rows
+# Seeded points at which the rank check compares the two Jacobians.
+TRIALS = 5
+
+
+def _jacobians(packing: Packing, families: list[list[dict]],
+               points: Iterable[dict]) -> Iterator[list[list[list[int]]]]:
+    """Each family's Jacobian rows at each integer point, a column per
+    coordinate, from its gradients packed by ``packing``.  Each distinct
+    rest monomial is decoded once and evaluated once per point."""
+    rests = {r for grads in families for grad in grads for part in grad.values() for r in part}
+    words = {r: packing.word(r) for r in rests}
+    column = {g: k for k, g in enumerate(packing.sig.letters())}
+    for point in points:
+        values = {r: prod(map(point.__getitem__, w)) for r, w in words.items()}
+        out = []
+        for grads in families:
+            rows = []
+            for grad in grads:
+                row = [0] * len(column)
+                for g, part in grad.items():
+                    total = 0
+                    for r, c in part.items():
+                        total += c * values[r]
+                    row[column[g]] = total
+                rows.append(row)
+            out.append(rows)
+        yield out
 
 
 def rank_completeness_check(sig: AlgebraSignature, family: LimitFamily,
-                            generic: InvariantFamily, trials: int = 5,
-                            seed: int = 0) -> CheckReport:
+                            generic: InvariantFamily, seed: int = 0) -> CheckReport:
     """Compare exact Jacobian ranks of the limit family and the generic
-    family at ``trials`` seeded random integer points of the phase space.
+    family at ``TRIALS`` seeded random integer points of the phase space.
 
-    Each member's gradient is formed once, as integer numerators over its
-    common denominator d, so each row is evaluated with int arithmetic only.
-    A row is d != 0 times the rational row, which keeps the rank."""
+    Every member is packed once, at the families' top degree, and its
+    gradient read from ``Packing.pack``: integer numerators over the
+    member's common denominator d, keyed by packed rest monomials, so each
+    row is evaluated with int arithmetic only.  A row is d != 0 times the
+    rational row, which keeps the rank."""
     if sig.is_quantum:
         raise ModeError("rank comparison runs in Classical mode")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    grad_limit = [integer_gradient(m)[1] for m in family.invariant_family().exprs()]
-    grad_generic = [integer_gradient(m)[1] for m in generic.exprs()]
+    members = [family.invariant_family().exprs(), generic.exprs()]
+    packing = Packing(sig, max(m.degree for exprs in members for m in exprs))
+    families = [[packing.pack(m)[2] for m in exprs] for exprs in members]
     rng = random.Random(seed)
-    results = []
-    for trial in range(trials):
-        point = random_point(rng, sig)
-        results.append({"trial": trial,
-                        "limit": rank(_jacobian_rows(grad_limit, point)),
-                        "generic": rank(_jacobian_rows(grad_generic, point))})
+    jacobians = _jacobians(packing, families, (random_point(rng, sig) for _ in range(TRIALS)))
+    results = [{"trial": trial, "limit": rank(limit_rows), "generic": rank(generic_rows)}
+               for trial, (limit_rows, generic_rows) in enumerate(jacobians)]
     witnesses = [r for r in results if r["limit"] != r["generic"]]
     return CheckReport(
         check="rank_completeness",
         passed=not witnesses,
-        params={"seed": seed, "limit_members": len(grad_limit),
-                "generic_members": len(grad_generic)},
-        trials=trials,
+        params={"seed": seed, "limit_members": len(members[0]),
+                "generic_members": len(members[1])},
+        trials=TRIALS,
         witnesses=witnesses,
         info={"ranks": results},
     )

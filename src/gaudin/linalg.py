@@ -2,8 +2,8 @@
 determinant of the package, its one elimination, ``Eliminator``, which gives
 rank and the expression of a target vector as a combination of given sparse
 vectors, and its one rational-to-integer scaling, ``integer_form``, which
-the elimination, the two bracket engines, the integer gradients and the
-Poisson letter table use.
+the elimination, the two bracket engines (through ``Packing.pack``, also the
+rank check's gradients) and the Poisson letter table use.
 
 The matrix product, power traces and column minors use only ``+``, ``-``,
 ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the

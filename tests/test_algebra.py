@@ -10,11 +10,11 @@ from gaudin.algebra import (
     Mode,
     ModeError,
     NCPoly,
+    Packing,
     SignatureMismatchError,
     classical_limit,
     commutator,
     diagonal_generators,
-    integer_gradient,
     poisson_bracket,
 )
 from gaudin.gluing import random_point
@@ -269,21 +269,42 @@ def test_degree_of_zero_is_minus_infinity(c2):
 def test_partial_derivative(c2):
     x = c2.gen(1, 1, 1)
     y = c2.gen(1, 1, 2)
-    p = x * x * y * 3
-    d, grad = integer_gradient(p)
+    p = (x * x * y * 3 + y) * Fraction(1, 2)
+    packing = Packing(c2, p.degree)
+    d, _, grad = packing.pack(p)
 
     def derivative(letter):
-        return NCPoly.from_terms(c2, [(rest, Fraction(c, d))
-                                      for rest, c in grad.get(letter, ())])
+        return NCPoly.from_terms(c2, [(packing.word(rest), Fraction(c, d))
+                                      for rest, c in grad.get(letter, {}).items()])
 
-    assert derivative((1, 1, 1)) == 6 * (x * y)
-    assert derivative((1, 1, 2)) == 3 * (x * x)
+    assert d == 2
+    assert derivative((1, 1, 1)) == 3 * (x * y)
+    assert derivative((1, 1, 2)) == Fraction(3, 2) * (x * x) + Fraction(1, 2)
     assert derivative((2, 1, 1)).is_zero()
 
 
-def test_integer_gradient_rejects_quantum(q2):
-    with pytest.raises(ModeError):
-        integer_gradient(q2.gen(1, 1, 1))
+@pytest.mark.parametrize("max_exponent", range(1, 7))
+def test_packed_word_round_trip(max_exponent):
+    """``Packing.word`` inverts ``Packing.monomial`` on sorted words, with
+    every field up to its maximum and formal variables packed after the
+    letters, as ``lax.spectral_invariants`` packs its basis functions."""
+    sig = AlgebraSignature(3, 2, Mode.CLASSICAL)
+    extra = [0, 2, (Fraction(1, 3), 1), (Fraction(-2), 2)]
+    packing = Packing(sig, max_exponent, extra)
+    full = (1 << packing.bits) - 1
+    assert full >= max_exponent
+    rng = random.Random(max_exponent)
+    n = len(packing.variables)
+    last = n - len(extra) - 1
+    assert packing.variables[last] == (2, 3, 3)     # the last letter at the last site
+    assert packing.word(0) == ()
+    for _ in range(200):
+        fields = rng.sample(range(n), rng.randint(1, 5))
+        if rng.random() < 0.5:
+            fields.append(last)
+        w = tuple(v for i, v in enumerate(packing.variables)
+                  if i in fields for _ in range(rng.choice([1, full, rng.randint(1, full)])))
+        assert packing.word(packing.monomial(w)) == w
 
 
 def test_render_is_stable(q1):

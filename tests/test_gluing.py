@@ -5,13 +5,13 @@ import pytest
 
 import gaudin.gluing
 from gaudin.algebra import (
-    AlgebraSignature, Mode, ModeError, NCPoly, commutator, integer_gradient, poisson_bracket,
+    AlgebraSignature, Mode, ModeError, NCPoly, Packing, commutator, poisson_bracket,
 )
 from gaudin.gluing import (
     LimitFamily,
     PatternError,
     PatternNode,
-    _jacobian_rows,
+    _jacobians,
     classical_limits_match,
     hg_membership_check,
     infer_sites,
@@ -199,20 +199,20 @@ class TestRankCompleteness:
     def test_elementary_glue_matches_generic(self, c3):
         fam = elementary_glue(c3, fixed=[0], collapsing=[1, 2], w=5)
         generic = spectral_invariants(gaudin_lax(c3, [0, 1, 2]))
-        rep = rank_completeness_check(c3, fam, generic, trials=5, seed=42)
+        rep = rank_completeness_check(c3, fam, generic, seed=42)
         assert rep.passed
         assert all(r["limit"] == r["generic"] for r in rep.info["ranks"])
 
     def test_family_against_itself(self, c2):
         fam = iterate_pattern(c2, parse_pattern("[1,2]", 2))
         generic = fam.invariant_family()
-        rep = rank_completeness_check(c2, fam, generic, trials=3, seed=1)
+        rep = rank_completeness_check(c2, fam, generic, seed=1)
         assert rep.passed
 
     def test_two_site_families_coincide(self, c2):
         fam = elementary_glue(c2, fixed=[0], collapsing=[1], w=5)
         generic = spectral_invariants(gaudin_lax(c2, [0, 1]))
-        rep = rank_completeness_check(c2, fam, generic, trials=5, seed=3)
+        rep = rank_completeness_check(c2, fam, generic, seed=3)
         assert rep.passed
 
 
@@ -228,17 +228,17 @@ class TestRankCompleteness:
         kept = InvariantFamily([m for m in full.members if m is not dropped[0]], full.label)
         monkeypatch.setattr(fam, "invariant_family", lambda: kept)
         generic = spectral_invariants(gaudin_lax(c3, [0, 1, 2]))
-        rep = rank_completeness_check(c3, fam, generic, trials=4, seed=7)
+        rep = rank_completeness_check(c3, fam, generic, seed=7)
         assert rep.passed is False
         assert rep.params["limit_members"] == len(full) - 1
-        assert rep.witnesses == [{"trial": t, "limit": 7, "generic": 8} for t in range(4)]
+        assert rep.trials == 5
+        assert rep.witnesses == [{"trial": t, "limit": 7, "generic": 8} for t in range(5)]
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_is_refused(self, c2, trials):
-        # a PASS over no points would carry no evidence
+    def test_quantum_signature_is_refused(self, c2, q2):
+        # Jacobian ranks are a classical notion, whatever families are passed
         fam = iterate_pattern(c2, parse_pattern("[1,2]", 2))
-        with pytest.raises(ValueError, match="trials"):
-            rank_completeness_check(c2, fam, fam.invariant_family(), trials=trials)
+        with pytest.raises(ModeError, match="Classical"):
+            rank_completeness_check(q2, fam, fam.invariant_family())
 
     def test_glue_r3_ranks_two_jacobians_per_trial(self, monkeypatch):
         # the families of `verify glue --r 3`; one rank per family per point
@@ -248,13 +248,13 @@ class TestRankCompleteness:
         calls = []
         real = gaudin.gluing.rank
         monkeypatch.setattr(gaudin.gluing, "rank", lambda rows: calls.append(1) or real(rows))
-        rep = rank_completeness_check(sig, fam, generic, trials=5, seed=12345)
+        rep = rank_completeness_check(sig, fam, generic, seed=12345)
         assert rep.passed
         assert len(calls) == 2 * 5
 
 
 class TestIntegerJacobian:
-    """Jacobian rows from ``integer_gradient`` against exact finite
+    """Jacobian rows from ``Packing.pack``'s gradients against exact finite
     differences, and their ranks against textbook elimination."""
 
     SCALES = (Fraction(1, 3), Fraction(5, 6), Fraction(-7, 4))
@@ -286,22 +286,30 @@ class TestIntegerJacobian:
         assert all(any(v == 0 for v in pt.values()) for pt in pts)
         return pts
 
+    @classmethod
+    def jacobians(cls, sig, members):
+        """Each member's denominator, and (point, the members' Jacobian rows
+        there) for each of ``points``."""
+        packing = Packing(sig, max(m.degree for m in members))
+        packed = [packing.pack(m) for m in members]
+        points = cls.points(sig)
+        rows = _jacobians(packing, [[grad for _, _, grad in packed]], points)
+        return [d for d, _, _ in packed], [(point, r) for point, (r,) in zip(points, rows)]
+
     def test_rows_are_denominator_times_derivative(self, c2, members):
         letters = list(c2.letters())
-        grads = [integer_gradient(m) for m in members]
-        for point in self.points(c2):
-            rows = _jacobian_rows([g for _, g in grads], point)
-            for m, (d, _), row in zip(members, grads, rows):
+        denominators, jacobians = self.jacobians(c2, members)
+        for point, rows in jacobians:
+            for m, d, row in zip(members, denominators, rows):
                 assert row == [d * fd_partial(m.terms, g, point, m.degree) for g in letters]
 
     def test_ranks_match_dense_elimination(self, c2, members):
         letters = list(c2.letters())
-        grads = [integer_gradient(m)[1] for m in members]
         ranks = []
-        for point in self.points(c2):
+        for point, rows in self.jacobians(c2, members)[1]:
             exact = [[fd_partial(m.terms, g, point, m.degree) for g in letters]
                      for m in members]
-            ranks.append(rank(_jacobian_rows(grads, point)))
+            ranks.append(rank(rows))
             assert ranks[-1] == dense_rank(exact)
         assert ranks[:-1] == [4] * 5 and ranks[-1] < 4
 

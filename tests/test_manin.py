@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -9,7 +10,7 @@ from operator import add
 
 import pytest
 
-from gaudin import linalg, manin
+from gaudin import linalg, manin, suites
 from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, Packing, classical_limit, commutator,
 )
@@ -1135,16 +1136,29 @@ class TestCommutationCertificate:
             assert rep.info == {"central": 0, "basis": 2, "pairs": 4}
 
     def test_glue_r3_work_counters(self, monkeypatch):
-        """Each input and centre letter is packed once, and the invariants
+        """The certificate packs each input and centre letter once, the rank
+        check packs each of its 24 + 18 members once and decodes each
+        distinct rest monomial of their gradients once, and the invariants
         expand each product of basis functions once through RatFun."""
-        packs, products = [], []
-        pack, mul = Packing.pack, RatFun.__mul__
-        monkeypatch.setattr(Packing, "pack", lambda *a: packs.append(1) or pack(*a))
+        phase = [None]
+        packs, words, products = Counter(), Counter(), []
+        pack, word, mul = Packing.pack, Packing.word, RatFun.__mul__
+        monkeypatch.setattr(Packing, "pack", lambda *a: packs.update([phase[0]]) or pack(*a))
+        monkeypatch.setattr(Packing, "word", lambda *a: words.update([phase[0]]) or word(*a))
         monkeypatch.setattr(RatFun, "__mul__", lambda *a: products.append(1) or mul(*a))
-        rep, *_ = run_suite("glue", RunConfig(rank=3))
-        assert rep.passed
+        for name in ("commutation_matrix", "rank_completeness_check"):
+            def within(*a, real=getattr(suites, name), name=name, **k):
+                phase[0] = name
+                try:
+                    return real(*a, **k)
+                finally:
+                    phase[0] = None
+            monkeypatch.setattr(suites, name, within)
+        rep, ranks, *_ = run_suite("glue", RunConfig(rank=3))
+        assert rep.passed and ranks.passed
         assert (rep.info["central"], rep.info["basis"], rep.info["pairs"]) == (10, 6, 15)
-        assert len(packs) == 24 + 12
+        assert packs == {"commutation_matrix": 24 + 12, "rank_completeness_check": 24 + 18}
+        assert words["rank_completeness_check"] == 235
         assert len(products) <= 60
 
     @pytest.mark.parametrize("gens, info", [
