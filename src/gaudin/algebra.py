@@ -76,7 +76,22 @@ Letter = tuple[int, int, int]
 Word = tuple[Letter, ...]
 # A classical bracket's values on coordinate pairs over one denominator d:
 # (d, (g, h) -> [(letter, integer numerator)]), {g, h} = sum numerator/d * letter.
+# Certificates take antisymmetric tables only: {h, g} = -{g, h}, {g, g} = 0.
 LetterTable = tuple[int, Mapping[tuple[Letter, Letter], Sequence[tuple[Letter, int]]]]
+
+
+def antisymmetry_residuals(table: LetterTable) -> Iterator[tuple[Letter, Letter, dict]]:
+    """(x, y, numerators of d({x, y} + {y, x})) for each letter pair x <= y
+    on which the table fails antisymmetry, in sorted order; for x = y the
+    residual is 2{x, x}.  Only pairs the table lists can fail."""
+    rules = table[1]
+    for x, y in sorted({tuple(sorted(pair)) for pair in rules}):
+        res: dict[Letter, int] = {}
+        for g, c in (*rules.get((x, y), ()), *rules.get((y, x), ())):
+            res[g] = res.get(g, 0) + c
+        res = {g: c for g, c in res.items() if c}
+        if res:
+            yield x, y, res
 
 
 class Mode(Enum):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, islice, permutations
 from math import factorial
 from operator import add
 
@@ -25,6 +25,7 @@ from .algebra import (
     Packing,
     SignatureMismatchError,
     SparseSum,
+    antisymmetry_residuals,
     bracket,
 )
 from . import linalg
@@ -441,8 +442,8 @@ def _centre_letters(sig: AlgebraSignature, table: LetterTable | None) -> list[NC
     the elements commuting with x form a subalgebra closed under the
     bracket; the Chevalley letters e[a,a+1]@i and e[a+1,a]@i generate sl_r at
     each site, and sum_a e[a,a]@i is central, so these 2(r-1)N letters
-    suffice.  A letter table is only known to define a biderivation, so
-    every letter is needed.
+    suffice.  A letter table is only known to define an antisymmetric
+    biderivation, so every letter is needed, each in one order.
     """
     if table is not None:
         return [sig.gen(*g) for g in sig.letters()]
@@ -487,19 +488,20 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     """PASS iff every bracket of two inputs vanishes, certified on the
     centre and a generating set instead of on every pair.
 
-    1. An input whose brackets with the letters of ``_centre_letters`` all
-       vanish (in both orders under a table) is central.
+    1. An input x whose brackets {x, g} with the letters g of
+       ``_centre_letters`` all vanish is central.
     2. The generating set S is chosen by ``_generating_set``: one
        ``linalg.Eliminator`` over the products of the central inputs and
        S, each input tested before its own products join.
-    3. The pairs i < j of S, in input order, are bracketed; under a table,
-       which need not be antisymmetric, every ordered pair of S, the
-       diagonal included.
+    3. The pairs i < j of S, in input order, are bracketed.
 
-    Why a PASS proves that every pair of inputs commutes.  Every input is a
-    polynomial in the central inputs and S.  The commutator and every
-    biderivation, letter tables included, vanish on two such polynomials
-    once they vanish on every pair of their generators, by Leibniz.
+    Why a PASS proves that every pair of inputs commutes.  Every bracket
+    here is antisymmetric, so the diagonal vanishes and one order decides
+    each pair; {x, .} is a derivation, so x is central once {x, g} = 0 for
+    the letters g of ``_centre_letters``.  Every input is a polynomial in the
+    central inputs and S.  The commutator and every biderivation, letter
+    tables included, vanish on two such polynomials once they vanish on
+    every pair of their generators, by Leibniz.
 
     In Classical mode every input and centre letter is packed once
     (``algebra.Packing.pack``), at the one width that 2 * top degree - 1
@@ -513,7 +515,9 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     A witness is a failing pair of S, both of them inputs, with its
     bracket.  ``info`` records the central inputs, the size of S and the
     pairs bracketed.  A classical letter ``table`` replaces the Lie-Poisson
-    rule (see ``algebra.poisson_bracket``).
+    rule (see ``algebra.poisson_bracket``); one that is not antisymmetric
+    raises ``ValueError`` naming a failing letter pair, and in Quantum mode
+    any table raises ``ModeError``.
     """
     if labels is not None and len(labels) != len(gens):
         raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
@@ -524,6 +528,12 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     for g in gens[1:]:
         if g.sig != sig:
             raise SignatureMismatchError("generators live over mixed signatures")
+    if table is not None and not sig.is_quantum:
+        failing = next(antisymmetry_residuals(table), None)
+        if failing:
+            x, y = (sig.gen(*g).render() for g in failing[:2])
+            raise ValueError(f"letter table is not antisymmetric: "
+                             f"{{{x}, {y}}} + {{{y}, {x}}} != 0")
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
     letters = _centre_letters(sig, table)
@@ -546,16 +556,13 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
         def br(a, b) -> NCPoly:
             return packing.bracket(a, b, table)
 
-    def commutes(a, x) -> bool:
-        return not br(a, x) and (table is None or not br(x, a))
-
     # each input is packed just before its centre test; a central input
     # keeps only the numerators that the generating set multiplies
     central, forms, products = [], {}, []
     for i, g in enumerate(gens):
         form, numerators = pack(g)
         products.append(numerators)
-        if all(commutes(form, x) for x in letters):
+        if all(not br(form, x) for x in letters):
             central.append(i)
         else:
             forms[i] = form
@@ -565,8 +572,7 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     # the pairs read the forms of S only; the others are released first
     forms = {i: forms[i] for i in basis}
     del products
-    pairs = list(product(basis, repeat=2) if table is not None
-                 else combinations(basis, 2))
+    pairs = list(combinations(basis, 2))
     witnesses = []
     for i, j in pairs:
         res = br(forms[i], forms[j])

@@ -11,6 +11,7 @@ verify SUITE --out tests/golden``); a rank-3 report is written as
 ``verify-manin-r3-seed62.json``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,22 @@ def test_default_report_matches_golden(argv, golden, tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     (written,) = tmp_path.iterdir()
     assert written.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _infos(node):
+    """Every ``info`` dict in a loaded report."""
+    if isinstance(node, dict):
+        if isinstance(node.get("info"), dict):
+            yield node["info"]
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _infos(child)
+
+
+def test_every_certificate_brackets_each_pair_of_its_basis_once():
+    infos = [info for path in sorted(GOLDEN.glob("*.json"))
+             for info in _infos(json.loads(path.read_text()))
+             if {"basis", "pairs"} <= info.keys()]
+    assert infos
+    assert all(info["pairs"] == info["basis"] * (info["basis"] - 1) // 2 for info in infos)

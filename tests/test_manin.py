@@ -865,13 +865,16 @@ class TestCommutationMatrix:
         gens = [c2.gen(1, 1, 1), c2.gen(1, 1, 2)]
         assert commutation_matrix(gens).passed is False
         assert commutation_matrix(gens, table=(1, {})).passed
-        # {x[1,1]@1, x[1,2]@1} = 3 x[2,2]@2 under a one-entry table
-        rep = commutation_matrix(gens, ["a", "b"], (1, {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), 3)]}))
+        # {x[1,1]@1, x[1,2]@1} = 3 x[2,2]@2 = -{x[1,2]@1, x[1,1]@1}
+        rep = commutation_matrix(gens, ["a", "b"], (1, {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), 3)],
+                                                        ((1, 1, 2), (1, 1, 1)): [((2, 2, 2), -3)]}))
         assert rep.witnesses == [{"pair": ["a", "b"], "bracket": "3 * x[2,2]@2"}]
 
     def test_letter_table_rejected_in_quantum_mode(self, q2):
-        with pytest.raises(ModeError):
-            commutation_matrix([q2.gen(1, 1, 1), q2.gen(1, 1, 2)], table=(1, {}))
+        # a one-sided table too: the mode is checked before antisymmetry
+        for rules in ({}, {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), 1)]}):
+            with pytest.raises(ModeError):
+                commutation_matrix([q2.gen(1, 1, 1), q2.gen(1, 1, 2)], table=(1, rules))
 
     def test_labels_must_match_the_inputs(self, q2):
         gens = [q2.gen(1, 1, 1), q2.gen(1, 1, 2)]
@@ -879,12 +882,11 @@ class TestCommutationMatrix:
             with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 generators"):
                 commutation_matrix(gens, labels)
 
-    def test_letter_table_diagonal_is_bracketed(self, c2):
-        # {x[1,1]@1, x[1,1]@1} = x[2,2]@2: only the diagonal pair fails
-        rep = commutation_matrix([c2.gen(1, 1, 1)], ["a"],
-                                 (1, {((1, 1, 1), (1, 1, 1)): [((2, 2, 2), 1)]}))
-        assert rep.witnesses == [{"pair": ["a", "a"], "bracket": "x[2,2]@2"}]
-        assert rep.info == {"central": 0, "basis": 1, "pairs": 1}
+    def test_letter_table_with_a_diagonal_rule_is_refused(self, c2):
+        # {x[1,1]@1, x[1,1]@1} = x[2,2]@2 is not antisymmetric
+        table = (1, {((1, 1, 1), (1, 1, 1)): [((2, 2, 2), 1)]})
+        with pytest.raises(ValueError, match=r"\{x\[1,1\]@1, x\[1,1\]@1\}"):
+            commutation_matrix([c2.gen(1, 1, 1)], ["a"], table)
 
 
 def _talalaev_coefficients(rank, sites):
@@ -923,14 +925,21 @@ class TestCommutationCertificate:
         extra = random_ncpoly(rng, gens[0].sig, max_degree=2, terms=3)
         assert self.assert_matches_oracle(gens + [extra]).passed is False
 
-    def test_verdict_equals_the_full_table_under_non_antisymmetric_tables(self, c2, rng):
+    @staticmethod
+    def random_antisymmetric_rules(rng, sig, letters, count):
+        """``count`` random rules {g, h} = k * letter on pairs g != h of
+        ``letters``, each stored with its negation at (h, g)."""
+        rules = {}
+        for _ in range(count):
+            g, h = rng.sample(letters, 2)
+            letter, k = random_letter(rng, sig), rng.choice([-2, -1, 1, 3])
+            rules[(g, h)], rules[(h, g)] = [(letter, k)], [(letter, -k)]
+        return rules
+
+    def test_verdict_equals_the_full_table_under_antisymmetric_tables(self, c2, rng):
         verdicts = set()
         for _ in range(20):
-            rules = {}
-            for _ in range(3):
-                g = random_letter(rng, c2)
-                h = g if rng.random() < 0.3 else random_letter(rng, c2)
-                rules[(g, h)] = [(random_letter(rng, c2), rng.choice([-2, -1, 1, 3]))]
+            rules = self.random_antisymmetric_rules(rng, c2, list(c2.letters()), 3)
             gens = [random_ncpoly(rng, c2, max_degree=2, terms=2) for _ in range(3)]
             verdicts.add(self.assert_matches_oracle(gens, (1, rules)).passed)
         assert verdicts == {True, False}
@@ -1084,9 +1093,7 @@ class TestCommutationCertificate:
         site1 = [(1, a, b) for a in (1, 2) for b in (1, 2)]
         verdicts = set()
         for _ in range(20):
-            table = (1, {(rng.choice(site1), rng.choice(site1)):
-                         [(random_letter(rng, c2), rng.choice([-2, -1, 1, 3]))]
-                         for _ in range(2)})
+            table = (1, self.random_antisymmetric_rules(rng, c2, site1, 2))
             central = [NCPoly(c2, {tuple(sorted((2, a, b) for _, a, b in w)): v
                                    for w, v in random_ncpoly(rng, c2, terms=2).terms.items()})
                        for _ in range(3)]
@@ -1126,14 +1133,13 @@ class TestCommutationCertificate:
         assert rep.passed
         assert rep.info == {"central": 2, "basis": 0, "pairs": 0}
 
-    def test_non_antisymmetric_table_is_bracketed_in_both_orders(self, c2):
+    def test_one_sided_table_is_refused(self, c2):
         # {x11@1, x12@1} = x22@2 while {x12@1, x11@1} = 0
         table = (1, {((1, 1, 1), (1, 1, 2)): [((2, 2, 2), 1)]})
         a, b = c2.gen(1, 1, 1), c2.gen(1, 1, 2)
-        for gens, pair in (([a, b], ["g0", "g1"]), ([b, a], ["g1", "g0"])):
-            rep = self.assert_matches_oracle(gens, table)
-            assert rep.witnesses == [{"pair": pair, "bracket": "x[2,2]@2"}]
-            assert rep.info == {"central": 0, "basis": 2, "pairs": 4}
+        for gens in ([a, b], [b, a]):
+            with pytest.raises(ValueError, match=r"\{x\[1,1\]@1, x\[1,2\]@1\}"):
+                commutation_matrix(gens, table=table)
 
     def test_glue_r3_work_counters(self, monkeypatch):
         """The certificate packs each input and centre letter once, the rank

@@ -120,3 +120,30 @@ def test_classical_glue_at_rank_three_has_no_quantum_half(monkeypatch):
                         lambda m: pytest.fail("quantum half ran"))
     checks = [r.check for r in run_suite("glue", RunConfig(rank=3))]
     assert checks == ["glued_family_commutes", "rank_completeness", "hg_membership"]
+
+
+def test_bending_table_certificates_bracket_each_pair_once(monkeypatch):
+    # per certificate: each central input against the 36 letters in one
+    # order, the non-central inputs up to their first nonzero letter bracket,
+    # and the pairs i < j of S (C(9, 2) = 36 and C(13, 2) = 78)
+    from gaudin import algebra, poisson
+
+    calls = []
+    bracket, certificate = algebra.Packing.bracket, poisson.commutation_matrix
+
+    def counted_certificate(*args, **kw):
+        calls.append(0)
+        return certificate(*args, **kw)
+
+    def counted_bracket(*args):
+        calls[-1] += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(algebra.Packing, "bracket", counted_bracket)
+    monkeypatch.setattr(poisson, "commutation_matrix", counted_certificate)
+    reports = run_suite("bending", RunConfig(rank=3, sites=4))
+    assert all_passed(reports)
+    info = {r.check: r.info for r in reports}
+    assert info["bending_commutes_standard"] == {"central": 14, "basis": 9, "pairs": 36}
+    assert info["bending_commutes_limit"] == {"central": 11, "basis": 13, "pairs": 78}
+    assert calls == [14 * 36 + 22 + 36, 11 * 36 + 25 + 78]
