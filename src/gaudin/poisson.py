@@ -10,9 +10,9 @@ Such a bracket is a biderivation, so it is fixed by its values on coordinate
 pairs.  A ``PoissonOperator`` is the only bracket description: the standard
 and limit brackets, a tabulated operator and a pencil are all block operators,
 and since the bracket is linear in the blocks, ``pencil`` combines the blocks
-of two operators.  Each check compiles the operator to that letter table once
-(``letter_table``), and the table drives the same Leibniz loop as the standard
-bracket (``algebra.poisson_bracket``).  The table has one form, integer
+of two operators.  A check compiles the operator to that letter table at
+most once (``letter_table``), and the table drives the same Leibniz loop as
+the standard bracket (``algebra.poisson_bracket``).  The table has one form, integer
 numerators over one denominator: the block coefficients are scaled once by
 ``linalg.integer_form`` and the values on coordinate pairs are summed on
 ints, so the bracket, the certificates and ``manin.commutation_matrix`` all
@@ -21,9 +21,22 @@ read the same integer rules.
 The same table makes the Poisson property a finite check: a biderivation is
 Poisson iff it is antisymmetric on every pair of coordinate letters and its
 jacobiator vanishes on every triple of distinct letters.  ``antisymmetry_check``
-and ``jacobi_check`` examine all of them, so a PASS is a certificate for all
+and ``jacobi_check`` decide all of them, so a PASS is a certificate for all
 polynomials, not a sample; ``compatibility_check`` applies the Jacobi
 certificate to the sum of two brackets, a proof once both are Poisson.
+
+Most of those letter tuples are decided at site level, because every block
+factors through gl_r: {x@i, y@j} = sum_k c^ij_k [x, y]@k.  So
+{x@i, y@j} + {y@j, x@i} = sum_k (c^ij_k - c^ji_k) [x, y]@k vanishes when
+c^ij = c^ji, and {x@i, {y@j, z@l}} = sum_m n(i,j,l)_m [x, [y, z]]@m with
+n(i,j,l)_m = sum_k c^jl_k c^ik_m, so where n(i,j,l) = n(j,l,i) = n(l,i,j)
+the jacobiator of every letter triple on those sites is a sum of Jacobi
+identities of gl_r and vanishes.  The checks compare these site-level
+coefficients on the integer form of the blocks and sum on the letter table
+only the letter tuples on the remaining "open" site pairs and triples
+(``open_site_pairs``, ``open_site_triples``); the table is built only when
+one is open.  The standard and limit operators and their sum pencil open
+none.
 
 The diagonal operator with P_ii = X_i reproduces the standard product
 Lie-Poisson bracket.  The parameter-free limit bracket arising from the total
@@ -42,7 +55,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .algebra import (
@@ -175,6 +188,24 @@ def fivesite_operator(z: Sequence) -> PoissonOperator:
     })
 
 
+def _check_signature(op: PoissonOperator, sig: AlgebraSignature) -> None:
+    if sig.is_quantum:
+        raise ModeError("block-operator brackets are defined in Classical mode only")
+    if op.sites != sig.sites:
+        raise ValueError(f"operator is for {op.sites} sites, signature has {sig.sites}")
+
+
+def _integer_blocks(op: PoissonOperator) -> tuple[int, dict]:
+    """(d, (i, j) -> {k: c^ij_k * d}): the block coefficients scaled once to
+    integers over d, the lcm of their denominators."""
+    d, coeffs = integer_form({(i, j, k): c for (i, j), combo in op.blocks.items()
+                              for k, c in combo.items()})
+    blocks: defaultdict = defaultdict(dict)
+    for (i, j, k), c in coeffs.items():
+        blocks[i, j][k] = c
+    return d, blocks
+
+
 def letter_table(op: PoissonOperator, sig: AlgebraSignature) -> LetterTable:
     """Compile a block operator to its nonzero values on coordinate pairs,
 
@@ -183,19 +214,44 @@ def letter_table(op: PoissonOperator, sig: AlgebraSignature) -> LetterTable:
     read off Tr(grad_i F [P_ij, grad_j G]) on coordinate functions, as
     (d, (g, h) -> [(letter, integer numerator)]): the block coefficients are
     scaled once to integers over d, the lcm of their denominators."""
-    if sig.is_quantum:
-        raise ModeError("block-operator brackets are defined in Classical mode only")
-    if op.sites != sig.sites:
-        raise ValueError(f"operator is for {op.sites} sites, signature has {sig.sites}")
-    d, coeffs = integer_form({(i, j, k): c for (i, j), combo in op.blocks.items()
-                              for k, c in combo.items()})
+    _check_signature(op, sig)
+    d, blocks = _integer_blocks(op)
     table: defaultdict = defaultdict(lambda: defaultdict(int))
-    for (i, j, k), coeff in coeffs.items():
-        for a, b, c in product(range(1, sig.rank + 1), repeat=3):
-            table[(i, a, b), (j, b, c)][k, a, c] += coeff  # the d_bc term
-            table[(i, a, b), (j, c, a)][k, c, b] -= coeff  # the d_ad term
+    for (i, j), combo in blocks.items():
+        for k, coeff in combo.items():
+            for a, b, c in product(range(1, sig.rank + 1), repeat=3):
+                table[(i, a, b), (j, b, c)][k, a, c] += coeff  # the d_bc term
+                table[(i, a, b), (j, c, a)][k, c, b] -= coeff  # the d_ad term
     rules = {pair: [(g, c) for g, c in combo.items() if c] for pair, combo in table.items()}
     return d, {pair: rule for pair, rule in rules.items() if rule}
+
+
+def open_site_pairs(op: PoissonOperator) -> list[tuple[int, int]]:
+    """The site pairs i < j with c^ij != c^ji: elsewhere
+    {x@i, y@j} + {y@j, x@i} = sum_k (c^ij_k - c^ji_k) [x, y]@k vanishes for
+    every pair of letters, the diagonal i = j included."""
+    blocks = _integer_blocks(op)[1]
+    return [(i, j) for i, j in combinations(range(1, op.sites + 1), 2)
+            if blocks.get((i, j), {}) != blocks.get((j, i), {})]
+
+
+def _nested(blocks: dict, i: int, j: int, l: int) -> dict[int, int]:
+    # n(i,j,l): {x@i, {y@j, z@l}} = sum_m n_m [x, [y, z]]@m
+    out: dict[int, int] = {}
+    for k, c in blocks.get((j, l), {}).items():
+        for m, e in blocks.get((i, k), {}).items():
+            out[m] = out.get(m, 0) + c * e
+    return {m: v for m, v in out.items() if v}
+
+
+def open_site_triples(op: PoissonOperator) -> list[tuple[int, int, int]]:
+    """The sorted site triples i <= j <= l on which n(i,j,l), n(j,l,i) and
+    n(l,i,j) are not all equal.  Elsewhere the jacobiator of every letter
+    triple on those sites is sum_m n_m (the Jacobi identity of gl_r)@m = 0."""
+    blocks = _integer_blocks(op)[1]
+    return [(i, j, l) for i, j, l in combinations_with_replacement(range(1, op.sites + 1), 3)
+            if not _nested(blocks, i, j, l) == _nested(blocks, j, l, i)
+            == _nested(blocks, l, i, j)]
 
 
 def bracket_eval(op: PoissonOperator, F: NCPoly, G: NCPoly) -> NCPoly:
@@ -212,17 +268,36 @@ def _render_linear(sig: AlgebraSignature, combo: dict, d: int) -> str:
     return NCPoly(sig, {(g,): Fraction(c, d) for g, c in combo.items() if c}).render()
 
 
-def _names(sig: AlgebraSignature, letters) -> list[str]:
-    return [sig.gen(*g).render() for g in letters]
+def _site_letters(sig: AlgebraSignature, i: int) -> list:
+    return [(i, a, b) for a in range(1, sig.rank + 1) for b in range(1, sig.rank + 1)]
+
+
+def _names(sig: AlgebraSignature, site_tuples) -> dict:
+    """letter -> rendered name, for every letter on a site of ``site_tuples``."""
+    return {g: sig.gen(*g).render() for i in {i for t in site_tuples for i in t}
+            for g in _site_letters(sig, i)}
 
 
 def antisymmetry_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     """{x, y} + {y, x} = 0 on every pair of coordinate letters, x = y
-    included; the witness residual is {x, y} + {y, x}."""
-    table = letter_table(op, sig)
+    included; the witness residual is {x, y} + {y, x}.
+
+    The pairs are decided site by site first: {x@i, y@j} + {y@j, x@i} is
+    sum_k (c^ij_k - c^ji_k) [x, y]@k, which vanishes when c^ij = c^ji.  Only
+    the letter pairs on the other site pairs (``open_site_pairs``) are summed
+    on the letter table, which is built only when there are any.
+    ``info.pairs`` still counts every letter pair the certificate decides."""
+    _check_signature(op, sig)
     n = sig.sites * sig.rank ** 2
-    witnesses = [{"pair": _names(sig, (x, y)), "residual": _render_linear(sig, res, table[0])}
-                 for x, y, res in antisymmetry_residuals(table)]
+    witnesses = []
+    open_pairs = set(open_site_pairs(op))
+    if open_pairs:
+        d, rules = letter_table(op, sig)
+        names = _names(sig, open_pairs)
+        rules = {(g, h): rule for (g, h), rule in rules.items()
+                 if tuple(sorted((g[0], h[0]))) in open_pairs}
+        witnesses = [{"pair": [names[x], names[y]], "residual": _render_linear(sig, res, d)}
+                     for x, y, res in antisymmetry_residuals((d, rules))]
     return CheckReport(
         check="antisymmetry",
         passed=not witnesses,
@@ -232,9 +307,26 @@ def antisymmetry_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckRepor
     )
 
 
+def _letter_triples(sig: AlgebraSignature, site_triples) -> list:
+    """The letter triples a < b < c whose sites form one of the sorted
+    ``site_triples``, in the order of ``combinations(sig.letters(), 3)``."""
+    return sorted((a, b, c) for sites in site_triples
+                  for a, b, c in product(*(_site_letters(sig, i) for i in sites))
+                  if a < b < c)
+
+
 def jacobi_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     """The jacobiator {a,{b,c}} + {b,{c,a}} + {c,{a,b}} on every triple a < b < c
     of coordinate letters.
+
+    The triples are decided site by site first.  A block operator brackets
+    {x@i, y@j} = sum_k c^ij_k [x, y]@k, so {x@i, {y@j, z@l}} is
+    sum_m n(i,j,l)_m [x, [y, z]]@m with n(i,j,l)_m = sum_k c^jl_k c^ik_m, and
+    where n(i,j,l) = n(j,l,i) = n(l,i,j) the jacobiator of every letter
+    triple on those sites is sum_m n_m (the Jacobi identity of gl_r)@m = 0.
+    Only the letter triples on the other site triples (``open_site_triples``)
+    are summed on the letter table, which is built only when there are any;
+    ``info.triples`` still counts every letter triple the certificate decides.
 
     The table is linear, so each jacobiator is a linear form, summed exactly on
     integer numerators (Jacobi is homogeneous, so scaling the table does not
@@ -243,24 +335,28 @@ def jacobi_check(op: PoissonOperator, sig: AlgebraSignature) -> CheckReport:
     a PASS here, with ``antisymmetry_check``, certifies the Jacobi identity on
     every polynomial.
     """
-    d, table = letter_table(op, sig)
-    letters = list(sig.letters())
+    _check_signature(op, sig)
+    n = sig.sites * sig.rank ** 2
     witnesses = []
-    for a, b, c in combinations(letters, 3):
-        res: dict = {}
-        for x, inner in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-            for w, k in table.get(inner, ()):
-                for g, m in table.get((x, w), ()):
-                    res[g] = res.get(g, 0) + k * m
-        if any(res.values()):
-            witnesses.append({"triple": _names(sig, (a, b, c)),
-                              "jacobiator": _render_linear(sig, res, d * d)})
+    open_triples = open_site_triples(op)
+    if open_triples:
+        d, table = letter_table(op, sig)
+        names = _names(sig, open_triples)
+        for a, b, c in _letter_triples(sig, open_triples):
+            res: dict = {}
+            for x, inner in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
+                for w, k in table.get(inner, ()):
+                    for g, m in table.get((x, w), ()):
+                        res[g] = res.get(g, 0) + k * m
+            if any(res.values()):
+                witnesses.append({"triple": [names[a], names[b], names[c]],
+                                  "jacobiator": _render_linear(sig, res, d * d)})
     return CheckReport(
         check="jacobi",
         passed=not witnesses,
         params={"spec": op.name},
         witnesses=witnesses,
-        info={"triples": comb(len(letters), 3), "failed": len(witnesses)},
+        info={"triples": comb(n, 3), "failed": len(witnesses)},
     )
 
 
@@ -270,7 +366,10 @@ def compatibility_check(first: PoissonOperator, second: PoissonOperator,
     in the bracket, J(lam A + mu B) = lam^2 J(A) + mu^2 J(B) + lam mu X, so
     for two Poisson brackets J(A + B) = X, and X = 0 makes the whole
     (antisymmetric) pencil Poisson.  A PASS is a proof together with the
-    antisymmetry and Jacobi checks of both brackets."""
+    antisymmetry and Jacobi checks of both brackets.  The sum pencil is a
+    block operator, so ``jacobi_check`` decides it at site level first and
+    sums on a letter table only the letter triples on its open site
+    triples."""
     rep = jacobi_check(pencil(1, first, 1, second), sig)
     rep.check = "compatibility"
     rep.witnesses = [{"spec": rep.params["spec"], **w} for w in rep.witnesses]

@@ -30,6 +30,10 @@ differential-operator matrices the tests draw are generated here as well.
 
 ``fraction_letter_table`` compiles a block operator by summing its block
 formula in Fractions; it is the reference for the integer letter table.
+``letter_antisymmetry_check`` and ``letter_jacobi_check`` sum every letter
+pair and every letter triple on the whole letter table; they are the
+references for ``poisson.antisymmetry_check`` and ``poisson.jacobi_check``,
+which decide most of them at site level.
 
 Three references are constructions rather than kernels.
 ``elementary_glue`` builds the pair of Lax matrices of one gluing step
@@ -50,6 +54,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Sequence
 
 from gaudin import linalg
@@ -59,12 +64,15 @@ from gaudin.algebra import (
     Mode,
     ModeError,
     NCPoly,
+    antisymmetry_residuals,
     poisson_bracket,
 )
 from gaudin.gluing import LimitFamily
 from gaudin.lax import InvariantFamily, InvariantMember, LaxMatrix, lax_from_groups
 from gaudin.manin import DiffOpMatrix
+from gaudin.poisson import letter_table
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
+from gaudin.reports import CheckReport
 
 
 def random_letter(rng: random.Random, sig: AlgebraSignature) -> Letter:
@@ -281,6 +289,43 @@ def fraction_letter_table(op, sig: AlgebraSignature) -> dict:
         if combo:
             out[pair] = combo
     return out
+
+
+def _render_linear(sig: AlgebraSignature, combo: dict, d: int) -> str:
+    return NCPoly(sig, {(g,): Fraction(c, d) for g, c in combo.items() if c}).render()
+
+
+def letter_antisymmetry_check(op, sig: AlgebraSignature) -> CheckReport:
+    """{x, y} + {y, x} on every letter pair x <= y the letter table lists,
+    in the report form of ``poisson.antisymmetry_check``."""
+    table = letter_table(op, sig)
+    n = sig.sites * sig.rank ** 2
+    witnesses = [{"pair": [sig.gen(*x).render(), sig.gen(*y).render()],
+                  "residual": _render_linear(sig, res, table[0])}
+                 for x, y, res in antisymmetry_residuals(table)]
+    return CheckReport(check="antisymmetry", passed=not witnesses,
+                       params={"spec": op.name}, witnesses=witnesses,
+                       info={"pairs": n * (n + 1) // 2, "failed": len(witnesses)})
+
+
+def letter_jacobi_check(op, sig: AlgebraSignature) -> CheckReport:
+    """The jacobiator of every letter triple a < b < c summed on the letter
+    table, in the report form of ``poisson.jacobi_check``."""
+    d, table = letter_table(op, sig)
+    letters = list(sig.letters())
+    witnesses = []
+    for a, b, c in combinations(letters, 3):
+        res: dict = {}
+        for x, inner in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
+            for w, k in table.get(inner, ()):
+                for g, m in table.get((x, w), ()):
+                    res[g] = res.get(g, 0) + k * m
+        if any(res.values()):
+            witnesses.append({"triple": [sig.gen(*g).render() for g in (a, b, c)],
+                              "jacobiator": _render_linear(sig, res, d * d)})
+    return CheckReport(check="jacobi", passed=not witnesses,
+                       params={"spec": op.name}, witnesses=witnesses,
+                       info={"triples": comb(len(letters), 3), "failed": len(witnesses)})
 
 
 def leibniz_jacobiator(table, f, g, h):

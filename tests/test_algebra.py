@@ -12,6 +12,7 @@ from gaudin.algebra import (
     NCPoly,
     Packing,
     SignatureMismatchError,
+    antisymmetry_residuals,
     classical_limit,
     commutator,
     diagonal_generators,
@@ -547,6 +548,14 @@ def test_packed_bracket_rank_one_single_site():
         assert br.terms == {(x,) * (a + b - 1): a * b * c}
         assert br.terms == leibniz_terms(_power(sig, x, a).terms, _power(sig, x, b).terms,
                                          table)
+
+
+def test_antisymmetry_residuals_double_the_self_bracket():
+    # no block operator gives {x, x} != 0, so the table is planted
+    x = (1, 1, 2)
+    table = (3, {(x, x): [((1, 1, 1), 1)], (x, (1, 2, 1)): [((1, 1, 1), 1)],
+                 ((1, 2, 1), x): [((1, 1, 1), -1)]})
+    assert list(antisymmetry_residuals(table)) == [(x, x, {(1, 1, 1): 2})]
 
 
 def test_packed_bracket_fractional_limit_tables(c3):
