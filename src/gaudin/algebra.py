@@ -51,7 +51,8 @@ fields.  ``Packing.pack`` turns an operand into its packed numerators
 maps a letter g to {packed dp/dg term: numerator}; it is the package's one
 classical gradient, which ``gluing.rank_completeness_check`` evaluates at
 points.  ``Packing.word`` decodes a packed monomial, visiting only its
-nonzero fields.  ``Packing.bracket`` is the one classical bracket engine:
+nonzero fields, and ``Packing.mask`` tests one for a set of letters with
+one ``&``.  ``Packing.bracket`` is the one classical bracket engine:
 for each letter h of q it forms X_h = sum_g {g, h} dp/dg once, drops its
 zeros and multiplies it by dq/dh, and it decodes only the nonzero output
 terms back to sorted words.
@@ -164,6 +165,23 @@ def _letter_bracket(g: Letter, h: Letter) -> list[tuple[Letter, int]]:
     if d == a:
         out.append(((i, c, b), -1))
     return out
+
+
+def lie_poisson_table(sig: AlgebraSignature, zero: Iterable[Letter] = ()) -> LetterTable:
+    """The Lie-Poisson bracket as a letter table, every letter of ``zero``
+    dropped from its values.  On operands whose gradients have those
+    letters set to zero, ``Packing.bracket`` with this table gives the
+    Lie-Poisson bracket with them set to zero."""
+    zero = set(zero)
+    rules = {}
+    for i in range(1, sig.sites + 1):     # letters at two sites bracket to zero
+        site = [(i, a, b) for a in range(1, sig.rank + 1) for b in range(1, sig.rank + 1)]
+        for g in site:
+            for h in site:
+                rule = [(x, k) for x, k in _letter_bracket(g, h) if x not in zero]
+                if rule:
+                    rules[(g, h)] = rule
+    return 1, rules
 
 
 # Callers pass ``straighten_word`` single-site words only (see the module
@@ -640,6 +658,12 @@ class Packing:
 
     def monomial(self, word) -> int:
         return sum(map(self.unit.__getitem__, word))
+
+    def mask(self, variables) -> int:
+        """The fields of ``variables``: m & mask is zero exactly when the
+        monomial m holds none of them."""
+        field = (1 << self.bits) - 1
+        return sum(field * self.unit[v] for v in set(variables))
 
     def word(self, m: int) -> tuple:
         """The variables of the monomial m in packing order, each repeated

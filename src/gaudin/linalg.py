@@ -1,7 +1,8 @@
 """Exact linear algebra: the matrix product, power-trace loop and column
-determinant of the package, its one elimination, ``Eliminator``, which gives
-rank and the expression of a target vector as a combination of given sparse
-vectors, and its one rational-to-integer scaling, ``integer_form``, which
+determinant of the package, its sparse elimination, ``Eliminator``, which
+gives the expression of a target vector as a combination of given sparse
+vectors, the rank of dense rows, and its one rational-to-integer scaling,
+``integer_form``, which
 the elimination, the two bracket engines (through ``Packing.pack``, also the
 rank check's gradients) and the Poisson letter table use.
 
@@ -12,14 +13,15 @@ qualify; products keep the factor order they are written in.  ``col_minor``
 is the one column-determinant expansion, memoized; ``col_det`` reads it.
 
 ``Eliminator`` takes sparse vectors (dicts key -> rational), fraction-free.
-A vector is scaled to integers by ``integer_form``, its zeros are dropped,
-and it is reduced against the pivot rows kept so far, in the order kept: a
+A vector is scaled to integers by ``integer_form`` (one of ints is taken as
+it is) and reduced against the pivot rows kept so far, in the order kept: a
 row is replaced by a*row - b*pivot row, with a and b the two entries at the
 pivot key over their gcd, then divided by the gcd of its entries.  A kept
 row is zero at the pivot keys of the rows kept before it, so one pass clears
 every pivot key; the vector is in their span exactly when nothing but
-``_Tag`` keys is left.  The loop runs on Python ints and builds no
-``Fraction``.
+``_Tag`` keys is left once its zeros are dropped.  ``rank`` runs the same
+reduction on dense rows, lists indexed by column.  The loops run on Python
+ints and build no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class _Tag:
 
     ``solve_combination`` gives each input vector one, with coefficient 1,
     so a reduced row records which inputs it combines.  Callers key vectors
-    by ints (``rank``'s columns) and tuples (words), so a tag is an object of
+    by ints (packed monomials) and tuples (words), so a tag is an object of
     its own class, equal only to itself.
     """
 
@@ -148,8 +150,12 @@ class Eliminator:
 
     def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[Hashable, int]:
         """The integer remainder of ``vec`` against the rows, left as they
-        are; without ``_Tag`` keys it is empty exactly on their span."""
-        row = {k: v for k, v in integer_form(vec)[1].items() if v}
+        are, its zeros dropped; without ``_Tag`` keys it is empty exactly on
+        their span.  Integer coefficients are taken as they are."""
+        if all(type(v) is int for v in vec.values()):
+            row = dict(vec)
+        else:
+            row = integer_form(vec)[1]
         for key, a, prow in self.rows:
             b = row.get(key)
             if b:
@@ -159,11 +165,12 @@ class Eliminator:
                     row = {k: ag * v for k, v in row.items()}
                 for k, v in prow.items():
                     row[k] = row.get(k, 0) - bg * v
-                row = {k: v for k, v in row.items() if v}
+                # a*b/g - b*a/g: the pivot key cancels exactly
+                del row[key]
                 g = gcd(*row.values())
                 if g > 1:
                     row = {k: v // g for k, v in row.items()}
-        return row
+        return {k: v for k, v in row.items() if v}
 
     def add(self, vec: Mapping[Hashable, Fraction]) -> bool:
         """Whether the remainder of ``vec`` keeps a key that is not a
@@ -177,9 +184,32 @@ class Eliminator:
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Row rank: the number of rows outside the span of the rows before them."""
-    span = Eliminator()
-    return sum(span.add(dict(enumerate(row))) for row in rows)
+    """Row rank of dense rows, all of one length: the number of rows outside
+    the span of the rows before them.
+
+    Each row is scaled to integers (a row of ints as it is) and reduced,
+    fraction-free, against the pivot rows kept so far, as in
+    ``Eliminator``.  A kept row is divided by the gcd of its entries and
+    pivots on its first nonzero column."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if all(type(v) is int for v in row):
+            row = list(row)
+        else:
+            d = lcm(*(v.denominator for v in row))
+            row = [v.numerator * (d // v.denominator) for v in row]
+        for col, prow in pivots:
+            b = row[col]
+            if b:
+                a = prow[col]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+        col = next((k for k, v in enumerate(row) if v), None)
+        if col is not None:
+            g = gcd(*row)
+            pivots.append((col, [v // g for v in row] if g > 1 else row))
+    return len(pivots)
 
 
 def solve_combination(vectors: Sequence[Mapping[Hashable, Fraction]],

@@ -27,6 +27,7 @@ from .algebra import (
     SparseSum,
     antisymmetry_residuals,
     bracket,
+    lie_poisson_table,
 )
 from . import linalg
 from .lax import LaxMatrix, pole_site_groups
@@ -454,6 +455,40 @@ def _centre_letters(sig: AlgebraSignature, table: LetterTable | None) -> list[NC
     return out
 
 
+def _diagonal_letters(sig: AlgebraSignature) -> list[NCPoly]:
+    """The Chevalley letters of the diagonal gl_r, sum_i e[a,a+1]@i and
+    sum_i e[a+1,a]@i: an element whose Lie-Poisson brackets with these
+    2(r-1) letters vanish is invariant under the diagonal GL_r, by the
+    argument of ``_centre_letters`` (sum_a,i e[a,a]@i is central)."""
+    out = []
+    for a in range(1, sig.rank):
+        for b, c in ((a, a + 1), (a + 1, a)):
+            out.append(reduce(add, (sig.gen(i, b, c) for i in range(1, sig.sites + 1))))
+    return out
+
+
+def _diagonal_slice(packing: Packing, forms: dict) -> tuple[dict, LetterTable] | None:
+    """The packed ``forms`` and the Lie-Poisson letter table on the slice
+    where the site-1 matrix X_1 is diagonal, or None when one of the forms
+    is not invariant under the diagonal GL_r (``_diagonal_letters``).
+
+    On the slice the r^2 - r off-diagonal letters of site 1 vanish, so a
+    form drops every gradient term that holds one of them, and the table
+    drops them from its values: the slice bracket of two forms is their
+    full bracket with those letters set to zero."""
+    sig = packing.sig
+    diagonal = [packing.pack(x) for x in _diagonal_letters(sig)]
+    if any(packing.bracket(f, x) for f in forms.values() for x in diagonal):
+        return None
+    off = [(1, a, b) for a in range(1, sig.rank + 1) for b in range(1, sig.rank + 1) if a != b]
+    mask = packing.mask(off)
+    sliced = {}
+    for i, (d, numerators, grad) in forms.items():
+        grad = {g: {r: c for r, c in part.items() if not r & mask} for g, part in grad.items()}
+        sliced[i] = d, numerators, {g: part for g, part in grad.items() if part}
+    return sliced, lie_poisson_table(sig, off)
+
+
 def _generating_set(forms: list, degrees: list[int], central: list[int],
                     rest: list[int]) -> list[int]:
     """The generating set S: from the span of 1, walk ``central`` and then
@@ -511,6 +546,17 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     ``algebra.poisson_bracket``.  An input is packed just before its
     centre test; a central one keeps only its packed numerators, which the
     generating set multiplies, and drops its gradient at once.
+
+    Classical pairs under the Lie-Poisson rule (no ``table``) are
+    bracketed on the slice where the site-1 matrix X_1 is diagonal
+    (``_diagonal_slice``) once every input of S is shown invariant under
+    the diagonal GL_r, and only a pair whose slice bracket is nonzero is
+    bracketed again in full, for its witness.  Why the slice decides each
+    pair: the bracket of two inputs invariant under the diagonal GL_r is
+    invariant, by Jacobi, and an invariant polynomial that vanishes on the
+    slice vanishes on its GL_r-orbit, the dense set where X_1 is
+    diagonalisable, so it is zero.  At rank 1 every input is central and
+    no pair is left.
 
     A witness is a failing pair of S, both of them inputs, with its
     bracket.  ``info`` records the central inputs, the size of S and the
@@ -573,8 +619,13 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     forms = {i: forms[i] for i in basis}
     del products
     pairs = list(combinations(basis, 2))
+    sliced, slice_table = {}, None
+    if pairs and table is None and not sig.is_quantum:
+        sliced, slice_table = _diagonal_slice(packing, forms) or ({}, None)
     witnesses = []
     for i, j in pairs:
+        if sliced and not packing.bracket(sliced[i], sliced[j], slice_table):
+            continue
         res = br(forms[i], forms[j])
         if not res.is_zero():
             witnesses.append({"pair": [labels[i], labels[j]], "bracket": res.render()})

@@ -35,6 +35,12 @@ pair and every letter triple on the whole letter table; they are the
 references for ``poisson.antisymmetry_check`` and ``poisson.jacobi_check``,
 which decide most of them at site level.
 
+``random_invariant`` draws sums of products of traces tr(X_i1 ... X_ik),
+invariant under the diagonal GL_r, and ``on_diagonal_slice`` sets the
+off-diagonal letters of site 1 to zero in a term dict; with
+``leibniz_terms`` they are the reference for the slice bracket of
+``manin.commutation_matrix``.
+
 Three references are constructions rather than kernels.
 ``elementary_glue`` builds the pair of Lax matrices of one gluing step
 directly from the fixed poles and the collapsing sites; the tests compare
@@ -95,6 +101,40 @@ def random_ncpoly(rng: random.Random, sig: AlgebraSignature,
             coeff = rng.randint(coeff_lo, coeff_hi)
         items.append((random_word(rng, sig, deg), Fraction(coeff)))
     return NCPoly.from_terms(sig, items)
+
+
+def trace_word(sig: AlgebraSignature, sites: Sequence[int]) -> dict:
+    """tr(X_i1 X_i2 ... X_ik) for the sites i1, ..., ik, X_i the matrix
+    (x[a,b]@i): the sum over indices of x[a1,a2]@i1 x[a2,a3]@i2 ... x[ak,a1]@ik."""
+    out: dict = defaultdict(Fraction)
+    for idx in product(range(1, sig.rank + 1), repeat=len(sites)):
+        word = tuple(sorted((i, idx[t], idx[(t + 1) % len(sites)])
+                            for t, i in enumerate(sites)))
+        out[word] += 1
+    return dict(out)
+
+
+def random_invariant(rng: random.Random, sig: AlgebraSignature, max_degree: int = 3,
+                     terms: int = 2) -> NCPoly:
+    """A seeded sum of ``terms`` products of traces of products of the site
+    matrices (``trace_word``), each of degree 2..max_degree times a nonzero
+    integer: an element invariant under the diagonal GL_r."""
+    total = NCPoly.zero(sig)
+    for _ in range(terms):
+        degree = rng.randint(2, max_degree)
+        cuts = sorted(rng.sample(range(1, degree), rng.randint(0, degree - 1)))
+        factor = NCPoly.scalar(sig, rng.choice([-3, -2, -1, 1, 2, 5]))
+        for lo, hi in zip([0, *cuts], [*cuts, degree]):
+            sites = [rng.randint(1, sig.sites) for _ in range(hi - lo)]
+            factor = factor * NCPoly(sig, trace_word(sig, sites))
+        total = total + factor
+    return total
+
+
+def on_diagonal_slice(terms: dict) -> dict:
+    """The terms whose words hold no off-diagonal letter of site 1: the
+    polynomial with those letters set to zero."""
+    return {w: c for w, c in terms.items() if all(i != 1 or a == b for i, a, b in w)}
 
 
 def _letter_bracket(g, h):

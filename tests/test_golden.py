@@ -7,8 +7,9 @@ command with ``--out tests/golden`` (``PYTHONPATH=src python -m gaudin.cli
 verify SUITE --out tests/golden``); a rank-3 report is written as
 ``verify-SUITE.json`` by ``verify SUITE --r 3`` and kept as
 ``verify-SUITE-r3.json``; the mixed-pole manin run is kept as
-``verify-manin-rational.json`` and the seed-62 one as
-``verify-manin-r3-seed62.json``.
+``verify-manin-rational.json``, the seed-62 one as
+``verify-manin-r3-seed62.json`` and the rank-3 five-site glue run, whose
+certificate brackets 66 pairs, as ``verify-glue-r3-pattern.json``.
 """
 
 import json
@@ -33,7 +34,9 @@ CASES = [(suite, ("verify", suite), f"verify-{suite}.json") for suite in SUITES]
      "verify-manin-rational.json"),
     # the 4x4 random matrix is redrawn twice for a regular leading block
     ("manin-r3-seed62", ("verify", "manin", "--r", "3", "--seed", "62"),
-     "verify-manin-r3-seed62.json")] + [
+     "verify-manin-r3-seed62.json"),
+    ("glue-r3-pattern", ("verify", "glue", "--r", "3", *PATTERN_ARGS, "--unsafe-scale"),
+     "verify-glue-r3-pattern.json")] + [
     (f"build-{what}",
      ("build", "--what", what, *(PATTERN_ARGS if what == "pattern" else ())),
      f"build-{what}.json")

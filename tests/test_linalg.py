@@ -17,7 +17,7 @@ from gaudin.linalg import (
 from gaudin.manin import _inverse
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
-from oracles import span_dimension, spans_equal
+from oracles import dense_rank, span_dimension, spans_equal
 
 
 def F(v):
@@ -254,6 +254,24 @@ def test_solve_combination_matches_sympy():
 
 def test_rank_accepts_integer_entries():
     assert rank([[1, 2, 3], [2, 4, 6], [0, 1, Fraction(1, 2)]]) == 2
+
+
+def test_rank_of_integer_rows_matches_dense_elimination():
+    # random rows pivot out of column order, so a reduction must scale the
+    # columns before the pivot too; combinations of earlier rows add no rank
+    rng = random.Random(1417)
+    deficient = 0
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(0, 3)):
+            weights = [rng.randint(-3, 3) for _ in rows]
+            rows.append([sum(w * row[k] for w, row in zip(weights, rows)) for k in range(ncols)])
+        rng.shuffle(rows)
+        assert rank(rows) == dense_rank(rows)
+        deficient += rank(rows) < min(len(rows), ncols)
+    assert deficient > 20
 
 
 def weyl_sig():

@@ -13,10 +13,12 @@ import pytest
 from gaudin import linalg, manin, suites
 from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, Packing, classical_limit, commutator,
+    lie_poisson_table,
 )
 from gaudin.gluing import iterate_pattern, parse_pattern
 from gaudin.lax import (
     LaxMatrix, bending_lax_rational, gaudin_lax, lax_from_groups, pole_site_groups,
+    spectral_invariants,
 )
 from gaudin.manin import (
     DiffOpMatrix,
@@ -39,12 +41,15 @@ from oracles import (
     commutator_manin,
     cramer_residuals,
     elementary_glue,
+    leibniz_terms,
     manin_relation,
     minor_adjugate,
+    on_diagonal_slice,
     ordered_pair_brackets,
     permutation_col_det,
     quantum_power_traces,
     random_diffop_matrix,
+    random_invariant,
     random_letter,
     random_ncpoly,
     span_dimension,
@@ -63,6 +68,28 @@ def count_products(monkeypatch, cls=DiffOpEntry) -> list[int]:
         return inner(a, b)
 
     monkeypatch.setattr(cls, "__mul__", counted)
+    return seen
+
+
+def count_sliced_brackets(monkeypatch) -> list[int]:
+    """A list that grows by one at each bracket on the table of a diagonal
+    slice (``manin._diagonal_slice``) from now on."""
+    tables, seen = [], []
+    diagonal_slice, bracket = manin._diagonal_slice, Packing.bracket
+
+    def sliced(*args):
+        out = diagonal_slice(*args)
+        if out:
+            tables.append(out[1])
+        return out
+
+    def counted(self, p, q, table=None):
+        if any(table is t for t in tables):
+            seen.append(1)
+        return bracket(self, p, q, table)
+
+    monkeypatch.setattr(manin, "_diagonal_slice", sliced)
+    monkeypatch.setattr(Packing, "bracket", counted)
     return seen
 
 
@@ -1141,13 +1168,81 @@ class TestCommutationCertificate:
             with pytest.raises(ValueError, match=r"\{x\[1,1\]@1, x\[1,2\]@1\}"):
                 commutation_matrix(gens, table=table)
 
+    def test_generic_families_at_two_pole_sets_fail_on_the_slice(self, monkeypatch):
+        # the generic r = 3 families at poles (0, 1, 2) and (0, 1, 5) do not
+        # commute with each other; every input is invariant, so every pair
+        # of S runs on the slice and each failing pair again in full
+        sig = AlgebraSignature(3, 3, Mode.CLASSICAL)
+        gens = [m for poles in ([0, 1, 2], [0, 1, 5])
+                for m in spectral_invariants(gaudin_lax(sig, poles)).exprs()]
+        full = commutation_matrix(gens, table=lie_poisson_table(sig))
+        sliced = count_sliced_brackets(monkeypatch)
+        rep = commutation_matrix(gens)
+        assert len(sliced) == rep.info["pairs"] == 45
+        assert len(rep.witnesses) == 24
+        assert rep.to_json_dict() == full.to_json_dict()
+        for w in rep.witnesses:
+            i, j = (int(label[1:]) for label in w["pair"])
+            assert w["bracket"] == NCPoly(sig, leibniz_terms(gens[i].terms, gens[j].terms)).render()
+
+    def test_an_input_off_the_invariants_is_bracketed_in_full(self, monkeypatch):
+        sliced = count_sliced_brackets(monkeypatch)
+        gens = _glued_family(3)
+        sig = gens[0].sig
+        assert commutation_matrix(gens).passed
+        assert len(sliced) == 15
+        # x[1,2]@1 folded into the last input: S is no longer invariant
+        spoiled = gens[:-1] + [gens[-1] + sig.gen(1, 1, 2)]
+        sliced.clear()
+        rep = commutation_matrix(spoiled)
+        assert not sliced
+        assert rep.passed is False
+        assert rep.to_json_dict() == commutation_matrix(
+            spoiled, table=lie_poisson_table(sig)).to_json_dict()
+        # {x[1,1]@1, x[1,2]@1} = x[1,2]@1 vanishes on the slice, so only the
+        # invariance test keeps this pair from passing there
+        c2 = AlgebraSignature(2, 2, Mode.CLASSICAL)
+        a, b = c2.gen(1, 1, 1), c2.gen(1, 1, 2)
+        assert not on_diagonal_slice(leibniz_terms(a.terms, b.terms))
+        assert self.assert_matches_oracle([a, b]).passed is False
+        assert not sliced
+
+    def test_slice_bracket_is_the_full_bracket_on_the_slice(self, rng):
+        nonzero = 0
+        for rank in (2, 3):
+            sig = AlgebraSignature(rank, 3, Mode.CLASSICAL)
+            for _ in range(8):
+                p, q = (random_invariant(rng, sig, terms=3) for _ in range(2))
+                packing = Packing(sig, p.degree + q.degree - 1)
+                forms, table = manin._diagonal_slice(packing, {0: packing.pack(p),
+                                                               1: packing.pack(q)})
+                want = on_diagonal_slice(leibniz_terms(p.terms, q.terms))
+                assert packing.bracket(forms[0], forms[1], table).terms == want
+                nonzero += bool(want)
+                spoiled = packing.pack(p + sig.gen(1, 1, 2))
+                assert manin._diagonal_slice(packing, {0: spoiled}) is None
+        assert nonzero >= 8
+
+    def test_no_slice_at_rank_one(self, monkeypatch, rng):
+        # the gl_1 Lie-Poisson bracket is zero: every input is central
+        sig = AlgebraSignature(1, 3, Mode.CLASSICAL)
+        sliced = count_sliced_brackets(monkeypatch)
+        calls = []
+        monkeypatch.setattr(manin, "_diagonal_slice", lambda *a: calls.append(a))
+        rep = commutation_matrix([random_ncpoly(rng, sig, max_degree=3) for _ in range(4)])
+        assert rep.passed
+        assert rep.info == {"central": 4, "basis": 0, "pairs": 0}
+        assert not calls and not sliced
+
     def test_glue_r3_work_counters(self, monkeypatch):
-        """The certificate packs each input and centre letter once, the rank
-        check packs each of its 24 + 18 members once and decodes each
-        distinct rest monomial of their gradients once, and the invariants
-        expand each product of basis functions once through RatFun."""
+        """The certificate packs each input, centre letter and diagonal
+        letter once and brackets its 15 pairs on the slice, the rank check
+        packs each of its 24 + 18 members once and decodes each distinct
+        rest monomial of their gradients once, and the invariants expand
+        each product of basis functions once through RatFun."""
         phase = [None]
         packs, words, products = Counter(), Counter(), []
+        sliced = count_sliced_brackets(monkeypatch)
         pack, word, mul = Packing.pack, Packing.word, RatFun.__mul__
         monkeypatch.setattr(Packing, "pack", lambda *a: packs.update([phase[0]]) or pack(*a))
         monkeypatch.setattr(Packing, "word", lambda *a: words.update([phase[0]]) or word(*a))
@@ -1163,7 +1258,8 @@ class TestCommutationCertificate:
         rep, ranks, *_ = run_suite("glue", RunConfig(rank=3))
         assert rep.passed and ranks.passed
         assert (rep.info["central"], rep.info["basis"], rep.info["pairs"]) == (10, 6, 15)
-        assert packs == {"commutation_matrix": 24 + 12, "rank_completeness_check": 24 + 18}
+        assert packs == {"commutation_matrix": 24 + 12 + 4, "rank_completeness_check": 24 + 18}
+        assert sliced == [True] * 15
         assert words["rank_completeness_check"] == 235
         assert len(products) <= 60
 
