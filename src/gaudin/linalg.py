@@ -10,7 +10,9 @@ The matrix product, power traces and column minors use only ``+``, ``-``,
 ``*`` and unary ``-`` on entries, so ``Fraction``, ``RatFun`` and the
 noncommutative sparse sums ``NCPoly``/``LaxEntry``/``DiffOpEntry`` all
 qualify; products keep the factor order they are written in.  ``col_minor``
-is the one column-determinant expansion, memoized; ``col_det`` reads it.
+is the one column-determinant expansion, memoized; ``col_det`` reads it, and
+``col_reorder`` gives a minor in any column sequence as a signed sorted minor
+plus a remainder summed over the 2x2 minors of adjacent column swaps.
 
 ``Eliminator`` takes sparse vectors (dicts key -> rational), fraction-free.
 A vector is scaled to integers by ``integer_form`` (one of ints is taken as
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
@@ -95,6 +98,85 @@ def col_minor(entries: Sequence[Sequence], rows: tuple[int, ...],
     return minor
 
 
+def _parity(seq: Sequence[int]) -> int:
+    """The parity of the number of inversions of ``seq``."""
+    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:]) % 2
+
+
+def _adjacent_term(entries: Sequence[Sequence], rows: tuple[int, ...],
+                   cols: tuple[int, ...], k: int, memo: dict):
+    """The sum over splits of the rows into P (k rows), Q (two rows) and S
+    of eps * minor(P, cols[:k]) * middle(Q) * minor(S, cols[k+2:]), eps the
+    sign of the row order P, Q, S; or None when every middle is zero.
+
+    With a, b = cols[k], cols[k+1], middle(Q) is minor(Q, (a, b)) +
+    minor(Q, (b, a)) when a != b, and minor(Q, (a, a)) when they are equal.
+    The generalized Laplace expansion along columns k and k+1 makes the sum
+    col_minor(rows, cols) plus the minor with a and b swapped, or, for a = b,
+    col_minor(rows, cols) itself; the factors stay in column order, so this
+    holds in any associative ring.  A zero middle is skipped before its
+    outer minors are read."""
+    a, b = cols[k], cols[k + 1]
+    head, tail = cols[:k], cols[k + 2:]
+    m = len(rows)
+    total = None
+    for q in combinations(range(m), 2):
+        pair = (rows[q[0]], rows[q[1]])
+        middle = col_minor(entries, pair, (a, b), memo)
+        if a != b:
+            middle = middle + col_minor(entries, pair, (b, a), memo)
+        if not middle:
+            continue
+        rest = [i for i in range(m) if i not in q]
+        for p in combinations(rest, k):
+            s = tuple(i for i in rest if i not in p)
+            term = middle
+            if head:
+                term = col_minor(entries, tuple(rows[i] for i in p), head, memo) * term
+            if tail:
+                term = term * col_minor(entries, tuple(rows[i] for i in s), tail, memo)
+            if _parity(p + q + s):
+                term = -term
+            total = term if total is None else total + term
+    return total
+
+
+def col_reorder(entries: Sequence[Sequence], rows: tuple[int, ...],
+                cols: Sequence[int], memo: dict) -> tuple[int, object]:
+    """(s, R) with col_minor(rows, cols) = s * col_minor(rows, sorted(cols)) + R
+    for the ascending ``rows`` and a column sequence ``cols``: s is the sign
+    of the permutation that sorts ``cols``, or 0 when a column repeats, and
+    R is None when it is zero.
+
+    ``cols`` is sorted by adjacent swaps, as in a bubble sort.  A descent
+    (a, b) at positions k, k+1 is swapped, since minor(c) = term -
+    minor(c with a and b swapped) for the term of ``_adjacent_term``, and an
+    adjacent repeated column ends the walk, since then minor(c) = term; R
+    sums those terms, each with the sign reached before its step.  On a column Manin matrix every middle term is a column or
+    cross residual of ``manin.is_manin``, zero, so R is None and nothing
+    is multiplied; the 2x2 minors are read from ``memo``, as ``col_minor``
+    keeps them, and so are the outer minors of a nonzero middle."""
+    cols = list(cols)
+    sign, residual = 1, None
+    k = 0
+    while k < len(cols) - 1:
+        a, b = cols[k], cols[k + 1]
+        if a < b:
+            k += 1
+            continue
+        term = _adjacent_term(entries, rows, tuple(cols), k, memo)
+        if term is not None:
+            term = term if sign > 0 else -term
+            residual = term if residual is None else residual + term
+        if a == b:
+            sign = 0
+            break
+        cols[k], cols[k + 1] = b, a
+        sign = -sign
+        k = max(k - 1, 0)
+    return sign, residual or None
+
+
 def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = None,
             memo: dict | None = None):
     """Column determinant of a nonempty square matrix.
@@ -113,8 +195,7 @@ def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = No
     if sorted(cols) != list(range(n)):
         raise ValueError(f"column order must be a permutation of 0..{n - 1}")
     det = col_minor(entries, tuple(range(n)), cols, {} if memo is None else memo)
-    odd = sum(cols[i] > cols[j] for i in range(n) for j in range(i + 1, n)) % 2
-    return -det if odd else det
+    return -det if _parity(cols) else det
 
 
 def integer_form(coeffs: Mapping[Hashable, Fraction]) -> tuple[int, dict[Hashable, int]]:

@@ -68,6 +68,11 @@ class DiffOpMatrix:
         ``cols``, read from the matrix's table (see ``linalg.col_minor``)."""
         return linalg.col_minor(self.entries, rows, cols, self._minors)
 
+    def col_reorder(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[int, object]:
+        """(s, R) with col_minor(rows, cols) = s * col_minor(rows, sorted(cols)) + R,
+        read from the matrix's table (see ``linalg.col_reorder``)."""
+        return linalg.col_reorder(self.entries, rows, cols, self._minors)
+
     def det(self):
         """det_col of the matrix in the default column order."""
         return col_det(self)
@@ -168,19 +173,27 @@ def col_det(M: DiffOpMatrix, column_order: tuple[int, ...] | None = None):
 
 
 def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
-    """Evaluate the column expansion in every column order and compare with
-    the default order's; n! determinants in all."""
+    """Compare the column expansion in every column order with the default
+    order's.
+
+    det_col in the default order is formed once, in the matrix's table.
+    For each other order s, det_s - det_col is sgn(s) * R with R the
+    remainder of ``DiffOpMatrix.col_reorder`` on all rows, a sum over the
+    2x2 minors of the adjacent column swaps that sort s: on a Manin matrix
+    each of them is one of ``is_manin``'s residuals, zero, and no other
+    determinant is formed."""
     n = M.size
     if n > 4:
         raise ValueError("column-order sweep is limited to n <= 4")
-    reference = M.det()
+    M.det()     # the determinant every other order is stated against
+    rows = tuple(range(n))
     witnesses = []
     for order in islice(permutations(range(n)), 1, None):    # skip the identity
-        other = col_det(M, order)
-        if other != reference:
+        sign, difference = M.col_reorder(rows, order)
+        if difference:
             witnesses.append({
                 "order": [c + 1 for c in order],
-                "difference": _render_entry(M.sig, other - reference),
+                "difference": _render_entry(M.sig, difference if sign > 0 else -difference),
             })
     return CheckReport(
         check="column_order_invariance",
@@ -201,26 +214,21 @@ def manin_property_suite(M: DiffOpMatrix) -> list[CheckReport]:
     reports = [is_manin(M)]
     n = M.size
 
-    # Left Cramer formula: adj(M) M = det_col(M) Id.  (adj(M) M)_ij is the
-    # minor on all rows and the columns other than i followed by j.  For
-    # i = j that is det_col in another column order, as large as det_col(M);
-    # read once unless the sweep kept it.  For j among the other columns the
-    # expansion along the first column ends in is_manin's minors on (j, j),
-    # zero on a Manin matrix.
-    det = M.det()
+    # Left Cramer formula: adj(M) M = det_col(M) Id.  (adj(M) M)_ij is
+    # (-1)^(i+n-1) times the minor on all rows and the columns other than i
+    # followed by j.  Sorted, those columns are the default order when
+    # i = j, with sign (-1)^(n-1-i), and repeat j otherwise, so the entry
+    # less delta_ij det_col is (-1)^(i+n-1) R, R the remainder of
+    # ``DiffOpMatrix.col_reorder``: a sum over 2x2 minors that is zero on a
+    # Manin matrix, and no minor of another column order is formed.
     rows = tuple(range(n))
     witnesses = []
     for i in range(n):
         others = rows[:i] + rows[i + 1:]
         for j in range(n):
-            key = (rows, others + (j,))
-            read_once = i == j and key not in M._minors
-            entry = M.col_minor(*key)
-            if read_once:
-                M._minors.pop(key, None)     # a 1x1 matrix keeps no minors
-            entry = -entry if (i + n - 1) % 2 else entry
-            res = entry - det if i == j else entry
+            res = M.col_reorder(rows, others + (j,))[1]
             if res:
+                res = -res if (i + n - 1) % 2 else res
                 witnesses.append({"position": [i + 1, j + 1],
                                   "residual": _render_entry(M.sig, res)})
     reports.append(CheckReport(

@@ -15,8 +15,10 @@ states each relation once, and ``commutator_manin`` states each relation by
 entry commutators, where ``is_manin`` reads 2x2 column minors.  The
 permutation-sum column determinant ``permutation_col_det`` and the adjugate
 ``minor_adjugate`` built from it on minor copies are the references for the
-memoized Laplace expansion ``linalg.col_minor`` and for the Cramer check that
-reads its entries from it.  ``cayley_hamilton_residual`` sums the
+memoized Laplace expansion ``linalg.col_minor``, for the remainders of
+``linalg.col_reorder`` and for the column-order sweep and the Cramer check
+that read them; ``letter_matrix`` and ``noncommuting_operator_matrix`` are
+seeded non-Manin matrices for those comparisons.  ``cayley_hamilton_residual`` sums the
 characteristic polynomial of a matrix power by power, each coefficient
 written on the left of its power, and is the reference for the Horner sum
 of the Cayley-Hamilton check.  ``quantum_power_traces`` runs the
@@ -429,6 +431,34 @@ def random_diffop_matrix(rng: random.Random, sig: AlgebraSignature, n: int,
                 row.append(DiffOpEntry(sig, {0: lax(None), 1: lax(None)}))
         rows.append(row)
     return DiffOpMatrix(sig, rows)
+
+
+def noncommuting_operator_matrix(n: int) -> DiffOpMatrix:
+    """A seeded n x n matrix whose entries are one letter of any site times
+    a + b/(z - p), plus c d/dz: entries of one column do not commute, and
+    d/dz does not commute with the coefficients.  One letter per entry keeps
+    the 4! x 4! products of the permutation oracle cheap."""
+    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+    rng = random.Random(n)
+
+    def entry():
+        f = RatFun.const(rng.randint(-2, 2)) + RatFun.one_over_z_minus(
+            rng.randint(0, 1)).scale(rng.randint(1, 2))
+        lax = LaxEntry.from_terms(sig, [((random_letter(rng, sig),), f)])
+        return DiffOpEntry(sig, {0: lax, 1: LaxEntry.one(sig).scale(rng.randint(1, 2))})
+
+    return DiffOpMatrix(sig, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def letter_matrix(n: int) -> list[list[NCPoly]]:
+    """A seeded n x n matrix of sums of two letters of any site of gl2 on two
+    sites, with small integer coefficients: entries of one column do not
+    commute, and no entry carries z or d/dz."""
+    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
+    rng = random.Random(100 + n)
+    return [[NCPoly.from_terms(sig, [((random_letter(rng, sig),), rng.choice((-2, -1, 1, 3)))
+                                     for _ in range(2)])
+             for _ in range(n)] for _ in range(n)]
 
 
 def all_position_pairs_manin(M: DiffOpMatrix) -> list[dict]:

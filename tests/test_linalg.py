@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -9,6 +11,7 @@ from gaudin.linalg import (
     _Tag,
     col_det,
     col_minor,
+    col_reorder,
     matmul,
     power_traces,
     rank,
@@ -17,7 +20,14 @@ from gaudin.linalg import (
 from gaudin.manin import _inverse
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 
-from oracles import dense_rank, span_dimension, spans_equal
+from oracles import (
+    dense_rank,
+    letter_matrix,
+    noncommuting_operator_matrix,
+    permutation_col_det,
+    span_dimension,
+    spans_equal,
+)
 
 
 def F(v):
@@ -325,3 +335,54 @@ def test_col_minor_of_commuting_entries_is_alternating_in_its_columns():
 def test_col_det_rejects_bad_column_order(order):
     with pytest.raises(ValueError):
         col_det([[F(1), F(2)], [F(3), F(4)]], order)
+
+
+def column_sequences(n: int) -> list[tuple[int, ...]]:
+    """Every ordering of 0..n-1 and every length-n sequence in which one
+    column appears twice and the others at most once."""
+    seqs = set(permutations(range(n)))
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                multiset = [c for c in range(n) if c != b] + [a]
+                seqs.update(permutations(multiset))
+    return sorted(seqs)
+
+
+@pytest.mark.parametrize("kind", ["letters", "operators"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_col_reorder_matches_the_permutation_sum(kind, n):
+    # noncommuting entries, with d/dz parts for the operators: not Manin,
+    # so the remainder R is the full difference from the sorted minor
+    E = letter_matrix(n) if kind == "letters" else noncommuting_operator_matrix(n).entries
+    rows = tuple(range(n))
+    memo: dict = {}
+    seqs = column_sequences(n)
+    assert len(seqs) == factorial(n) * (1 + n * (n - 1) // 2)
+    reference = permutation_col_det(E)
+    nonzero = 0
+    for cols in seqs:
+        s, R = col_reorder(E, rows, cols, memo)
+        minor = permutation_col_det([[E[r][c] for c in cols] for r in rows])
+        if len(set(cols)) < n:
+            assert s == 0
+            difference = minor
+        else:
+            assert s == (-1) ** sum(x > y for i, x in enumerate(cols) for y in cols[i + 1:])
+            difference = minor - reference if s > 0 else minor + reference
+        assert (R is None) == (not difference)
+        if R is not None:
+            assert R == difference
+            nonzero += 1
+    assert nonzero or n == 1
+
+
+def test_col_reorder_on_a_commuting_matrix_reads_only_2x2_minors():
+    M = [[F(2), F(-1), F(3)], [F(1), F(4), F(0)], [F(5), F(2), F(1)]]
+    memo: dict = {}
+    for cols in column_sequences(3):
+        s, R = col_reorder(M, (0, 1, 2), cols, memo)
+        assert R is None
+        assert s * col_det(M) == col_minor(M, (0, 1, 2), cols, {})
+    # only the 2x2 minors of the adjacent swaps are read
+    assert {len(rows) for rows, _ in memo} == {2}

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, factorial
 from operator import add
 
@@ -43,7 +43,9 @@ from oracles import (
     elementary_glue,
     leibniz_terms,
     manin_relation,
+    letter_matrix,
     minor_adjugate,
+    noncommuting_operator_matrix,
     on_diagonal_slice,
     ordered_pair_brackets,
     permutation_col_det,
@@ -225,8 +227,8 @@ class TestIsManinOracle:
         rep = column_order_invariance(
             const_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
         assert rep.passed and rep.params["orders"] == factorial(n)
-        assert len(seen) == factorial(n)
-        assert seen[0] is None and tuple(range(n)) not in seen
+        # the default order only: every other order is read from 2x2 minors
+        assert seen == [None]
 
 
 class TestColDet:
@@ -410,11 +412,12 @@ class TestDeterminantCache:
         products = count_products(monkeypatch)
         assert column_order_invariance(M).passed
         assert all(r.passed is not False for r in manin_property_suite(M))
-        # the sweep: 6 orders of 3 products and the 18 minors on two rows and
-        # two distinct columns (36); is_manin: the 9 minors on a repeated
-        # column (18); Cramer: the 6 off-diagonal entries (18).  Without the
-        # table the same checks made 171.
-        assert len(products) == 36 + 18 + 18 + 18 == 90
+        # the sweep: det_col in the default order (3 products) and the 18
+        # minors on two rows and two distinct columns (36) that its column
+        # swaps read; is_manin: the 9 minors on a repeated column (18);
+        # Cramer reads only those 2x2 minors.  Expanding every column order
+        # and every Cramer entry made 90, and without the table 171.
+        assert len(products) == 3 + 36 + 18 == 57
 
     def test_second_sweep_reads_the_table(self, monkeypatch):
         M = self.gaudin_gl3_n3()
@@ -427,13 +430,14 @@ class TestDeterminantCache:
         assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
 
     def test_cramer_keeps_no_other_column_order(self):
-        # without a sweep, the diagonal Cramer entries in column orders
-        # other than the default are read once and not kept
+        # without a sweep, Cramer reads its entries from the 2x2 minors of
+        # is_manin and forms no minor on all rows, in any column order
         M = self.gaudin_gl3_n3()
         manin_property_suite(M)
         orders = {cols for rows, cols in M._minors
                   if len(rows) == M.size and len(set(cols)) == M.size}
-        assert orders == {(0, 1, 2)}
+        assert orders == set()
+        assert {len(rows) for rows, cols in M._minors} == {2}
 
     def test_cached_values_match_fresh_determinants(self):
         M = manin_case("gaudin-gl3")
@@ -452,27 +456,11 @@ class TestDeterminantCache:
             assert value == permutation_col_det([[E[r][c] for c in cols] for r in rows])
 
 
-def noncommuting_operator_matrix(n: int) -> DiffOpMatrix:
-    """A seeded n x n matrix whose entries are one letter of any site times
-    a + b/(z - p), plus c d/dz: entries of one column do not commute, and
-    d/dz does not commute with the coefficients.  One letter per entry keeps
-    the 4! x 4! products of the permutation oracle cheap."""
-    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-    rng = random.Random(n)
-
-    def entry():
-        f = RatFun.const(rng.randint(-2, 2)) + RatFun.one_over_z_minus(
-            rng.randint(0, 1)).scale(rng.randint(1, 2))
-        lax = LaxEntry.from_terms(sig, [((random_letter(rng, sig),), f)])
-        return DiffOpEntry(sig, {0: lax, 1: LaxEntry.one(sig).scale(rng.randint(1, 2))})
-
-    return DiffOpMatrix(sig, [[entry() for _ in range(n)] for _ in range(n)])
-
-
 class TestMinorTableOracle:
     """On random non-Manin matrices with noncommuting entries and d/dz parts,
-    the memoized expansion agrees with the permutation sum and the minor-copy
-    adjugate, witnesses included."""
+    the memoized expansion, the sweep's differences and the Cramer entries
+    agree with the permutation sum and the minor-copy adjugate, witnesses
+    included."""
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_col_det_in_every_column_order(self, n):
@@ -482,6 +470,19 @@ class TestMinorTableOracle:
             assert linalg.col_det(E, order, memo) == permutation_col_det(E, order)
 
     @pytest.mark.parametrize("n", [3, 4])
+    def test_sweep_witnesses_match_the_permutation_sums(self, n):
+        M = noncommuting_operator_matrix(n)
+        E = M.entries
+        rep = column_order_invariance(M)
+        reference = permutation_col_det(E)
+        differences = [{"order": [c + 1 for c in order],
+                        "difference": (permutation_col_det(E, order) - reference).render()}
+                       for order in islice(permutations(range(n)), 1, None)]
+        assert rep.passed is False
+        assert rep.witnesses == [d for d in differences if d["difference"] != "0"]
+        assert len(rep.witnesses) == factorial(n) - 1
+
+    @pytest.mark.parametrize("n", [3, 4])
     def test_witnesses_match_the_commutator_and_adjugate_formulas(self, n):
         M = noncommuting_operator_matrix(n)
         reports = {r.check: r for r in manin_property_suite(M)}
@@ -489,17 +490,6 @@ class TestMinorTableOracle:
         assert reports["is_manin"].witnesses == commutator_manin(M)
         assert reports["cramer"].passed is False
         assert reports["cramer"].witnesses == cramer_residuals(M)
-
-
-def letter_matrix(n: int) -> list[list[NCPoly]]:
-    """A seeded n x n matrix of sums of two letters of any site of gl2 on two
-    sites, with small integer coefficients: entries of one column do not
-    commute, and no entry carries z or d/dz."""
-    sig = AlgebraSignature(2, 2, Mode.QUANTUM)
-    rng = random.Random(100 + n)
-    return [[NCPoly.from_terms(sig, [((random_letter(rng, sig),), rng.choice((-2, -1, 1, 3)))
-                                     for _ in range(2)])
-             for _ in range(n)] for _ in range(n)]
 
 
 def expansion_case(name: str) -> list[list]:
@@ -664,14 +654,14 @@ class TestManinWork:
     runs on it, the cross-site matrix multiplies NCPoly letters, and only
     d/dz - L and the Weyl control hold DiffOpEntry values."""
 
-    @pytest.mark.parametrize("rank, calls", [(2, 16), (3, 135)])
+    @pytest.mark.parametrize("rank, calls", [(2, 16), (3, 111)])
     def test_cross_site_suite(self, monkeypatch, rank, calls):
         M = _cross_site_manin(rank)
         products = count_products(monkeypatch, NCPoly)
         assert all(r.passed is not False for r in manin_property_suite(M))
         assert len(products) == calls
 
-    @pytest.mark.parametrize("rank, calls, lax_calls", [(2, 23, 59), (3, 98, 241)])
+    @pytest.mark.parametrize("rank, calls, lax_calls", [(2, 23, 59), (3, 65, 143)])
     def test_manin_suite(self, monkeypatch, rank, calls, lax_calls):
         products = count_products(monkeypatch)
         lax_products = count_products(monkeypatch, LaxEntry)
