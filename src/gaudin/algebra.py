@@ -55,7 +55,10 @@ nonzero fields, and ``Packing.mask`` tests one for a set of letters with
 one ``&``.  ``Packing.bracket`` is the one classical bracket engine:
 for each letter h of q it forms X_h = sum_g {g, h} dp/dg once, drops its
 zeros and multiplies it by dq/dh, and it decodes only the nonzero output
-terms back to sorted words.
+terms back to sorted words.  Without a letter table it reads the
+Lie-Poisson rule from ``_letter_bracket``, the rule's one encoding, which
+straightening shares; a mask of letters drops the X_h terms holding one,
+which is how ``manin.commutation_matrix`` brackets on its diagonal slice.
 ``poisson_bracket`` packs its two operands at the width that
 deg p + deg q - 1 needs; ``manin.commutation_matrix`` packs each input and
 centre letter once at one width for the whole certificate, and
@@ -165,23 +168,6 @@ def _letter_bracket(g: Letter, h: Letter) -> list[tuple[Letter, int]]:
     if d == a:
         out.append(((i, c, b), -1))
     return out
-
-
-def lie_poisson_table(sig: AlgebraSignature, zero: Iterable[Letter] = ()) -> LetterTable:
-    """The Lie-Poisson bracket as a letter table, every letter of ``zero``
-    dropped from its values.  On operands whose gradients have those
-    letters set to zero, ``Packing.bracket`` with this table gives the
-    Lie-Poisson bracket with them set to zero."""
-    zero = set(zero)
-    rules = {}
-    for i in range(1, sig.sites + 1):     # letters at two sites bracket to zero
-        site = [(i, a, b) for a in range(1, sig.rank + 1) for b in range(1, sig.rank + 1)]
-        for g in site:
-            for h in site:
-                rule = [(x, k) for x, k in _letter_bracket(g, h) if x not in zero]
-                if rule:
-                    rules[(g, h)] = rule
-    return 1, rules
 
 
 # Callers pass ``straighten_word`` single-site words only (see the module
@@ -697,14 +683,19 @@ class Packing:
                     prev = g
         return d, PackedPoly(p.sig, packed), grad
 
-    def bracket(self, p: Packed, q: Packed, table: LetterTable | None = None) -> NCPoly:
+    def bracket(self, p: Packed, q: Packed, table: LetterTable | None = None,
+                zero: int = 0) -> NCPoly:
         """The classical bracket engine: {p, q} of two packed operands, the
         Lie-Poisson bracket without a table (see ``poisson_bracket``).
 
         {p, q} = sum_h X_h * dq/dh with X_h = sum_g {g, h} * dp/dg, each
-        X_h formed once, its zeros dropped.  Every exponent of the result is
-        at most deg p + deg q - 1, which the packing must hold.  Only the
-        nonzero output terms are decoded back to sorted words."""
+        X_h formed once, its zeros dropped, and so are its terms holding a
+        letter of the mask ``zero`` (see ``mask``).  On operands whose
+        gradients hold none of those letters, that is the bracket with them
+        set to zero: a gradient term r times a rule value u holds one
+        exactly when u does.  Every exponent of the result is at most deg p + deg q - 1,
+        which the packing must hold.  Only the nonzero output terms are
+        decoded back to sorted words."""
         dp, _, grad_p = p
         dq, _, grad_q = q
         unit = self.unit
@@ -729,7 +720,7 @@ class Packing:
                     for r, c in left.items():
                         key = r + u
                         x[key] = xget(key, 0) + c * k
-            x = [(r, c) for r, c in x.items() if c]
+            x = [(r, c) for r, c in x.items() if c and not r & zero]
             for r2, c2 in right.items():
                 for r1, c1 in x:
                     key = r1 + r2
@@ -785,15 +776,8 @@ def diagonal_generators(sig: AlgebraSignature) -> list[NCPoly]:
     return out
 
 
-def bracket(p: NCPoly, q: NCPoly, table: LetterTable | None = None) -> NCPoly:
-    """Mode-appropriate bracket: commutator or Poisson bracket.
-
-    A letter ``table`` (Classical mode only) is passed to ``poisson_bracket``.
-    """
+def bracket(p: NCPoly, q: NCPoly) -> NCPoly:
+    """Mode-appropriate bracket: commutator or Lie-Poisson bracket."""
     if p.sig.is_quantum:
-        if table is not None:
-            raise ModeError("a letter table defines a Poisson bracket; "
-                            "Quantum mode uses the commutator")
         return commutator(p, q)
-    return poisson_bracket(p, q, table)
-
+    return poisson_bracket(p, q)

@@ -177,25 +177,20 @@ def col_reorder(entries: Sequence[Sequence], rows: tuple[int, ...],
     return sign, residual or None
 
 
-def col_det(entries: Sequence[Sequence], column_order: Sequence[int] | None = None,
-            memo: dict | None = None):
+def col_det(entries: Sequence[Sequence], memo: dict | None = None):
     """Column determinant of a nonempty square matrix.
 
     The signed sum over permutations s of the products of the entries
-    (s(c), c), taken column by column in ``column_order`` (default 0..n-1),
-    the first column's factor written first: the order's sign times
-    ``col_minor`` on all rows, expanded along the order's first column, with
-    its ``memo``.  The memo then holds, for each order read, the minors on
-    the order's column suffixes.
+    (s(c), c), taken column by column, the first column's factor written
+    first: ``col_minor`` on all rows and columns, expanded along the first
+    column, with its ``memo``.  The memo then holds the minors on the
+    column suffixes.  Another column order is read with ``col_reorder``.
     """
     n = len(entries)
     if n == 0:
         raise ValueError("column determinant of an empty matrix")
-    cols = tuple(range(n)) if column_order is None else tuple(column_order)
-    if sorted(cols) != list(range(n)):
-        raise ValueError(f"column order must be a permutation of 0..{n - 1}")
-    det = col_minor(entries, tuple(range(n)), cols, {} if memo is None else memo)
-    return -det if _parity(cols) else det
+    full = tuple(range(n))
+    return col_minor(entries, full, full, {} if memo is None else memo)
 
 
 def integer_form(coeffs: Mapping[Hashable, Fraction]) -> tuple[int, dict[Hashable, int]]:

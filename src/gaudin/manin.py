@@ -26,8 +26,7 @@ from .algebra import (
     SignatureMismatchError,
     SparseSum,
     antisymmetry_residuals,
-    bracket,
-    lie_poisson_table,
+    commutator,
 )
 from . import linalg
 from .lax import LaxMatrix, pole_site_groups
@@ -72,10 +71,6 @@ class DiffOpMatrix:
         """(s, R) with col_minor(rows, cols) = s * col_minor(rows, sorted(cols)) + R,
         read from the matrix's table (see ``linalg.col_reorder``)."""
         return linalg.col_reorder(self.entries, rows, cols, self._minors)
-
-    def det(self):
-        """det_col of the matrix in the default column order."""
-        return col_det(self)
 
     @cached_property
     def minor_sums(self) -> list:
@@ -162,30 +157,28 @@ def is_manin(M: DiffOpMatrix) -> CheckReport:
     )
 
 
-def col_det(M: DiffOpMatrix, column_order: tuple[int, ...] | None = None):
+def col_det(M: DiffOpMatrix):
     """Column determinant: signed sum over permutations with factors taken
     column by column, the first column's factor written first (see
     ``linalg.col_det``), read from the matrix's table of minors.  The empty
     matrix has determinant 1."""
     if not M.entries:
         return DiffOpEntry.one(M.sig)
-    return linalg.col_det(M.entries, column_order, M._minors)
+    return linalg.col_det(M.entries, M._minors)
 
 
 def column_order_invariance(M: DiffOpMatrix) -> CheckReport:
     """Compare the column expansion in every column order with the default
     order's.
 
-    det_col in the default order is formed once, in the matrix's table.
     For each other order s, det_s - det_col is sgn(s) * R with R the
     remainder of ``DiffOpMatrix.col_reorder`` on all rows, a sum over the
     2x2 minors of the adjacent column swaps that sort s: on a Manin matrix
-    each of them is one of ``is_manin``'s residuals, zero, and no other
+    each of them is one of ``is_manin``'s residuals, zero, and no
     determinant is formed."""
     n = M.size
     if n > 4:
         raise ValueError("column-order sweep is limited to n <= 4")
-    M.det()     # the determinant every other order is stated against
     rows = tuple(range(n))
     witnesses = []
     for order in islice(permutations(range(n)), 1, None):    # skip the identity
@@ -475,26 +468,27 @@ def _diagonal_letters(sig: AlgebraSignature) -> list[NCPoly]:
     return out
 
 
-def _diagonal_slice(packing: Packing, forms: dict) -> tuple[dict, LetterTable] | None:
-    """The packed ``forms`` and the Lie-Poisson letter table on the slice
-    where the site-1 matrix X_1 is diagonal, or None when one of the forms
-    is not invariant under the diagonal GL_r (``_diagonal_letters``).
+def _diagonal_slice(packing: Packing, forms: dict) -> tuple[dict, int] | None:
+    """The packed ``forms`` on the slice where the site-1 matrix X_1 is
+    diagonal, with the ``packing.mask`` of the r^2 - r off-diagonal letters
+    of site 1, or None when one of the forms is not invariant under the
+    diagonal GL_r (``_diagonal_letters``).
 
-    On the slice the r^2 - r off-diagonal letters of site 1 vanish, so a
-    form drops every gradient term that holds one of them, and the table
-    drops them from its values: the slice bracket of two forms is their
-    full bracket with those letters set to zero."""
+    On the slice those letters vanish, so a form drops every gradient term
+    that holds one of them, and ``Packing.bracket`` with the mask drops them
+    from the rule's values: the slice bracket of two forms is their full
+    bracket with those letters set to zero."""
     sig = packing.sig
     diagonal = [packing.pack(x) for x in _diagonal_letters(sig)]
     if any(packing.bracket(f, x) for f in forms.values() for x in diagonal):
         return None
-    off = [(1, a, b) for a in range(1, sig.rank + 1) for b in range(1, sig.rank + 1) if a != b]
-    mask = packing.mask(off)
+    off = packing.mask((1, a, b) for a in range(1, sig.rank + 1)
+                       for b in range(1, sig.rank + 1) if a != b)
     sliced = {}
     for i, (d, numerators, grad) in forms.items():
-        grad = {g: {r: c for r, c in part.items() if not r & mask} for g, part in grad.items()}
+        grad = {g: {r: c for r, c in part.items() if not r & off} for g, part in grad.items()}
         sliced[i] = d, numerators, {g: part for g, part in grad.items() if part}
-    return sliced, lie_poisson_table(sig, off)
+    return sliced, off
 
 
 def _generating_set(forms: list, degrees: list[int], central: list[int],
@@ -569,9 +563,10 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     A witness is a failing pair of S, both of them inputs, with its
     bracket.  ``info`` records the central inputs, the size of S and the
     pairs bracketed.  A classical letter ``table`` replaces the Lie-Poisson
-    rule (see ``algebra.poisson_bracket``); one that is not antisymmetric
-    raises ``ValueError`` naming a failing letter pair, and in Quantum mode
-    any table raises ``ModeError``.
+    rule (see ``algebra.poisson_bracket``) and gets neither the Chevalley
+    centre letters nor the slice; one that is not antisymmetric raises
+    ``ValueError`` naming a failing letter pair, and in Quantum mode any
+    table raises ``ModeError``.
     """
     if labels is not None and len(labels) != len(gens):
         raise ValueError(f"{len(labels)} labels for {len(gens)} generators")
@@ -582,7 +577,10 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     for g in gens[1:]:
         if g.sig != sig:
             raise SignatureMismatchError("generators live over mixed signatures")
-    if table is not None and not sig.is_quantum:
+    if table is not None:
+        if sig.is_quantum:
+            raise ModeError("a letter table defines a Poisson bracket; "
+                            "Quantum mode uses the commutator")
         failing = next(antisymmetry_residuals(table), None)
         if failing:
             x, y = (sig.gen(*g).render() for g in failing[:2])
@@ -597,8 +595,7 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
         def pack(g) -> tuple:
             return g, g
 
-        def br(a, b) -> NCPoly:
-            return bracket(a, b, table)
+        br = commutator
     else:
         packing = Packing(sig, 2 * max(degrees) - 1)
         letters = [packing.pack(x) for x in letters]
@@ -627,12 +624,12 @@ def commutation_matrix(gens: list[NCPoly], labels: list | None = None,
     forms = {i: forms[i] for i in basis}
     del products
     pairs = list(combinations(basis, 2))
-    sliced, slice_table = {}, None
+    sliced, off = {}, 0
     if pairs and table is None and not sig.is_quantum:
-        sliced, slice_table = _diagonal_slice(packing, forms) or ({}, None)
+        sliced, off = _diagonal_slice(packing, forms) or ({}, 0)
     witnesses = []
     for i, j in pairs:
-        if sliced and not packing.bracket(sliced[i], sliced[j], slice_table):
+        if sliced and not packing.bracket(sliced[i], sliced[j], zero=off):
             continue
         res = br(forms[i], forms[j])
         if not res.is_zero():

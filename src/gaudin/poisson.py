@@ -379,10 +379,17 @@ def compatibility_check(first: PoissonOperator, second: PoissonOperator,
 
 def family_commutes_under(op: PoissonOperator, family: InvariantFamily) -> CheckReport:
     """Whether the family members commute pairwise under the operator's
-    bracket, certified by ``commutation_matrix`` on its letter table, which
-    refuses an operator that is not antisymmetric."""
+    bracket, certified by ``commutation_matrix``.  The standard operator is
+    the Lie-Poisson bracket, so it goes down that path with no table and
+    gets the Chevalley centre letters and the diagonal slice; any other
+    operator is compiled to its letter table, which the certificate refuses
+    when it is not antisymmetric."""
     members = family.members
-    table = letter_table(op, members[0].expr.sig) if len(members) > 1 else (1, {})
+    sig = members[0].expr.sig
+    _check_signature(op, sig)
+    table = (1, {})
+    if len(members) > 1:
+        table = None if op == standard_operator(op.sites) else letter_table(op, sig)
     rep = commutation_matrix(family.exprs(), [m.provenance for m in members], table)
     rep.check = "family_commutes"
     rep.params = {"spec": op.name, "family": family.label, "members": len(members)}

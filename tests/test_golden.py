@@ -9,7 +9,9 @@ verify SUITE --out tests/golden``); a rank-3 report is written as
 ``verify-SUITE-r3.json``; the mixed-pole manin run is kept as
 ``verify-manin-rational.json``, the seed-62 one as
 ``verify-manin-r3-seed62.json`` and the rank-3 five-site glue run, whose
-certificate brackets 66 pairs, as ``verify-glue-r3-pattern.json``.
+certificate brackets 66 pairs, as ``verify-glue-r3-pattern.json`` and the
+rank-3 four-site bending run, whose standard certificate brackets 36 pairs,
+as ``verify-bending-r3n4.json``.
 """
 
 import json
@@ -36,7 +38,9 @@ CASES = [(suite, ("verify", suite), f"verify-{suite}.json") for suite in SUITES]
     ("manin-r3-seed62", ("verify", "manin", "--r", "3", "--seed", "62"),
      "verify-manin-r3-seed62.json"),
     ("glue-r3-pattern", ("verify", "glue", "--r", "3", *PATTERN_ARGS, "--unsafe-scale"),
-     "verify-glue-r3-pattern.json")] + [
+     "verify-glue-r3-pattern.json"),
+    ("bending-r3n4", ("verify", "bending", "--r", "3", "--sites", "4"),
+     "verify-bending-r3n4.json")] + [
     (f"build-{what}",
      ("build", "--what", what, *(PATTERN_ARGS if what == "pattern" else ())),
      f"build-{what}.json")

@@ -312,9 +312,10 @@ def test_col_det_takes_factors_column_by_column():
     d = DiffOpEntry.partial(sig)
     z = DiffOpEntry.from_entry(LaxEntry.scalar(sig, RatFun.z()))
     M = [[d, d], [z, z]]
-    # M00 M11 - M10 M01 = d z - z d = 1; the other column order gives -1.
+    # M00 M11 - M10 M01 = d z - z d = 1; the other column order gives -1,
+    # the order's sign times the minor on the columns (1, 0), M01 M10 - M11 M00 = 1
     assert col_det(M) == M[0][0] * M[1][1] - M[1][0] * M[0][1] == DiffOpEntry.one(sig)
-    assert col_det(M, (1, 0)) == -DiffOpEntry.one(sig)
+    assert col_minor(M, (0, 1), (1, 0), {}) == DiffOpEntry.one(sig)
 
 
 def test_col_minor_of_commuting_entries_is_alternating_in_its_columns():
@@ -329,12 +330,6 @@ def test_col_minor_of_commuting_entries_is_alternating_in_its_columns():
     assert memo[rows, (0, 1, 2)] == col_det(M) == F(-45)
     # one entry per minor of two or more columns, none for single entries
     assert all(len(cols) >= 2 and len(r) == len(cols) for r, cols in memo)
-
-
-@pytest.mark.parametrize("order", [(0, 0), (0,), (0, 2), (1, 0, 2)])
-def test_col_det_rejects_bad_column_order(order):
-    with pytest.raises(ValueError):
-        col_det([[F(1), F(2)], [F(3), F(4)]], order)
 
 
 def column_sequences(n: int) -> list[tuple[int, ...]]:

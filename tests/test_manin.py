@@ -13,7 +13,6 @@ import pytest
 from gaudin import linalg, manin, suites
 from gaudin.algebra import (
     AlgebraSignature, Mode, ModeError, NCPoly, Packing, classical_limit, commutator,
-    lie_poisson_table,
 )
 from gaudin.gluing import iterate_pattern, parse_pattern
 from gaudin.lax import (
@@ -32,6 +31,7 @@ from gaudin.manin import (
     talalaev_coefficients,
     talalaev_generators,
 )
+from gaudin.poisson import letter_table, standard_operator
 from gaudin.ratfun import DiffOpEntry, LaxEntry, RatFun
 from gaudin.suites import RunConfig, _cross_site_manin, run_suite
 
@@ -74,21 +74,21 @@ def count_products(monkeypatch, cls=DiffOpEntry) -> list[int]:
 
 
 def count_sliced_brackets(monkeypatch) -> list[int]:
-    """A list that grows by one at each bracket on the table of a diagonal
+    """A list that grows by one at each bracket on the mask of a diagonal
     slice (``manin._diagonal_slice``) from now on."""
-    tables, seen = [], []
+    masks, seen = [], []
     diagonal_slice, bracket = manin._diagonal_slice, Packing.bracket
 
     def sliced(*args):
         out = diagonal_slice(*args)
         if out:
-            tables.append(out[1])
+            masks.append(out[1])
         return out
 
-    def counted(self, p, q, table=None):
-        if any(table is t for t in tables):
+    def counted(self, p, q, table=None, zero=0):
+        if zero and zero in masks:
             seen.append(1)
-        return bracket(self, p, q, table)
+        return bracket(self, p, q, table, zero)
 
     monkeypatch.setattr(manin, "_diagonal_slice", sliced)
     monkeypatch.setattr(Packing, "bracket", counted)
@@ -221,14 +221,13 @@ class TestIsManinOracle:
     def test_one_determinant_per_column_order(self, monkeypatch, n):
         seen = []
         inner = manin.col_det
-        monkeypatch.setattr(manin, "col_det",
-                            lambda M, order=None: seen.append(order) or inner(M, order))
+        monkeypatch.setattr(manin, "col_det", lambda M: seen.append(M) or inner(M))
         rng = random.Random(n)
         rep = column_order_invariance(
             const_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
         assert rep.passed and rep.params["orders"] == factorial(n)
-        # the default order only: every other order is read from 2x2 minors
-        assert seen == [None]
+        # no determinant: every other order is read from 2x2 minors
+        assert seen == []
 
 
 class TestColDet:
@@ -260,8 +259,10 @@ class TestColDet:
         assert det.entry(1) == M.entries[0][0].entry(0) + M.entries[1][1].entry(0)
 
     def test_column_order_argument(self):
+        # det_col in the order (1, 0) is -minor(1, 0) = -(s * det_col + R)
         M = const_matrix([[1, 2], [3, 4]])
-        assert col_det(M, (1, 0)) == col_det(M)
+        assert M.col_reorder((0, 1), (1, 0)) == (-1, None)
+        assert -M.col_minor((0, 1), (1, 0)) == col_det(M)
 
 
 class TestColumnOrderInvariance:
@@ -412,21 +413,24 @@ class TestDeterminantCache:
         products = count_products(monkeypatch)
         assert column_order_invariance(M).passed
         assert all(r.passed is not False for r in manin_property_suite(M))
-        # the sweep: det_col in the default order (3 products) and the 18
-        # minors on two rows and two distinct columns (36) that its column
-        # swaps read; is_manin: the 9 minors on a repeated column (18);
-        # Cramer reads only those 2x2 minors.  Expanding every column order
-        # and every Cramer entry made 90, and without the table 171.
-        assert len(products) == 3 + 36 + 18 == 57
+        # the sweep: the 18 minors on two rows and two distinct columns (36)
+        # that its column swaps read, and no determinant; is_manin: the 9
+        # minors on a repeated column (18); Cramer reads only those 2x2
+        # minors.  Expanding every column order and every Cramer entry
+        # made 90, and without the table 171.
+        assert len(products) == 36 + 18 == 54
 
     def test_second_sweep_reads_the_table(self, monkeypatch):
         M = self.gaudin_gl3_n3()
         first = [column_order_invariance(M), *manin_property_suite(M)]
         products = count_products(monkeypatch)
         again = [column_order_invariance(M), *manin_property_suite(M)]
-        sums = M.minor_sums        # Newton's characteristic sums
         assert products == []
-        assert sums[M.size] is M.det()
+        # Newton's characteristic sums: only det_col is new, expanded along
+        # its first column on the kept 2x2 minors (3 products)
+        sums = M.minor_sums
+        assert len(products) == 3
+        assert sums[M.size] is col_det(M)
         assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
 
     def test_cramer_keeps_no_other_column_order(self):
@@ -443,13 +447,13 @@ class TestDeterminantCache:
         M = manin_case("gaudin-gl3")
         n = M.size
         E = M.entries
-        assert M.det() == permutation_col_det(E)
+        assert col_det(M) == permutation_col_det(E)
         fresh = [DiffOpEntry.one(M.sig)] + [
             reduce(add, (permutation_col_det([[E[i][j] for j in keep] for i in keep])
                          for keep in combinations(range(n), k)))
             for k in range(1, n + 1)]
         assert M.minor_sums == fresh
-        assert M.minor_sums is M.minor_sums and M.minor_sums[n] is M.det()
+        assert M.minor_sums is M.minor_sums and M.minor_sums[n] is col_det(M)
         column_order_invariance(M)
         manin_property_suite(M)
         for (rows, cols), value in M._minors.items():
@@ -465,9 +469,10 @@ class TestMinorTableOracle:
     @pytest.mark.parametrize("n", [3, 4])
     def test_col_det_in_every_column_order(self, n):
         E = noncommuting_operator_matrix(n).entries
+        rows = tuple(range(n))
         memo: dict = {}
         for order in permutations(range(n)):
-            assert linalg.col_det(E, order, memo) == permutation_col_det(E, order)
+            assert linalg.col_minor(E, rows, order, memo) == submatrix_det(E, rows, order)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_sweep_witnesses_match_the_permutation_sums(self, n):
@@ -520,9 +525,10 @@ class TestFirstColumnExpansion:
     def test_every_column_order_and_kept_minor(self, name):
         E = expansion_case(name)
         n = len(E)
+        rows = tuple(range(n))
         memo: dict = {}
         for order in permutations(range(n)):
-            assert linalg.col_det(E, order, memo) == permutation_col_det(E, order)
+            assert linalg.col_minor(E, rows, order, memo) == submatrix_det(E, rows, order)
         # one suffix of each order and each set of rows below the top
         assert len(memo) == sum(comb(n, k) * factorial(n) // factorial(n - k)
                                 for k in range(2, n + 1))
@@ -661,7 +667,7 @@ class TestManinWork:
         assert all(r.passed is not False for r in manin_property_suite(M))
         assert len(products) == calls
 
-    @pytest.mark.parametrize("rank, calls, lax_calls", [(2, 23, 59), (3, 65, 143)])
+    @pytest.mark.parametrize("rank, calls, lax_calls", [(2, 23, 59), (3, 62, 130)])
     def test_manin_suite(self, monkeypatch, rank, calls, lax_calls):
         products = count_products(monkeypatch)
         lax_products = count_products(monkeypatch, LaxEntry)
@@ -1165,7 +1171,7 @@ class TestCommutationCertificate:
         sig = AlgebraSignature(3, 3, Mode.CLASSICAL)
         gens = [m for poles in ([0, 1, 2], [0, 1, 5])
                 for m in spectral_invariants(gaudin_lax(sig, poles)).exprs()]
-        full = commutation_matrix(gens, table=lie_poisson_table(sig))
+        full = commutation_matrix(gens, table=letter_table(standard_operator(3), sig))
         sliced = count_sliced_brackets(monkeypatch)
         rep = commutation_matrix(gens)
         assert len(sliced) == rep.info["pairs"] == 45
@@ -1188,7 +1194,7 @@ class TestCommutationCertificate:
         assert not sliced
         assert rep.passed is False
         assert rep.to_json_dict() == commutation_matrix(
-            spoiled, table=lie_poisson_table(sig)).to_json_dict()
+            spoiled, table=letter_table(standard_operator(3), sig)).to_json_dict()
         # {x[1,1]@1, x[1,2]@1} = x[1,2]@1 vanishes on the slice, so only the
         # invariance test keeps this pair from passing there
         c2 = AlgebraSignature(2, 2, Mode.CLASSICAL)
@@ -1204,10 +1210,10 @@ class TestCommutationCertificate:
             for _ in range(8):
                 p, q = (random_invariant(rng, sig, terms=3) for _ in range(2))
                 packing = Packing(sig, p.degree + q.degree - 1)
-                forms, table = manin._diagonal_slice(packing, {0: packing.pack(p),
-                                                               1: packing.pack(q)})
+                forms, off = manin._diagonal_slice(packing, {0: packing.pack(p),
+                                                             1: packing.pack(q)})
                 want = on_diagonal_slice(leibniz_terms(p.terms, q.terms))
-                assert packing.bracket(forms[0], forms[1], table).terms == want
+                assert packing.bracket(forms[0], forms[1], zero=off).terms == want
                 nonzero += bool(want)
                 spoiled = packing.pack(p + sig.gen(1, 1, 2))
                 assert manin._diagonal_slice(packing, {0: spoiled}) is None

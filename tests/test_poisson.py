@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.algebra import AlgebraSignature, Mode, ModeError, poisson_bracket
+from gaudin.algebra import AlgebraSignature, Mode, ModeError, Packing, poisson_bracket
 from gaudin.gluing import iterate_pattern, left_comb_pattern
 from gaudin import poisson, suites
-from gaudin.lax import InvariantFamily, lax_from_groups, spectral_invariants
+from gaudin.lax import (
+    InvariantFamily, InvariantMember, gaudin_lax, lax_from_groups, spectral_invariants,
+)
+from gaudin.manin import commutation_matrix
 from gaudin.poisson import (
     PoissonOperator,
     antisymmetry_check,
@@ -23,6 +26,7 @@ from gaudin.poisson import (
     pencil,
     standard_operator,
 )
+from gaudin.reports import dumps_json
 from gaudin.suites import RunConfig, run_suite
 
 from oracles import (
@@ -240,9 +244,10 @@ class TestFamilyCommutes:
     def test_single_member_family(self, c3):
         fam = spectral_invariants(lax_from_groups(c3, [([1, 2, 3], 0)], "blob"), 1)
         assert family_commutes_under(limit_rijk_operator(3), fam).passed
+        with pytest.raises(ValueError, match="operator is for 4 sites, signature has 3"):
+            family_commutes_under(standard_operator(4), fam)
 
     def test_noncommuting_family_detected(self, c3):
-        from gaudin.lax import InvariantMember
         bad = InvariantFamily([
             InvariantMember(c3.gen(1, 1, 2), {"matrix": "control", "which": "x12"}),
             InvariantMember(c3.gen(1, 2, 1), {"matrix": "control", "which": "x21"}),
@@ -263,6 +268,54 @@ class TestFamilyCommutes:
         assert rep.passed is False and rep.witnesses
         assert rep.check == "family_commutes"
         assert rep.params == {"spec": "limit_rijk", "family": "g", "members": len(inv)}
+
+    def test_standard_operator_is_bracketed_on_the_slice(self, monkeypatch):
+        # the standard operator, and a pencil equal to it, is the
+        # Lie-Poisson bracket: no letter table is compiled, and every pair
+        # of S is bracketed on the diagonal slice, with its nonzero mask
+        sig = AlgebraSignature(3, 3, Mode.CLASSICAL)
+        inv = spectral_invariants(lax_from_groups(sig, [([1], 0), ([2], 1), ([3], 2)], "g"))
+        compiled, masked = [], []
+        bracket = Packing.bracket
+
+        def counted(self, p, q, table=None, zero=0):
+            masked.append(bool(zero))
+            return bracket(self, p, q, table, zero)
+
+        monkeypatch.setattr(Packing, "bracket", counted)
+        monkeypatch.setattr(poisson, "letter_table", lambda *a: compiled.append(a))
+        std = standard_operator(3)
+        for op in (std, pencil(2, std, -1, std)):
+            masked.clear()
+            rep = family_commutes_under(op, inv)
+            assert rep.passed and not compiled
+            assert masked.count(True) == rep.info["pairs"] == 15
+
+    @pytest.mark.parametrize("pole_sets, failing", [
+        ([[0, 1, 2]], 0),
+        ([[0, 1, 2], [0, 1, 5]], 24),
+    ], ids=["one-pole-set", "two-pole-sets"])
+    def test_standard_operator_report_equals_the_compiled_table_s(self, pole_sets, failing):
+        # the generic r = 3 families at two pole sets do not commute with
+        # each other; the Lie-Poisson path reports what the standard
+        # operator's letter table does, witnesses and info included
+        sig = AlgebraSignature(3, 3, Mode.CLASSICAL)
+        fam = InvariantFamily([m for poles in pole_sets
+                               for m in spectral_invariants(gaudin_lax(sig, poles)).members],
+                              "generic")
+        rep = family_commutes_under(standard_operator(3), fam)
+        full = commutation_matrix(fam.exprs(), [m.provenance for m in fam.members],
+                                  letter_table(standard_operator(3), sig))
+        full.check, full.params = rep.check, rep.params
+        assert len(rep.witnesses) == failing
+        assert dumps_json(rep.to_json_dict()) == dumps_json(full.to_json_dict())
+
+    def test_quantum_family_is_refused(self, q3):
+        fam = InvariantFamily([InvariantMember(q3.gen(1, 1, 2), {"which": "x12"}),
+                               InvariantMember(q3.gen(1, 2, 1), {"which": "x21"})])
+        for op in (standard_operator(3), limit_rijk_operator(3)):
+            with pytest.raises(ModeError, match="defined in Classical mode only"):
+                family_commutes_under(op, fam)
 
 
 def _pencil(sign, sites):

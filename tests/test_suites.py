@@ -59,13 +59,21 @@ def test_talalaev_suite_certifies_residue_coefficients():
 
 def test_talalaev_r3n2_commutator_calls(monkeypatch, tmp_path):
     # 88 letter tests of the centre test plus 3 basis pairs: a lost
-    # reduction of the certificate shows here without any timing
+    # reduction of the certificate shows here without any timing; the
+    # certificate calls its own binding of commutator
     import gaudin.algebra
+    import gaudin.manin
     from gaudin.cli import main
 
     calls = []
     real = gaudin.algebra.commutator
-    monkeypatch.setattr(gaudin.algebra, "commutator", lambda p, q: calls.append(1) or real(p, q))
+
+    def counted(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    for module in (gaudin.algebra, gaudin.manin):
+        monkeypatch.setattr(module, "commutator", counted)
     assert main(["verify", "talalaev", "--r", "3", "--sites", "2", "--out", str(tmp_path)]) == 0
     assert len(calls) == 88 + 3
 
@@ -123,9 +131,13 @@ def test_classical_glue_at_rank_three_has_no_quantum_half(monkeypatch):
 
 
 def test_bending_table_certificates_bracket_each_pair_once(monkeypatch):
-    # per certificate: each central input against the 36 letters in one
-    # order, the non-central inputs up to their first nonzero letter bracket,
-    # and the pairs i < j of S (C(9, 2) = 36 and C(13, 2) = 78)
+    # per certificate: each central input against its centre letters in one
+    # order (the 16 Chevalley letters under the standard operator, which
+    # runs with no table, and the 36 letters under the limit table), the
+    # non-central inputs up to their first nonzero letter bracket, and the
+    # pairs i < j of S (C(9, 2) = 36 and C(13, 2) = 78); the standard
+    # certificate also tests its 9 inputs of S against the 4 diagonal
+    # Chevalley letters before bracketing its pairs on the slice
     from gaudin import algebra, poisson
 
     calls = []
@@ -135,9 +147,9 @@ def test_bending_table_certificates_bracket_each_pair_once(monkeypatch):
         calls.append(0)
         return certificate(*args, **kw)
 
-    def counted_bracket(*args):
+    def counted_bracket(*args, **kw):
         calls[-1] += 1
-        return bracket(*args)
+        return bracket(*args, **kw)
 
     monkeypatch.setattr(algebra.Packing, "bracket", counted_bracket)
     monkeypatch.setattr(poisson, "commutation_matrix", counted_certificate)
@@ -146,4 +158,4 @@ def test_bending_table_certificates_bracket_each_pair_once(monkeypatch):
     info = {r.check: r.info for r in reports}
     assert info["bending_commutes_standard"] == {"central": 14, "basis": 9, "pairs": 36}
     assert info["bending_commutes_limit"] == {"central": 11, "basis": 13, "pairs": 78}
-    assert calls == [14 * 36 + 22 + 36, 11 * 36 + 25 + 78]
+    assert calls == [14 * 16 + 22 + 9 * 4 + 36, 11 * 36 + 25 + 78]
